@@ -1,0 +1,103 @@
+"""Golden trajectories: every method's first 100 iterations, pinned.
+
+The reference values in ``tests/data/golden.npz`` were produced by the
+solver loop this file was written against. Any later rewrite of the
+iteration kernel must reproduce them to 1e-12 relative, with identical
+iteration and matvec counts. Regenerate (only when a trajectory change is
+intended) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from splitmerge import CsrOperator, DenseOperator, SolverConfig, solve
+
+DATA = Path(__file__).with_name("data") / "golden.npz"
+MAX_ITER = 100
+RTOL = 1e-12
+
+
+class _Truth:
+    def __init__(self, u1):
+        self.u1 = u1
+
+
+def _dense_case():
+    """n = 64, eigenvalues 1, 0.95, then 0.9..0.01, rotated by a Householder reflector."""
+    n = 64
+    lam = np.concatenate([[1.0, 0.95], np.linspace(0.9, 0.01, n - 2)])
+    v = np.random.default_rng(64).standard_normal(n)
+    q = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    a = (q * lam) @ q.T
+    return DenseOperator((a + a.T) * 0.5), _Truth(q[:, 0]), 0.95
+
+
+def _csr_case():
+    """tridiag(1, 2, 1) of size 200: lambda_k = 2 + 2cos(k pi/201), u1_j ~ sin(j pi/201)."""
+    n = 200
+    mat = sp.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+    u1 = np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
+    lam2 = 2.0 + 2.0 * math.cos(2.0 * math.pi / (n + 1))
+    return CsrOperator(mat), _Truth(u1 / np.linalg.norm(u1)), lam2
+
+
+CASES = {"dense64": _dense_case, "csr200": _csr_case}
+METHODS = ("power", "gd_difference", "power_momentum", "split_merge")
+
+
+def _run(case, method):
+    op, truth, lam2 = CASES[case]()
+    config = SolverConfig(
+        method, alpha=0.9, beta=lam2**2 / 4.0, eps=1e-300, max_iter=MAX_ITER, seed=7,
+    )
+    res = solve(op, config, ground_truth=truth)
+    trace = res.trace
+    nan = np.full(len(trace.k), math.nan)
+    zeta = np.array([c.zeta for c in trace.coeffs]) if trace.coeffs else nan
+    omega = np.array([c.omega for c in trace.coeffs]) if trace.coeffs else nan
+    return {
+        "iterations": np.array(res.iterations),
+        "sin_theta": np.asarray(trace.sin_theta, dtype=float),
+        "f_value": np.asarray(trace.f_value, dtype=float),
+        "rayleigh": np.asarray(trace.rayleigh, dtype=float),
+        "residual": np.asarray(trace.residual, dtype=float),
+        "matvecs": np.asarray(trace.matvecs, dtype=np.int64),
+        "zeta": zeta,
+        "omega": omega,
+        "x": np.asarray(res.x, dtype=float),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(DATA) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("method", METHODS)
+def test_trajectory_matches_golden(golden, case, method):
+    got = _run(case, method)
+    for column, value in got.items():
+        ref = golden[f"{case}/{method}/{column}"]
+        if column in ("iterations", "matvecs"):
+            np.testing.assert_array_equal(value, ref, err_msg=column)
+        else:
+            assert value.shape == ref.shape, column
+            np.testing.assert_allclose(value, ref, rtol=RTOL, atol=0.0, err_msg=column)
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    arrays = {
+        f"{case}/{method}/{column}": value
+        for case in CASES
+        for method in METHODS
+        for column, value in _run(case, method).items()
+    }
+    np.savez_compressed(DATA, **arrays)
+    print(f"wrote {len(arrays)} arrays to {DATA}")
