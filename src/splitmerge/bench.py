@@ -34,11 +34,11 @@ power_momentum, rho_policy (named policy or a constant) for split_merge.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
 import statistics
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,6 +125,9 @@ class TrialRecord:
     error: str | None = None
     result: SolveResult | None = None
     f_star: float = math.nan
+    stop_reason: str = "error"          # SolveResult.stop_reason, or "error" on a typed failure
+    safeguard_activations: int = 0
+    degenerate_fallbacks: int = 0
 
 
 @dataclass
@@ -166,6 +169,9 @@ class RunReport:
                     "matvecs": r.matvecs,
                     "seconds": r.seconds,
                     "error": r.error,
+                    "stop_reason": r.stop_reason,
+                    "safeguard_activations": r.safeguard_activations,
+                    "degenerate_fallbacks": r.degenerate_fallbacks,
                 }
                 for r in self.records
             ],
@@ -233,13 +239,15 @@ def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord
     for setting in config.solvers:
         run_op = op.share()
         solver_config = _solver_config(setting, config, truth)
+        start = time.perf_counter()
         try:
             result = solve(run_op, solver_config, ground_truth=truth, x0=x0)
         except SplitMergeError as exc:
             records.append(
                 TrialRecord(
                     solver=setting.label, trial=trial, converged=False,
-                    iterations=0, matvecs=run_op.matvec_count, seconds=0.0,
+                    iterations=0, matvecs=run_op.matvec_count,
+                    seconds=time.perf_counter() - start,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
@@ -249,6 +257,9 @@ def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord
                 solver=setting.label, trial=trial, converged=result.converged,
                 iterations=result.iterations, matvecs=result.trace.matvecs[-1],
                 seconds=result.trace.seconds[-1], result=result, f_star=f_star,
+                stop_reason=result.stop_reason,
+                safeguard_activations=result.safeguard_activations,
+                degenerate_fallbacks=result.degenerate_fallbacks,
             )
         )
     return records
@@ -342,6 +353,9 @@ def _std(xs):
 
 
 TRACE_HEADER = "k,sin_theta,f_minus_fstar,rayleigh,residual,matvecs,seconds,neg_zeta_over_omega"
+# One row of the trace CSV (csv-module line ending). NaN prints as "nan" and
+# is then blanked, so unavailable values are empty cells.
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g\r\n"
 
 
 def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
@@ -354,34 +368,27 @@ def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
             continue
         path = out_dir / f"{_slug(rec.solver)}__trial{rec.trial:03d}.csv"
         trace = rec.result.trace
+        rows = len(trace.matvecs)
+        if trace.coeffs:
+            nzo = [c.neg_zeta_over_omega for c in trace.coeffs]
+        else:
+            nzo = np.full(rows, math.nan)
+        table = np.column_stack([
+            np.arange(rows),
+            trace.sin_theta,
+            np.asarray(trace.f_value) - rec.f_star,
+            trace.rayleigh,
+            trace.residual,
+            trace.matvecs,
+            trace.seconds,
+            nzo,
+        ])
+        body = (_TRACE_ROW * rows) % tuple(table.ravel().tolist())
         with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER.split(","))
-            for i, k in enumerate(trace.k):
-                sin_t = trace.sin_theta[i]
-                f_gap = trace.f_value[i] - rec.f_star
-                coeff = trace.coeffs[i] if trace.coeffs else None
-                nzo = coeff.neg_zeta_over_omega if coeff is not None else math.nan
-                writer.writerow(
-                    [
-                        k,
-                        _fmt(sin_t),
-                        _fmt(f_gap),
-                        _fmt(trace.rayleigh[i]),
-                        _fmt(trace.residual[i]),
-                        trace.matvecs[i],
-                        _fmt(trace.seconds[i]),
-                        _fmt(nzo),
-                    ]
-                )
+            fh.write(TRACE_HEADER + "\r\n")
+            fh.write(body.replace(",nan", ","))
         paths.append(path)
     return paths
-
-
-def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.17g}"
 
 
 def _slug(label: str) -> str:

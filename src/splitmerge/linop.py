@@ -8,6 +8,7 @@ that makes an indefinite symmetric operator PSD.
 from __future__ import annotations
 
 import threading
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +40,6 @@ class LinearOperator:
         if n < 1:
             raise DimensionMismatchError(f"operator dimension must be >= 1, got {n}")
         self.n = int(n)
-        self.symmetry_checked = False
         self._matvec_count = 0
         self._count_lock = threading.Lock()
 
@@ -102,7 +102,6 @@ class LinearOperator:
             lhs = abs(u @ self._apply(w) - w @ self._apply(u))
             if lhs > SYMMETRY_PROBE_TOL * scale * np.linalg.norm(u) * np.linalg.norm(w):
                 return False
-        self.symmetry_checked = True
         return True
 
     def check_psd(self, probes: int = 16, rng=None) -> bool:
@@ -210,11 +209,6 @@ class ShiftedOperator(LinearOperator):
         return float(np.sqrt(max(val, 0.0)))
 
 
-def apply(op: LinearOperator, x: np.ndarray) -> np.ndarray:
-    """Functional alias for ``op.apply(x)``."""
-    return op.apply(x)
-
-
 def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
     """Shift A to A + eta*I with eta = max(0, -min_i(a_ii - sum_{j!=i}|a_ij|)).
 
@@ -277,37 +271,25 @@ def load_matrix_market(path) -> LinearOperator:
         if size_line is None:
             raise MatrixMarketError(f"{path}: missing size line")
 
-        tokens = size_line.split()
-        body = fh.read().split()
-
-    if fmt == "coordinate":
-        if len(tokens) != 3:
-            raise MatrixMarketError(f"{path}: coordinate size line needs 3 fields: {size_line!r}")
-        try:
-            rows, cols, nnz = (int(t) for t in tokens)
-        except ValueError as exc:
-            raise MatrixMarketError(f"{path}: bad size line {size_line!r}") from exc
+        sizes = _size_fields(size_line, 3 if fmt == "coordinate" else 2, path)
+        rows, cols = sizes[:2]
         if rows != cols:
             raise NonSquareMatrixError(f"{path}: {rows}x{cols} matrix is not square")
-        if len(body) != 3 * nnz:
-            raise MatrixMarketError(
-                f"{path}: expected {nnz} entries ({3 * nnz} fields), found {len(body)} fields"
-            )
-        ii = np.empty(nnz, dtype=np.int64)
-        jj = np.empty(nnz, dtype=np.int64)
-        vv = np.empty(nnz, dtype=float)
-        try:
-            for k in range(nnz):
-                ii[k] = int(body[3 * k])
-                jj[k] = int(body[3 * k + 1])
-                vv[k] = float(body[3 * k + 2])
-        except ValueError as exc:
-            raise MatrixMarketError(f"{path}: malformed entry near field {3 * k}") from exc
-        if nnz and (ii.min() < 1 or jj.min() < 1 or ii.max() > rows or jj.max() > cols):
+        if fmt == "coordinate":
+            nnz = sizes[2]
+            entries = _coordinate_body(fh, nnz, path)
+        else:
+            body = fh.read().split()
+
+    if fmt == "coordinate":
+        index = entries[:, :2]
+        if np.any(index != np.floor(index)):
+            raise MatrixMarketError(f"{path}: non-integral entry index")
+        if nnz and (index.min() < 1 or index.max() > rows):
             raise IndexOutOfRangeError(f"{path}: entry index outside 1..{rows}")
-        ii -= 1
-        jj -= 1
-        mat = sp.coo_matrix((vv, (ii, jj)), shape=(rows, cols)).tocsr()
+        ii = index[:, 0].astype(np.int64) - 1
+        jj = index[:, 1].astype(np.int64) - 1
+        mat = sp.coo_matrix((entries[:, 2], (ii, jj)), shape=(rows, cols)).tocsr()
         if symmetry == "symmetric":
             lower = sp.tril(mat, k=-1)
             mat = mat + lower.T
@@ -317,14 +299,6 @@ def load_matrix_market(path) -> LinearOperator:
         return CsrOperator(mat)
 
     # array real general, column-major dense payload
-    if len(tokens) != 2:
-        raise MatrixMarketError(f"{path}: array size line needs 2 fields: {size_line!r}")
-    try:
-        rows, cols = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise MatrixMarketError(f"{path}: bad size line {size_line!r}") from exc
-    if rows != cols:
-        raise NonSquareMatrixError(f"{path}: {rows}x{cols} matrix is not square")
     if len(body) != rows * cols:
         raise MatrixMarketError(f"{path}: expected {rows * cols} values, found {len(body)}")
     try:
@@ -339,6 +313,32 @@ def load_matrix_market(path) -> LinearOperator:
             f"{path}: 'general' matrix is asymmetric (max |a_ij - a_ji| = {asym:.3e})"
         )
     return DenseOperator((dense + dense.T) * 0.5)
+
+
+def _size_fields(size_line: str, count: int, path) -> list[int]:
+    tokens = size_line.split()
+    if len(tokens) != count:
+        raise MatrixMarketError(f"{path}: size line needs {count} fields: {size_line!r}")
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise MatrixMarketError(f"{path}: bad size line {size_line!r}") from exc
+
+
+def _coordinate_body(fh, nnz: int, path) -> np.ndarray:
+    """The (row, col, value) entry lines left in ``fh`` as an (nnz, 3) float array."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
+            entries = np.loadtxt(fh, dtype=float, comments="%", ndmin=2)
+    except ValueError as exc:
+        raise MatrixMarketError(f"{path}: malformed entry line: {exc}") from exc
+    if entries.shape[0] != nnz or (nnz and entries.shape[1] != 3):
+        raise MatrixMarketError(
+            f"{path}: expected {nnz} entries of 3 fields, found {entries.shape[0]} lines "
+            f"of {entries.shape[1]} fields"
+        )
+    return entries.reshape(nnz, 3)
 
 
 def _require_symmetric_sparse(mat: sp.csr_matrix, path) -> None:

@@ -1,4 +1,4 @@
-"""Iterative dominant-eigenvector solvers sharing one driver.
+"""Iterative dominant-eigenvector solvers sharing one driver and one kernel.
 
 Methods: classical power iteration, gradient descent on the difference
 objective with step alpha in (0,1), power iteration with momentum, and the
@@ -9,12 +9,16 @@ None of split_merge / gd_difference normalize their iterates: the update
 dynamics keep ||x|| near sqrt(lambda1)/2 and the curvature scalar sigma is
 not scale-invariant, so normalizing would change the trajectory. Overflow
 guards stand in for normalization.
+
+All per-iteration arithmetic lives in :class:`IterationKernel`, which the
+driver, the public step functions and the theory checks share.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +89,10 @@ class SplitMergeCoefficients:
 
     ``w`` and ``z`` are the Ax and A^2x computed while forming the scalars;
     the step consumes them so each iteration costs exactly two matvecs.
-    ``degenerate`` marks an iterate that is numerically an eigenvector, in
-    which case the coefficients describe the pure DCA step (omega = 0).
+    :func:`solve` drops them once its step has used them, so the entries of
+    ``trace.coeffs`` carry scalars only. ``degenerate`` marks an iterate that
+    is numerically an eigenvector, in which case the coefficients describe
+    the pure DCA step (omega = 0).
     """
 
     mu: float
@@ -106,33 +112,42 @@ class SplitMergeCoefficients:
         return -self.zeta / self.omega
 
 
+def _column(typecode: str):
+    return field(default_factory=lambda: array(typecode))
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration history of a solver run.
 
-    Record k describes iterate x_k. ``matvecs`` is cumulative from the start
-    of the loop and includes the products used to measure x_k itself, so the
-    per-record delta is exactly 1 for the one-matvec methods and 2 for
-    split_merge. ``coeffs[k]`` (split_merge only) holds the scalars computed
+    Record k describes iterate x_k. Each column is a packed ``array.array``
+    holding one machine double (int64 for ``matvecs``) per record.
+    ``matvecs`` is cumulative from the start of the loop and includes the
+    products used to measure x_k itself, so the per-record delta is exactly
+    1 for the one-matvec methods and 2 for split_merge. ``coeffs[k]`` (split_merge only) holds the scalars computed
     at x_k; the ones at the final record were never applied.
     """
 
     method: str
-    k: list[int] = field(default_factory=list)
-    sin_theta: list[float] = field(default_factory=list)
-    f_value: list[float] = field(default_factory=list)
-    rayleigh: list[float] = field(default_factory=list)
-    lambda_of_x: list[float] = field(default_factory=list)
-    residual: list[float] = field(default_factory=list)
-    matvecs: list[int] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
+    sin_theta: array = _column("d")
+    f_value: array = _column("d")
+    rayleigh: array = _column("d")
+    lambda_of_x: array = _column("d")
+    residual: array = _column("d")
+    matvecs: array = _column("q")
+    seconds: array = _column("d")
     coeffs: list[SplitMergeCoefficients] | None = None
+
+    @property
+    def k(self) -> list[int]:
+        """Record indices; every iterate is recorded, so they run 0..K-1."""
+        return list(range(len(self.matvecs)))
 
     def applied_coeffs(self) -> list[SplitMergeCoefficients]:
         """Coefficients that actually produced a step (drops the final record's)."""
         if not self.coeffs:
             return []
-        return self.coeffs[: max(len(self.k) - 1, 0)]
+        return self.coeffs[: max(len(self.matvecs) - 1, 0)]
 
 
 @dataclass
@@ -144,6 +159,13 @@ class SolveResult:
     iterations: int
     converged: bool
     trace: IterationTrace
+    safeguard_activations: int = 0      # split_merge records with rho > 1
+    degenerate_fallbacks: int = 0       # split_merge records that took the DCA step
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the loop ended: "converged" (stop rule met) or "max_iter" (cap reached)."""
+        return "converged" if self.converged else "max_iter"
 
 
 def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
@@ -169,18 +191,138 @@ def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
     )
 
 
+# -- the iteration kernel -------------------------------------------------------
+
+
+class IterationKernel:
+    """The arithmetic of one iteration, on buffers reused across iterations.
+
+    The caller takes the matvecs (always through ``op.apply``) and computes
+    x'Ax; the kernel forms every other dot product once and writes each
+    full-length intermediate into a preallocated buffer, so the operator's
+    own outputs are the only vectors an iteration allocates. Every update
+    writes the next iterate into ``out`` and returns it: a caller that keeps
+    iterating must give the kernel a fresh ``out`` (the driver hands back
+    the previous iterate's buffer), and the public step functions use a
+    fresh kernel per call so what they return is the caller's.
+    """
+
+    def __init__(self, n: int):
+        self.tmp = np.empty(n)     # w - r*x, then g = z - c*w, then a step's second term
+        self.out = np.empty(n)     # the next iterate
+        self.prev = np.zeros(n)    # power_momentum: previous iterate, scaled with the current
+
+    def diagnostics(self, x, w, quad: float, u1) -> tuple[float, float, float, float]:
+        """(x'x, Rayleigh quotient r, ||Ax - r x|| / ||x||, sin theta to unit u1 or nan)."""
+        xtx = float(x @ x)
+        r = quad / xtx
+        resid_vec = np.multiply(x, r, out=self.tmp)
+        np.subtract(w, resid_vec, out=resid_vec)
+        resid = math.sqrt(float(resid_vec @ resid_vec)) / math.sqrt(xtx)
+        sin_t = math.nan
+        if u1 is not None:
+            cos_t = abs(float(u1 @ x)) / math.sqrt(xtx)
+            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+        return xtx, r, resid, sin_t
+
+    def split_merge_coeffs(
+        self, w: np.ndarray, z: np.ndarray, quad: float, rho_policy: str | float
+    ) -> SplitMergeCoefficients:
+        """Split-merge scalars from w = Ax, z = A^2x and quad = x'Ax; caches w and z."""
+        if quad <= 0.0:
+            raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
+        wtw = float(w @ w)           # x'A^2x by symmetry
+        mu = 2.0 * math.sqrt(quad)
+
+        c = wtw / quad
+        g = np.multiply(w, c, out=self.tmp)
+        np.subtract(z, g, out=g)     # orthogonal residual of A^2x against Ax
+        num = float(g @ g)           # ||A^2x - c*Ax||^2
+        den = float(g @ w)           # x'A^3x - (x'A^2x)^2 / x'Ax
+
+        if den <= DEGENERATE_FACTOR * float(z @ z):
+            # x is numerically an eigenvector: gamma is 0/0, fall back to the
+            # DCA step Ax / (2*sqrt(x'Ax)), i.e. the v = 0 member of the family.
+            return SplitMergeCoefficients(
+                mu=mu, gamma=0.0, sigma=1.0, zeta=1.0 / mu, omega=0.0, rho=1.0,
+                degenerate=True, w=w, z=z,
+            )
+
+        gamma = num / den
+        ratio = gamma / mu
+        if isinstance(rho_policy, str):
+            if rho_policy == "fixed_one_with_safeguard":
+                rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
+            elif rho_policy == "convergence_guaranteed":
+                # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
+                # which pins every rate ratio into [0, 1].
+                rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
+            else:
+                raise ValueError(f"unknown rho policy {rho_policy!r}")
+        else:
+            rho = float(rho_policy)
+
+        sigma = 1.0 - gamma / (rho * mu)
+        if sigma <= 0.0:
+            raise SigmaNotPositiveError(
+                f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
+            )
+        zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
+        omega = 1.0 / (mu**2 * sigma * rho)
+        return SplitMergeCoefficients(
+            mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
+            degenerate=False, w=w, z=z,
+        )
+
+    def power(self, w: np.ndarray) -> np.ndarray:
+        """Ax / ||Ax||."""
+        norm = math.sqrt(float(w @ w))
+        if norm < 1e-300:
+            raise BreakdownError("power step broke down: ||Ax|| ~ 0")
+        return np.divide(w, norm, out=self.out)
+
+    def gd(self, x: np.ndarray, w: np.ndarray, quad: float, alpha: float) -> np.ndarray:
+        """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax)."""
+        if quad <= 0.0:
+            raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
+        nxt = np.multiply(x, 1.0 - 2.0 * alpha, out=self.out)
+        step = np.multiply(w, alpha / math.sqrt(quad), out=self.tmp)
+        return np.add(nxt, step, out=nxt)
+
+    def momentum(self, x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
+        """y = Ax - beta*prev; returns y/||y|| and sets prev to x/||y||."""
+        y = np.multiply(self.prev, beta, out=self.tmp)
+        np.subtract(w, y, out=y)
+        norm = math.sqrt(float(y @ y))
+        if norm < 1e-300:
+            raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
+        np.divide(x, norm, out=self.prev)
+        return np.divide(y, norm, out=self.out)
+
+    def split_merge(self, coeffs: SplitMergeCoefficients) -> np.ndarray:
+        """zeta*Ax + omega*A^2x from the products cached on ``coeffs``."""
+        nxt = np.multiply(coeffs.w, coeffs.zeta, out=self.out)
+        if not coeffs.degenerate:
+            np.add(nxt, np.multiply(coeffs.z, coeffs.omega, out=self.tmp), out=nxt)
+        norm = math.sqrt(float(nxt @ nxt))
+        if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
+            raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
+        return nxt
+
+
 # -- single steps (public contract: each does its own matvecs) ---------------
 
 
 def power_step(op: LinearOperator, x: np.ndarray) -> np.ndarray:
     """Ax / ||Ax||. One matvec."""
-    return _power_dir(op.apply(np.asarray(x, dtype=float)))
+    return IterationKernel(op.n).power(op.apply(np.asarray(x, dtype=float)))
 
 
 def gd_step(op: LinearOperator, x: np.ndarray, alpha: float) -> np.ndarray:
     """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), unnormalized. One matvec."""
     x = np.asarray(x, dtype=float)
-    return _gd_next(x, op.apply(x), alpha)
+    w = op.apply(x)
+    return IterationKernel(op.n).gd(x, w, float(x @ w), alpha)
 
 
 def power_momentum_step(
@@ -193,7 +335,10 @@ def power_momentum_step(
     meaning across iterations.
     """
     x_curr = np.asarray(x_curr, dtype=float)
-    return _momentum_next(op.apply(x_curr), x_curr, np.asarray(x_prev, dtype=float), beta)
+    w = op.apply(x_curr)
+    kernel = IterationKernel(op.n)
+    kernel.prev[:] = x_prev
+    return kernel.momentum(x_curr, w, beta), kernel.prev
 
 
 def split_merge_coeffs(
@@ -203,7 +348,7 @@ def split_merge_coeffs(
     x = np.asarray(x, dtype=float)
     w = op.apply(x)
     z = op.apply(w)
-    return _coeffs_from_products(op, x, w, z, rho_policy)
+    return IterationKernel(op.n).split_merge_coeffs(w, z, float(x @ w), rho_policy)
 
 
 def split_merge_step(
@@ -212,94 +357,7 @@ def split_merge_step(
     """zeta*Ax + omega*A^2x using the products cached in ``coeffs``. No matvecs."""
     if coeffs.w is None or (coeffs.z is None and not coeffs.degenerate):
         raise ValueError("coefficients carry no cached products; compute them at this x")
-    if coeffs.degenerate:
-        nxt = coeffs.zeta * coeffs.w
-    else:
-        nxt = coeffs.zeta * coeffs.w + coeffs.omega * coeffs.z
-    norm = float(np.linalg.norm(nxt))
-    if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
-        raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
-    return nxt
-
-
-# -- cached-product step kernels (shared by the public steps and the driver) --
-
-
-def _power_dir(w: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-300:
-        raise BreakdownError("power step broke down: ||Ax|| ~ 0")
-    return w / norm
-
-
-def _gd_next(x: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    quad = float(x @ w)
-    if quad <= 0.0:
-        raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
-    return (1.0 - 2.0 * alpha) * x + (alpha / np.sqrt(quad)) * w
-
-
-def _momentum_next(
-    w: np.ndarray, x_curr: np.ndarray, x_prev: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    y = w - beta * x_prev
-    norm = float(np.linalg.norm(y))
-    if norm < 1e-300:
-        raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
-    return y / norm, x_curr / norm
-
-
-def _coeffs_from_products(
-    op: LinearOperator,
-    x: np.ndarray,
-    w: np.ndarray,
-    z: np.ndarray,
-    rho_policy: str | float,
-) -> SplitMergeCoefficients:
-    xtw = float(x @ w)           # x'Ax
-    if xtw <= 0.0:
-        raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
-    wtw = float(w @ w)           # x'A^2x by symmetry
-    mu = 2.0 * math.sqrt(xtw)
-
-    c = wtw / xtw
-    g = z - c * w                # orthogonal residual of A^2x against Ax
-    num = float(g @ g)           # ||A^2x - c*Ax||^2
-    den = float(g @ w)           # x'A^3x - (x'A^2x)^2 / x'Ax
-
-    if den <= DEGENERATE_FACTOR * float(z @ z):
-        # x is numerically an eigenvector: gamma is 0/0, fall back to the
-        # DCA step Ax / (2*sqrt(x'Ax)), i.e. the v = 0 member of the family.
-        return SplitMergeCoefficients(
-            mu=mu, gamma=0.0, sigma=1.0, zeta=1.0 / mu, omega=0.0, rho=1.0,
-            degenerate=True, w=w, z=z,
-        )
-
-    gamma = num / den
-    ratio = gamma / mu
-    if isinstance(rho_policy, str):
-        if rho_policy == "fixed_one_with_safeguard":
-            rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
-        elif rho_policy == "convergence_guaranteed":
-            # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
-            # which pins every rate ratio into [0, 1].
-            rho = max(1.0, ratio + wtw / (2.0 * xtw**1.5)) + 1e-12
-        else:
-            raise ValueError(f"unknown rho policy {rho_policy!r}")
-    else:
-        rho = float(rho_policy)
-
-    sigma = 1.0 - gamma / (rho * mu)
-    if sigma <= 0.0:
-        raise SigmaNotPositiveError(
-            f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
-        )
-    zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
-    omega = 1.0 / (mu**2 * sigma * rho)
-    return SplitMergeCoefficients(
-        mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
-        degenerate=False, w=w, z=z,
-    )
+    return IterationKernel(op.n).split_merge(coeffs)
 
 
 # -- driver -------------------------------------------------------------------
@@ -315,9 +373,11 @@ def solve(
 
     ``ground_truth`` needs a unit ``u1`` attribute (a Spectrum or dominant
     reference) and is required in oracle_angle stop mode. Hitting the
-    iteration cap is not an error; the result just has converged=False.
-    Diagnostics reuse the step's own matvecs, so the cumulative matvec count
-    advances by exactly the method's per-iteration cost.
+    iteration cap is not an error; the result just has converged=False and
+    stop_reason "max_iter". Diagnostics reuse the step's own matvecs, so the
+    cumulative matvec count advances by exactly the method's per-iteration
+    cost. Memory is O(n) plus a few scalars per iteration: the products a
+    step consumes are released once it has used them.
     """
     u1 = None
     if ground_truth is not None:
@@ -332,8 +392,9 @@ def solve(
         x = np.asarray(x0, dtype=float).copy()
 
     is_sm = config.method == "split_merge"
+    kernel = IterationKernel(op.n)
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
-    x_prev = np.zeros_like(x)  # momentum state; zero start makes step 0 a power step
+    safeguards = fallbacks = 0
 
     mv0 = op.matvec_count
     t0 = time.perf_counter()
@@ -344,25 +405,18 @@ def solve(
         w = op.apply(x)
         z = op.apply(w) if is_sm else None
 
-        xtx = float(x @ x)
         quad = float(x @ w)
         if quad <= 0.0:
             raise NonDifferentiablePointError(f"x'Ax = {quad:.3e} at iteration {k}")
+        xtx, r, resid, sin_t = kernel.diagnostics(x, w, quad, u1)
         s = math.sqrt(quad)
-        r = quad / xtx
-        resid = float(np.linalg.norm(w - r * x)) / math.sqrt(xtx)
 
-        sin_t = math.nan
-        if u1 is not None:
-            cos_t = abs(float(u1 @ x)) / math.sqrt(xtx)
-            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-
-        coeffs = None
         if is_sm:
-            coeffs = _coeffs_from_products(op, x, w, z, config.rho_policy)
+            coeffs = kernel.split_merge_coeffs(w, z, quad, config.rho_policy)
             trace.coeffs.append(coeffs)
+            safeguards += coeffs.rho > 1.0
+            fallbacks += coeffs.degenerate
 
-        trace.k.append(k)
         trace.sin_theta.append(sin_t)
         trace.f_value.append(xtx - s)
         trace.rayleigh.append(r)
@@ -383,14 +437,18 @@ def solve(
             break
 
         if config.method == "power":
-            x = _power_dir(w)
+            nxt = kernel.power(w)
         elif config.method == "gd_difference":
-            x = _gd_next(x, w, config.alpha)
+            nxt = kernel.gd(x, w, quad, config.alpha)
         elif config.method == "power_momentum":
-            x, x_prev = _momentum_next(w, x, x_prev, config.beta)
+            nxt = kernel.momentum(x, w, config.beta)
         else:
-            x = split_merge_step(op, x, coeffs)
+            nxt = kernel.split_merge(coeffs)
+            coeffs.w = coeffs.z = None
+        x, kernel.out = nxt, x
 
+    if is_sm:
+        coeffs.w = coeffs.z = None   # the final record's products were never applied
     norm_x = float(np.linalg.norm(x))
     return SolveResult(
         x=x,
@@ -400,4 +458,6 @@ def solve(
         iterations=iterations,
         converged=converged,
         trace=trace,
+        safeguard_activations=safeguards,
+        degenerate_fallbacks=fallbacks,
     )

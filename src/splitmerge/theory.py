@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linop import LinearOperator
 from .objective import hessian_vec
-from .solvers import IterationTrace, _coeffs_from_products, split_merge_step
+from .solvers import IterationKernel, IterationTrace
 
 DENSE_LIMIT_DEFAULT = 4096
 JACOBI_MAX_SWEEPS = 50
@@ -380,10 +380,10 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     fx = factor @ x
     z = op.apply(w)
     c = float(w @ w) / quad
-    g_split = factor.factor @ (factor.factor.T @ fx) - c * fx   # FF'Fx - c*Fx
+    g_split = factor.factor @ (factor.factor.T @ fx) - c * fx   # FF'Fx - c*Fx = F(Ax - c*x)
     norm_g = float(np.linalg.norm(g_split))
-    den = float((z - c * w) @ w)
-    if den <= 1e-14 * float(z @ z):
+    # ||F(Ax - c*x)||^2 = x'A^3x - (x'A^2x)^2 / x'Ax, the split-merge denominator
+    if norm_g * norm_g <= 1e-14 * float(z @ z):
         return VhatCheck(passed=True, skipped=True)
 
     vhat = g_split / (math.sqrt(rho) * norm_g)
@@ -398,8 +398,8 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     sigma = 1.0 - float(fv @ fv) / (2.0 * s)
     explicit = w / (2.0 * s) + (float(fv @ w) / (4.0 * sigma * quad)) * fv
 
-    coeffs = _coeffs_from_products(op, x, w, z, rho)
-    merged = split_merge_step(op, x, coeffs)
+    kernel = IterationKernel(op.n)
+    merged = kernel.split_merge(kernel.split_merge_coeffs(w, z, quad, rho))
     rel = float(np.linalg.norm(explicit - merged)) / float(np.linalg.norm(merged))
     return VhatCheck(
         passed=rel <= 1e-8,

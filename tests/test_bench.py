@@ -317,3 +317,90 @@ class TestCli:
     def test_gen_unwritable_out_exit_code(self, tmp_path):
         target = tmp_path / "no_dir" / "x.mtx"
         assert cli_main(["gen", "--n", "4", "--gap", "0.5", "--out", str(target)]) == 2
+
+
+def _coeffs(zeta, omega, degenerate=False):
+    from splitmerge.solvers import SplitMergeCoefficients
+
+    return SplitMergeCoefficients(
+        mu=2.0, gamma=0.5, sigma=0.75, zeta=zeta, omega=omega, rho=1.0, degenerate=degenerate,
+    )
+
+
+def _record(label, trial, trace, f_star=math.nan):
+    from splitmerge.bench import TrialRecord
+    from splitmerge.solvers import SolveResult
+
+    result = SolveResult(
+        x=np.ones(2), x_unit=np.ones(2), lambda_estimate=1.0, rayleigh_estimate=1.0,
+        iterations=len(trace.matvecs) - 1, converged=True, trace=trace,
+    )
+    return TrialRecord(label, trial, True, result.iterations, trace.matvecs[-1],
+                       trace.seconds[-1], result=result, f_star=f_star)
+
+
+def test_trace_csv_exact_bytes(tmp_path):
+    # residual-mode split-merge run (no sin theta) with a degenerate (omega = 0)
+    # record, and an oracle-mode power run without f* and without coefficients
+    from splitmerge.bench import TrialRecord, emit_traces
+    from splitmerge.solvers import IterationTrace
+
+    sm = IterationTrace(
+        method="split_merge", sin_theta=[math.nan] * 3,
+        f_value=[0.5, -0.2, -0.2499999999999999], rayleigh=[0.7, 0.95, 1.0],
+        lambda_of_x=[1.0, 1.0, 1.0], residual=[0.3, 1e-3, 2.5e-17], matvecs=[2, 4, 6],
+        seconds=[1e-5, 2.5e-5, 4.0e-5],
+        coeffs=[_coeffs(-0.2, 0.4), _coeffs(0.35, 0.0, True), _coeffs(0.1, 0.3)],
+    )
+    pw = IterationTrace(
+        method="power", sin_theta=[0.5, 0.0], f_value=[0.1, 0.2],
+        rayleigh=[1.0 / 3.0, 123456.789], lambda_of_x=[1.0, 1.0], residual=[1.0, 0.0],
+        matvecs=[1, 2], seconds=[0.125, 3.0],
+    )
+    failed = TrialRecord("power", 1, False, 0, 5, 0.0, error="BreakdownError: x")
+    records = [
+        _record("split_merge(rho_policy=convergence_guaranteed)", 3, sm, f_star=-0.25),
+        _record("power", 0, pw),
+        failed,
+    ]
+    paths = emit_traces(records, tmp_path)
+    header = b"k,sin_theta,f_minus_fstar,rayleigh,residual,matvecs,seconds,neg_zeta_over_omega\r\n"
+    assert [p.name for p in paths] == [
+        "split_merge_rho_policy_convergence_guaranteed___trial003.csv", "power__trial000.csv",
+    ]
+    assert paths[0].read_bytes() == header + (
+        b"0,,0.75,0.69999999999999996,0.29999999999999999,2,1.0000000000000001e-05,0.5\r\n"
+        b"1,,0.049999999999999989,0.94999999999999996,0.001,4,2.5000000000000001e-05,\r\n"
+        b"2,,1.1102230246251565e-16,1,2.4999999999999999e-17,6,4.0000000000000003e-05,"
+        b"-0.33333333333333337\r\n"
+    )
+    assert paths[1].read_bytes() == header + (
+        b"0,0.5,,0.33333333333333331,1,1,0.125,\r\n"
+        b"1,0,,123456.789,0,2,3,\r\n"
+    )
+
+
+def test_report_carries_stop_reason_counters_and_failure_time(tmp_path):
+    # a constant rho far below gamma/mu makes sigma <= 0 at the first step
+    config = _config(
+        tmp_path, trials=2,
+        solvers=[SolverSetting("power"), SolverSetting("split_merge"),
+                 SolverSetting("split_merge", {"rho_policy": 1e-9})],
+    )
+    report = run_experiment(config)
+    payload = json.loads((Path(config.out_dir) / "report.json").read_text())
+    for rec, entry in zip(report.records, payload["trials"]):
+        assert entry["stop_reason"] == rec.stop_reason
+        assert entry["safeguard_activations"] == rec.safeguard_activations
+        assert entry["degenerate_fallbacks"] == rec.degenerate_fallbacks
+        assert type(entry["matvecs"]) is int and type(entry["seconds"]) is float
+        if rec.error is None:
+            assert rec.stop_reason == "converged"
+            coeffs = rec.result.trace.coeffs or []
+            assert rec.safeguard_activations == sum(c.rho > 1.0 for c in coeffs)
+            assert rec.degenerate_fallbacks == sum(c.degenerate for c in coeffs)
+        else:
+            assert rec.error.startswith("SigmaNotPositiveError")
+            assert rec.stop_reason == "error"
+            assert rec.seconds > 0.0
+    assert sum(r.error is not None for r in report.records) == 2

@@ -274,3 +274,24 @@ def test_apply_matches_dense_reference_property(seed):
     scale = max(np.linalg.norm(ref), 1e-30)
     assert np.linalg.norm(dense_op.apply(x) - ref) <= 1e-13 * scale
     assert np.linalg.norm(sparse_op.apply(x) - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "1.5 1 2.0",   # non-integral row index
+        "1 1 abc",     # non-numeric value
+        "1 x 2.0",     # non-numeric column index
+    ],
+)
+def test_malformed_coordinate_entry_rejected(tmp_path, entry):
+    path = _write(
+        tmp_path, "bad.mtx", "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n" + entry + "\n"
+    )
+    with pytest.raises(MatrixMarketError):
+        load_matrix_market(path)
+
+
+def test_empty_coordinate_body(tmp_path):
+    path = _write(tmp_path, "empty.mtx", "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n")
+    np.testing.assert_array_equal(load_matrix_market(path).to_dense(), np.zeros((3, 3)))

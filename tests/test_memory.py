@@ -1,0 +1,39 @@
+"""A solve retains O(n) plus a few scalars per iteration, not O(n) per iteration."""
+
+import tracemalloc
+
+import numpy as np
+import scipy.sparse as sp
+
+from splitmerge import CsrOperator, SolverConfig, solve
+
+N = 100_000
+ITERATIONS = 300
+
+
+def test_split_merge_run_retains_o_n_plus_o_k_scalars():
+    # tridiag(1, 4, 1): SPD, and its gap ~ 1/N^2 keeps every step non-degenerate
+    mat = sp.diags([np.ones(N - 1), 4.0 * np.ones(N), np.ones(N - 1)], [-1, 0, 1], format="csr")
+    op = CsrOperator(mat)
+    config = SolverConfig(
+        "split_merge", stop_mode="residual", residual_tol=1e-300, max_iter=ITERATIONS, seed=1,
+    )
+    vector = 8 * N
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        res = solve(op, config)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained -= before
+    peak -= before
+
+    assert res.iterations == ITERATIONS and res.stop_reason == "max_iter"
+    assert len(res.trace.coeffs) == ITERATIONS + 1
+    assert all(c.w is None and c.z is None for c in res.trace.coeffs)
+    # x and x_unit, plus well under 1 KiB of scalars per record; keeping Ax and
+    # A^2x per iteration would be 2 * 8N * 301 bytes = 482 MB
+    assert retained <= 2 * vector + 1024 * (ITERATIONS + 1), retained
+    # the iterate, the products, the kernel's buffers and x0: a bounded number of vectors
+    assert peak <= 12 * vector, peak

@@ -406,3 +406,30 @@ def test_dca_power_collinearity_property(seed):
     a = gd_step(op, x, 0.5)
     b = power_step(op, x)
     assert abs(a @ b) / np.linalg.norm(a) >= 1.0 - 1e-12
+
+
+class TestSolveObservability:
+    def test_stop_reason(self):
+        op, truth = generate(SyntheticSpec(n=16, gap=0.2, seed=11))
+        capped = solve(op.share(), SolverConfig("power", max_iter=3), ground_truth=truth)
+        assert capped.stop_reason == "max_iter" and not capped.converged
+        done = solve(op.share(), SolverConfig("power"), ground_truth=truth)
+        assert done.stop_reason == "converged" and done.converged
+        assert (capped.safeguard_activations, capped.degenerate_fallbacks) == (0, 0)
+
+    def test_safeguard_activations_count_rho_above_one(self):
+        # a tiny start makes mu = 2*sqrt(x'Ax) small, so gamma/mu >= 1 early on
+        op, truth = generate(SyntheticSpec(n=16, gap=0.2, seed=11))
+        x0 = 1e-3 * init_vector(16, 4, op)
+        res = solve(op.share(), SolverConfig("split_merge"), ground_truth=truth, x0=x0)
+        assert res.converged
+        assert res.safeguard_activations == sum(c.rho > 1.0 for c in res.trace.coeffs) > 0
+        assert res.degenerate_fallbacks == sum(c.degenerate for c in res.trace.coeffs)
+
+    def test_degenerate_fallbacks_counted(self, diag21):
+        res = solve(
+            diag21, SolverConfig("split_merge", stop_mode="residual", max_iter=4),
+            x0=np.array([1.0, 0.0]),
+        )
+        assert res.degenerate_fallbacks == len(res.trace.coeffs) >= 1
+        assert all(c.w is None and c.z is None for c in res.trace.coeffs)
