@@ -24,7 +24,7 @@ from splitmerge import (
     verify_surrogate_dominance,
     verify_vhat_formula,
 )
-from splitmerge.errors import UndefinedRatioError
+from splitmerge.errors import OracleConvergenceError, UndefinedRatioError
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
 from conftest import random_psd_operator, random_symmetric
@@ -92,6 +92,12 @@ class TestJacobiOracle:
         op = DenseOperator(np.diag([1.0, -1e-13]))
         spec = dense_eigendecomposition(op)
         assert spec.eigenvalues[1] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan])
+    def test_non_finite_entry_raises(self, bad):
+        op = DenseOperator(np.array([[bad, 0.5], [0.5, 1.0]]))
+        with pytest.raises(OracleConvergenceError):
+            dense_eigendecomposition(op)
 
 
 class TestSquareRootFactor:
