@@ -2,9 +2,9 @@
 
 Library surface: matrix-free operators (`linop`), the difference-formulation
 objective (`objective`), the solver family including the split-merge method
-(`solvers`), ground-truth oracle and theory checks (`theory`), synthetic
-matrix generation (`matgen`), and the benchmark harness (`bench`, CLI via
-``bench``).
+(`solvers`), ground truth from LAPACK (dense oracle) or ARPACK (dominant-pair
+reference) and theory checks (`theory`), synthetic matrix generation
+(`matgen`), and the benchmark harness (`bench`, CLI via ``bench``).
 """
 
 from . import errors

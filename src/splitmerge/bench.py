@@ -3,11 +3,11 @@
 Protocol: every trial draws a fresh synthetic matrix (base seed + trial
 index) or reuses the one Matrix Market operator; all solvers in a trial
 start from the same x0; ground truth is the generator's exact spectrum for
-synthetic sources and the Jacobi oracle (or a residual-certified power
-reference above the dense limit) for files. Timing wraps the solver loop
-only. Trials may run on worker threads; results merge deterministically by
-(solver, trial), so parallelism never changes anything but the time
-columns.
+synthetic sources and, for files, the LAPACK dense oracle up to
+``dense_limit`` or a residual-certified ARPACK dominant pair above it.
+Timing wraps the solver loop only. Trials may run on worker threads;
+results merge deterministically by (solver, trial), so parallelism never
+changes anything but the time columns.
 
 Config files are plain ``key = value`` text with ``#`` comments::
 
@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.dense_limit < 1:
+            raise ConfigError("dense_limit must be >= 1")
         for setting in self.solvers:
             if setting.method not in METHODS:
                 raise ConfigError(f"unknown solver {setting.method!r}")

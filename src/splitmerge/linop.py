@@ -22,9 +22,6 @@ from .errors import (
     NonSquareMatrixError,
 )
 
-SYMMETRY_PROBE_TOL = 1e-10
-PSD_PROBE_TOL = 1e-10
-
 
 class LinearOperator:
     """Symmetric linear operator exposing ``y = A @ x`` and a matvec counter.
@@ -91,28 +88,6 @@ class LinearOperator:
         clone._matvec_count = 0
         clone._count_lock = threading.Lock()
         return clone
-
-    def check_symmetry(self, probes: int = 8, rng=None) -> bool:
-        """Probe |u'(Aw) - w'(Au)| <= tol * ||A||_F ||u|| ||w|| on random pairs."""
-        rng = np.random.default_rng(rng)
-        scale = self.frobenius_norm
-        for _ in range(probes):
-            u = rng.standard_normal(self.n)
-            w = rng.standard_normal(self.n)
-            lhs = abs(u @ self._apply(w) - w @ self._apply(u))
-            if lhs > SYMMETRY_PROBE_TOL * scale * np.linalg.norm(u) * np.linalg.norm(w):
-                return False
-        return True
-
-    def check_psd(self, probes: int = 16, rng=None) -> bool:
-        """Probe x'Ax >= -tol * ||A||_F ||x||^2 on random vectors."""
-        rng = np.random.default_rng(rng)
-        scale = self.frobenius_norm
-        for _ in range(probes):
-            x = rng.standard_normal(self.n)
-            if x @ self._apply(x) < -PSD_PROBE_TOL * scale * (x @ x):
-                return False
-        return True
 
 
 class DenseOperator(LinearOperator):
@@ -287,6 +262,7 @@ def load_matrix_market(path) -> LinearOperator:
             raise MatrixMarketError(f"{path}: non-integral entry index")
         if nnz and (index.min() < 1 or index.max() > rows):
             raise IndexOutOfRangeError(f"{path}: entry index outside 1..{rows}")
+        _require_finite(entries[:, 2], path)
         ii = index[:, 0].astype(np.int64) - 1
         jj = index[:, 1].astype(np.int64) - 1
         mat = sp.coo_matrix((entries[:, 2], (ii, jj)), shape=(rows, cols)).tocsr()
@@ -302,9 +278,10 @@ def load_matrix_market(path) -> LinearOperator:
     if len(body) != rows * cols:
         raise MatrixMarketError(f"{path}: expected {rows * cols} values, found {len(body)}")
     try:
-        values = np.array([float(t) for t in body], dtype=float)
+        values = np.array(body, dtype=float)
     except ValueError as exc:
         raise MatrixMarketError(f"{path}: non-numeric array value") from exc
+    _require_finite(values, path)
     dense = values.reshape((cols, rows)).T  # file stores columns contiguously
     scale = float(np.abs(dense).max()) if dense.size else 0.0
     asym = float(np.abs(dense - dense.T).max())
@@ -339,6 +316,11 @@ def _coordinate_body(fh, nnz: int, path) -> np.ndarray:
             f"of {entries.shape[1]} fields"
         )
     return entries.reshape(nnz, 3)
+
+
+def _require_finite(values: np.ndarray, path) -> None:
+    if not np.isfinite(values).all():
+        raise MatrixMarketError(f"{path}: non-finite (nan or inf) matrix value")
 
 
 def _require_symmetric_sparse(mat: sp.csr_matrix, path) -> None:

@@ -20,6 +20,13 @@ def random_psd_operator(rng, n, scale=1.0):
     return DenseOperator((a + a.T) * 0.5)
 
 
+def assert_symmetric_psd(op, tol=1e-10):
+    """Exactly symmetric, with smallest eigenvalue >= -tol * ||A||_F."""
+    dense = op.to_dense()
+    np.testing.assert_array_equal(dense, dense.T)
+    assert np.linalg.eigvalsh(dense)[0] >= -tol * np.linalg.norm(dense)
+
+
 def random_symmetric(rng, n):
     m = rng.standard_normal((n, n))
     return (m + m.T) * 0.5

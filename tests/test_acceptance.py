@@ -261,7 +261,7 @@ def test_criterion_8_sigma_positivity_and_descent():
 
 
 def test_criterion_9_oracle_generator_round_trip():
-    # matgen -> Jacobi oracle recovers requested spectra to 1e-10 on 100
+    # matgen -> dense (LAPACK) oracle recovers requested spectra to 1e-10 on 100
     # instances (n <= 64); the oracle matches closed-form 2x2 eigenpairs
     rng = np.random.default_rng(909)
     worst = 0.0

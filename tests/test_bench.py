@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitmerge import ExperimentConfig, load_config, run_experiment
+from splitmerge import (
+    DominantReference,
+    ExperimentConfig,
+    load_config,
+    load_matrix_market,
+    run_experiment,
+)
 from splitmerge.bench import TRACE_HEADER, SolverSetting, parse_solver_list
 from splitmerge.cli import main as cli_main
 from splitmerge.errors import ConfigError
@@ -149,7 +155,17 @@ class TestRunExperiment:
             _, rows = _read_csv(path)
             assert float(rows[-1][1]) <= 1e-5
 
-    def test_matrix_market_above_dense_limit_uses_power_reference(self, tmp_path):
+    def test_matrix_market_above_dense_limit_uses_certified_reference(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        truths = []
+        real_solve = harness.solve
+
+        def spy(*args, **kwargs):
+            truths.append(kwargs["ground_truth"])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", spy)
         mtx = tmp_path / "big.mtx"
         cli_main(["gen", "--n", "12", "--gap", "0.3", "--seed", "2", "--out", str(mtx)])
         config = _config(tmp_path, source="matrix_market", matrix_path=str(mtx),
@@ -157,6 +173,12 @@ class TestRunExperiment:
         report = run_experiment(config)
         for rec in report.records:
             assert rec.converged
+        assert len(truths) == len(report.records)
+        dense = load_matrix_market(mtx).to_dense()
+        for truth in truths:
+            assert isinstance(truth, DominantReference)
+            resid = np.linalg.norm(dense @ truth.u1 - truth.lambda1 * truth.u1)
+            assert resid <= 1e-10 * truth.lambda1
 
     def test_seconds_column_round_trips_report(self, tmp_path):
         from splitmerge.bench import _slug
@@ -217,6 +239,8 @@ class TestRunExperiment:
             run_experiment(_config(tmp_path, baseline="nope"))
         with pytest.raises(ConfigError):
             run_experiment(_config(tmp_path, source="matrix_market", matrix_path=None))
+        with pytest.raises(ConfigError):
+            run_experiment(_config(tmp_path, dense_limit=0))
 
 
 class TestConfigParsing:

@@ -23,7 +23,7 @@ from splitmerge.errors import (
     NonSquareMatrixError,
 )
 
-from conftest import random_symmetric
+from conftest import assert_symmetric_psd, random_symmetric
 
 
 class TestApply:
@@ -65,13 +65,6 @@ class TestApply:
             got = op.apply(x)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
 
-    def test_symmetry_probe(self, rng):
-        for _ in range(10):
-            op = DenseOperator(random_symmetric(rng, 12))
-            assert op.check_symmetry(rng=rng)
-        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert not DenseOperator(skew).check_symmetry(rng=rng)
-
 
 class TestGershgorin:
     def test_offdiagonal_2x2(self):
@@ -99,7 +92,7 @@ class TestGershgorin:
         for _ in range(100):
             n = int(rng.integers(2, 33))
             op = DenseOperator(random_symmetric(rng, n))
-            assert gershgorin_shift(op).check_psd(rng=rng)
+            assert_symmetric_psd(gershgorin_shift(op))
 
     def test_negative_sign_shift(self):
         base = DenseOperator(np.diag([5.0, 1.0]))
@@ -107,7 +100,7 @@ class TestGershgorin:
         flipped = ShiftedOperator(base, eta=6.0, sign=-1)
         np.testing.assert_allclose(flipped.apply(np.array([1.0, 0.0])), [1.0, 0.0])
         np.testing.assert_allclose(flipped.apply(np.array([0.0, 1.0])), [0.0, 5.0])
-        assert flipped.check_psd()
+        assert_symmetric_psd(flipped)
 
     def test_shifted_frobenius_matches_dense(self, rng):
         base = DenseOperator(random_symmetric(rng, 9))
@@ -192,6 +185,17 @@ class TestMatrixMarket:
         op = load_matrix_market(path)
         assert isinstance(op, DenseOperator)
         np.testing.assert_allclose(op.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("off", ["nan", "inf", "abc"])
+    def test_array_bad_value_rejected(self, tmp_path, off):
+        # a NaN off-diagonal would also pass the symmetry check
+        path = _write(
+            tmp_path,
+            "arrbad.mtx",
+            f"%%MatrixMarket matrix array real general\n2 2\n2.0\n{off}\n{off}\n2.0\n",
+        )
+        with pytest.raises(MatrixMarketError):
+            load_matrix_market(path)
 
     def test_array_asymmetric_rejected(self, tmp_path):
         path = _write(
@@ -282,6 +286,8 @@ def test_apply_matches_dense_reference_property(seed):
         "1.5 1 2.0",   # non-integral row index
         "1 1 abc",     # non-numeric value
         "1 x 2.0",     # non-numeric column index
+        "1 1 nan",     # non-finite values
+        "2 1 -inf",
     ],
 )
 def test_malformed_coordinate_entry_rejected(tmp_path, entry):

@@ -3,6 +3,8 @@ import pytest
 
 from splitmerge import SyntheticSpec, dense_eigendecomposition, generate, gershgorin_shift
 
+from conftest import assert_symmetric_psd
+
 
 class TestSyntheticSpec:
     def test_rejects_bad_dimension(self):
@@ -46,13 +48,12 @@ class TestGenerate:
         u = spec.eigenvectors
         assert np.max(np.abs(u.T @ u - np.eye(32))) <= 1e-12
 
-    def test_probes_pass(self, rng):
+    def test_probes_pass(self):
         op, _ = generate(SyntheticSpec(n=24, gap=0.2, seed=3))
-        assert op.check_symmetry(rng=rng)
-        assert op.check_psd(rng=rng)
+        assert_symmetric_psd(op)
         # the disc bound is conservative on dense matrices: eta > 0 is fine,
         # the shifted operator must simply stay PSD
-        assert gershgorin_shift(op).check_psd(rng=rng)
+        assert_symmetric_psd(gershgorin_shift(op))
 
     def test_spectrum_strictly_decreasing_with_exact_gap(self):
         _, spec = generate(SyntheticSpec(n=40, gap=0.25, seed=11))

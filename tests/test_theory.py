@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from splitmerge import (
+    CsrOperator,
     DenseOperator,
     SolverConfig,
     Spectrum,
@@ -93,7 +95,7 @@ class TestJacobiOracle:
         spec = dense_eigendecomposition(op)
         assert spec.eigenvalues[1] == 0.0
 
-    @pytest.mark.parametrize("bad", [math.nan])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_raises(self, bad):
         op = DenseOperator(np.array([[bad, 0.5], [0.5, 1.0]]))
         with pytest.raises(OracleConvergenceError):
@@ -434,3 +436,30 @@ class TestDominantReference:
         before = op.matvec_count
         reference_dominant_eigenpair(op)
         assert op.matvec_count == before
+
+    def test_one_by_one_rejected(self):
+        with pytest.raises(ValueError):
+            reference_dominant_eigenpair(DenseOperator(np.array([[2.0]])))
+
+    def test_csr_tridiagonal_against_eigvalsh(self):
+        n = 2000
+        m = sp.diags(
+            [np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)], [-1, 0, 1]
+        ).tocsr()
+        op = CsrOperator(m)
+        ref = reference_dominant_eigenpair(op)
+        assert ref.lambda1 == pytest.approx(np.linalg.eigvalsh(m.toarray())[-1], rel=1e-12)
+        assert np.linalg.norm(m @ ref.u1 - ref.lambda1 * ref.u1) <= 1e-10 * ref.lambda1
+        assert ref.residual <= 1e-10 * ref.lambda1
+        assert op.matvec_count == 0
+
+    def test_non_finite_entry_raises_promptly(self):
+        m = sp.diags([np.full(199, 0.5), np.ones(200), np.full(199, 0.5)], [-1, 0, 1]).tocsr()
+        m.data[5] = math.nan
+        op = CsrOperator(m)
+        calls = []
+        inner = op._apply
+        op._apply = lambda x: calls.append(1) or inner(x)  # share() copies it to the view
+        with pytest.raises(OracleConvergenceError):
+            reference_dominant_eigenpair(op)
+        assert len(calls) <= 100
