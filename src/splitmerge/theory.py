@@ -121,10 +121,9 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     an isolated counter so callers' matvec accounting is unaffected. The
     pair is accepted only when ||Au - lambda u|| <= 1e-10 * lambda.
     """
-    # imported here: scipy.sparse.linalg loads scipy.linalg (~10 MiB), which
-    # only this path needs
-    from scipy.sparse.linalg import ArpackError, eigsh
-    from scipy.sparse.linalg import LinearOperator as ScipyOperator
+    # imported here: scipy.sparse.linalg loads scipy.linalg (+9 MiB RSS),
+    # which only this path needs
+    from scipy.sparse.linalg import ArpackError, LinearOperator as ScipyOperator, eigsh
 
     if op.n < 2:
         raise ValueError("the ARPACK reference needs n >= 2 (k = 1 < n)")
