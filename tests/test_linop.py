@@ -258,6 +258,22 @@ class TestMatrixMarket:
         save_matrix_market(op, path)
         np.testing.assert_allclose(load_matrix_market(path).to_dense(), dense, rtol=1e-15)
 
+    def test_save_exact_bytes(self, tmp_path):
+        # zeros of either sign are dropped; values keep 17 significant digits
+        dense = np.array([
+            [2.0, 1.0 / 3.0, 0.0, -0.1],
+            [1.0 / 3.0, -0.0, 1e-300, 0.0],
+            [0.0, 1e-300, 123456789.125, -2.5e17],
+            [-0.1, 0.0, -2.5e17, 5e-324],
+        ])
+        path = tmp_path / "pinned.mtx"
+        save_matrix_market(DenseOperator(dense), path)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n"
+            b"1 1 2\n2 1 0.33333333333333331\n3 2 1e-300\n3 3 123456789.125\n"
+            b"4 1 -0.10000000000000001\n4 3 -2.5e+17\n4 4 4.9406564584124654e-324\n"
+        )
+
     def test_case_insensitive_banner(self, tmp_path):
         path = _write(
             tmp_path,
