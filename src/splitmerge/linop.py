@@ -2,7 +2,9 @@
 
 Dense and sparse-CSR backends behind one ``apply`` interface with exact
 matvec accounting, Matrix Market ingestion, and a Gershgorin-based shift
-that makes an indefinite symmetric operator PSD.
+that makes an indefinite symmetric operator PSD. A coordinate file is held
+dense (a BLAS matvec) when the dense array takes no more bytes than the CSR
+arrays would, and as CSR otherwise, so no sparse matrix is ever densified.
 """
 
 from __future__ import annotations
@@ -163,7 +165,11 @@ class ShiftedOperator(LinearOperator):
         self.sign = int(sign)
 
     def _apply(self, x):
-        return self.sign * self.base._apply(x) + self.eta * x
+        y = self.base._apply(x)
+        if self.sign < 0:
+            np.negative(y, out=y)
+        y += self.eta * x
+        return y
 
     def to_dense(self):
         return self.sign * self.base.to_dense() + self.eta * np.eye(self.n)
@@ -203,6 +209,7 @@ def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
 # explicitly. Comment lines start with %; coordinate indices are 1-based.
 
 _MM_RELATIVE_SYMMETRY_TOL = 1e-12
+_MM_WRITE_BLOCK = 100_000     # entry lines per formatted write
 
 
 def _parse_header(line: str, path) -> tuple[str, str]:
@@ -226,7 +233,10 @@ def _parse_header(line: str, path) -> tuple[str, str]:
 def load_matrix_market(path) -> LinearOperator:
     """Read a Matrix Market file into an operator with symmetrized storage.
 
-    Coordinate files become CSR operators, array files dense ones. "general"
+    Array files become dense operators. A coordinate file becomes a dense
+    operator when the n x n float array takes no more bytes than the CSR
+    arrays (values, column indices, row pointers) of its symmetrized entries,
+    and a CSR operator otherwise; both hold the same values. "general"
     variants must be symmetric to 1e-12 relative (max-entry norm) and are
     stored as (A + A')/2.
     """
@@ -272,6 +282,9 @@ def load_matrix_market(path) -> LinearOperator:
         else:
             _require_symmetric_sparse(mat, path)
             mat = (mat + mat.T) * 0.5
+        csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        if mat.dtype.itemsize * rows * cols <= csr_bytes:
+            return DenseOperator(mat.toarray())
         return CsrOperator(mat)
 
     # array real general, column-major dense payload
@@ -334,14 +347,26 @@ def _require_symmetric_sparse(mat: sp.csr_matrix, path) -> None:
 
 
 def save_matrix_market(op: LinearOperator, path) -> None:
-    """Write an operator as 'coordinate real symmetric' (lower triangle)."""
-    dense = op.to_dense()
-    n = dense.shape[0]
-    rows, cols = np.tril_indices(n)
-    mask = dense[rows, cols] != 0.0
-    rows, cols = rows[mask], cols[mask]
+    """Write an operator as 'coordinate real symmetric' (lower triangle).
+
+    Nonzero entries are written in row-major order with 17 significant
+    digits, one formatted write per block of lines. A CSR operator is
+    written from its sparse lower triangle, never densified.
+    """
+    source = op._a if isinstance(op, CsrOperator) else op.to_dense()
+    lower = sp.tril(source, format="csr")
+    lower.eliminate_zeros()
+    lower.sort_indices()
+    n = op.n
+    rows = np.repeat(np.arange(1, n + 1), np.diff(lower.indptr))
+    cols = lower.indices + 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{n} {n} {len(rows)}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {dense[i, j]:.17g}\n")
+        fh.write(f"{n} {n} {lower.nnz}\n")
+        for start in range(0, lower.nnz, _MM_WRITE_BLOCK):
+            stop = min(start + _MM_WRITE_BLOCK, lower.nnz)
+            fields = [None] * (3 * (stop - start))
+            fields[0::3] = rows[start:stop].tolist()
+            fields[1::3] = cols[start:stop].tolist()
+            fields[2::3] = lower.data[start:stop].tolist()
+            fh.write(("%d %d %.17g\n" * (stop - start)) % tuple(fields))

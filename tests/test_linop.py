@@ -102,6 +102,18 @@ class TestGershgorin:
         np.testing.assert_allclose(flipped.apply(np.array([0.0, 1.0])), [0.0, 5.0])
         assert_symmetric_psd(flipped)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_shifted_apply_bits_match_plain_expression(self, rng, storage, sign):
+        dense = random_symmetric(rng, 40)
+        dense[np.abs(dense) < 0.5] = 0.0
+        base = DenseOperator(dense) if storage == "dense" else CsrOperator(sp.csr_matrix(dense))
+        shifted = ShiftedOperator(base, eta=1.0 / 3.0, sign=sign)
+        for _ in range(5):
+            x = rng.standard_normal(40)
+            expected = sign * base.apply(x) + shifted.eta * x
+            assert shifted.apply(x).tobytes() == expected.tobytes()
+
     def test_shifted_frobenius_matches_dense(self, rng):
         base = DenseOperator(random_symmetric(rng, 9))
         shifted = gershgorin_shift(base)
@@ -274,6 +286,34 @@ class TestMatrixMarket:
             b"4 1 -0.10000000000000001\n4 3 -2.5e+17\n4 4 4.9406564584124654e-324\n"
         )
 
+    def test_save_csr_without_densifying(self, tmp_path, monkeypatch, rng):
+        n = 100_000
+        diag = rng.uniform(0.1, 1.0, n)
+        off = rng.uniform(-0.01, 0.01, n - 1)
+        matrix = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+        def no_dense(self):
+            raise AssertionError("to_dense called on a CSR operator")
+
+        monkeypatch.setattr(CsrOperator, "to_dense", no_dense)
+        path = tmp_path / "tri.mtx"
+        save_matrix_market(CsrOperator(matrix), path)
+        assert (scipy.io.mmread(path) != matrix).nnz == 0   # mmread mirrors the triangle
+        loaded = load_matrix_market(path)
+        assert isinstance(loaded, CsrOperator)
+        x = rng.standard_normal(n)
+        assert loaded.apply(x).tobytes() == (matrix @ x).tobytes()
+
+    def test_save_csr_drops_explicit_zeros(self, tmp_path, rng):
+        dense = random_symmetric(rng, 6)
+        dense[np.abs(dense) < 0.5] = 0.0
+        matrix = sp.csr_matrix(dense)
+        matrix.data[0] = 0.0   # an explicit zero stored in the pattern
+        dense = matrix.toarray()
+        save_matrix_market(CsrOperator(matrix), tmp_path / "csr.mtx")
+        save_matrix_market(DenseOperator(dense), tmp_path / "dense.mtx")
+        assert (tmp_path / "csr.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
+
     def test_case_insensitive_banner(self, tmp_path):
         path = _write(
             tmp_path,
@@ -317,3 +357,40 @@ def test_malformed_coordinate_entry_rejected(tmp_path, entry):
 def test_empty_coordinate_body(tmp_path):
     path = _write(tmp_path, "empty.mtx", "%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n")
     np.testing.assert_array_equal(load_matrix_market(path).to_dense(), np.zeros((3, 3)))
+
+
+class TestStorageRule:
+    """Coordinate files are held dense when that takes no more bytes than CSR."""
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+    def test_full_file_is_dense_and_bitwise_equal_to_csr(self, tmp_path, rng, symmetry):
+        dense = random_symmetric(rng, 12)
+        path = tmp_path / "full.mtx"
+        scipy.io.mmwrite(path, sp.coo_matrix(dense), symmetry=symmetry, precision=17)
+        op = load_matrix_market(path)
+        assert isinstance(op, DenseOperator)
+        as_csr = CsrOperator(scipy.io.mmread(path))
+        assert op.to_dense().tobytes() == as_csr.to_dense().tobytes()
+
+    def test_tridiagonal_file_stays_csr(self, tmp_path):
+        matrix = sp.diags([np.full(49, -0.5), np.full(50, 2.0), np.full(49, -0.5)], [-1, 0, 1])
+        path = tmp_path / "tri.mtx"
+        save_matrix_market(CsrOperator(matrix), path)
+        assert isinstance(load_matrix_market(path), CsrOperator)
+
+    @pytest.mark.parametrize("pairs, storage", [(3, DenseOperator), (2, CsrOperator)])
+    def test_byte_boundary(self, tmp_path, pairs, storage):
+        # 3 diagonal entries plus 3 mirrored pairs is 9 stored values at n = 4,
+        # where CSR takes 9 * (8 + 4) + 5 * 4 = 128 bytes, as many as the dense
+        # array: a tie goes to the dense side, one pair fewer stays CSR
+        dense = np.diag([1.0, 2.0, 3.0, 0.0])
+        for i, j in [(1, 0), (3, 1), (3, 2)][:pairs]:
+            dense[i, j] = dense[j, i] = 0.5
+        csr = sp.csr_matrix(dense)
+        csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        assert (csr_bytes == dense.nbytes) == (pairs == 3)
+        path = tmp_path / "edge.mtx"
+        save_matrix_market(DenseOperator(dense), path)
+        op = load_matrix_market(path)
+        assert type(op) is storage
+        np.testing.assert_array_equal(op.to_dense(), dense)
