@@ -165,11 +165,7 @@ class ShiftedOperator(LinearOperator):
         self.sign = int(sign)
 
     def _apply(self, x):
-        y = self.base._apply(x)
-        if self.sign < 0:
-            np.negative(y, out=y)
-        y += self.eta * x
-        return y
+        return self.sign * self.base._apply(x) + self.eta * x
 
     def to_dense(self):
         return self.sign * self.base.to_dense() + self.eta * np.eye(self.n)
@@ -209,7 +205,6 @@ def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
 # explicitly. Comment lines start with %; coordinate indices are 1-based.
 
 _MM_RELATIVE_SYMMETRY_TOL = 1e-12
-_MM_WRITE_BLOCK = 100_000     # entry lines per formatted write
 
 
 def _parse_header(line: str, path) -> tuple[str, str]:
@@ -350,8 +345,8 @@ def save_matrix_market(op: LinearOperator, path) -> None:
     """Write an operator as 'coordinate real symmetric' (lower triangle).
 
     Nonzero entries are written in row-major order with 17 significant
-    digits, one formatted write per block of lines. A CSR operator is
-    written from its sparse lower triangle, never densified.
+    digits. A CSR operator is written from its sparse lower triangle, never
+    densified.
     """
     source = op._a if isinstance(op, CsrOperator) else op.to_dense()
     lower = sp.tril(source, format="csr")
@@ -363,10 +358,5 @@ def save_matrix_market(op: LinearOperator, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{n} {n} {lower.nnz}\n")
-        for start in range(0, lower.nnz, _MM_WRITE_BLOCK):
-            stop = min(start + _MM_WRITE_BLOCK, lower.nnz)
-            fields = [None] * (3 * (stop - start))
-            fields[0::3] = rows[start:stop].tolist()
-            fields[1::3] = cols[start:stop].tolist()
-            fields[2::3] = lower.data[start:stop].tolist()
-            fh.write(("%d %d %.17g\n" * (stop - start)) % tuple(fields))
+        for i, j, v in zip(rows.tolist(), cols.tolist(), lower.data.tolist()):
+            fh.write(f"{i} {j} {v:.17g}\n")
