@@ -1,32 +1,27 @@
 #!/usr/bin/env python3
 """Sweep matrix sizes and eigengaps, reporting split-merge vs power speed-ups.
 
-Desk-scale defaults finish in a couple of minutes; raise --n-list / --trials
-for larger reproductions.
+Each cell is one ``run_experiment`` call (a fresh matrix and one shared x0
+per trial) whose traces go to a temporary directory. The columns are the
+harness's ratios of means: power's mean iterations, matvecs and seconds over
+the trials divided by split-merge's. Desk-scale defaults finish in a couple
+of minutes; raise --n-list / --trials for larger reproductions.
 
     python3 scripts/speedup_table.py --n-list 256,512,1024 --gaps 1e-1,1e-2,1e-3
 """
 
 import argparse
-import statistics
+import tempfile
 
-import numpy as np
-
-from splitmerge import SolverConfig, SyntheticSpec, generate, init_vector, solve
+from splitmerge import ExperimentConfig, run_experiment
 
 
 def run_cell(n, gap, trials, seed):
-    it_r, mv_r, t_r = [], [], []
-    for trial in range(trials):
-        op, truth = generate(SyntheticSpec(n=n, gap=gap, seed=seed + trial))
-        x0 = init_vector(n, np.random.SeedSequence((seed, trial, 1)), op)
-        sm = solve(op.share(), SolverConfig("split_merge"), ground_truth=truth, x0=x0)
-        pw = solve(op.share(), SolverConfig("power"), ground_truth=truth, x0=x0)
-        it_r.append(pw.iterations / sm.iterations)
-        mv_r.append(pw.trace.matvecs[-1] / sm.trace.matvecs[-1])
-        t_r.append(pw.trace.seconds[-1] / sm.trace.seconds[-1])
-    med = statistics.median
-    return med(it_r), med(mv_r), med(t_r)
+    with tempfile.TemporaryDirectory() as out:
+        # the default solvers: power (the baseline), then split_merge
+        config = ExperimentConfig(n=n, gap=gap, trials=trials, seed=seed, out_dir=out)
+        power, sm = run_experiment(config).stats
+    return power.mean_iterations / sm.mean_iterations, sm.speedup_matvecs, sm.speedup_time
 
 
 def main():

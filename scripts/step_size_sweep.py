@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Objective-gap traces for gradient descent at several step sizes.
 
-Writes one CSV per alpha (columns: k, f_minus_fstar) ready for plotting the
-convergence-vs-step-size comparison; alpha = 0.5 is the power-method-
-equivalent baseline.
+One ``run_experiment`` trial runs gd_difference at each alpha on the same
+matrix from the same x0. The harness writes ``<out>/report.json`` and one
+trace CSV per alpha under ``<out>/traces/``, whose k and f_minus_fstar
+columns plot the convergence-vs-step-size comparison. The first alpha is the
+speed-up baseline; alpha = 0.5 is the power-method-equivalent step.
 
     python3 scripts/step_size_sweep.py --n 1024 --gap 1e-3 --alphas 0.5,0.7,0.9,0.99
 """
 
 import argparse
-import csv
-from pathlib import Path
 
-import numpy as np
-
-from splitmerge import SolverConfig, SyntheticSpec, generate, init_vector, solve
+from splitmerge import ExperimentConfig, SolverSetting, run_experiment
 
 
 def main():
@@ -28,24 +26,14 @@ def main():
     parser.add_argument("--out", default="gd_sweep")
     args = parser.parse_args()
 
-    op, truth = generate(SyntheticSpec(n=args.n, gap=args.gap, seed=args.seed))
-    x0 = init_vector(args.n, np.random.SeedSequence((args.seed, 1)), op)
-    f_star = -truth.lambda1 / 4.0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for alpha in (float(s) for s in args.alphas.split(",")):
-        config = SolverConfig(
-            "gd_difference", alpha=alpha, eps=args.eps, max_iter=args.max_iter
-        )
-        res = solve(op.share(), config, ground_truth=truth, x0=x0)
-        path = out_dir / f"gd_alpha_{alpha:g}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "f_minus_fstar"])
-            for k, f in zip(res.trace.k, res.trace.f_value):
-                writer.writerow([k, f"{f - f_star:.17g}"])
-        print(f"alpha={alpha:g}: {res.iterations} iterations -> {path}")
+    solvers = [SolverSetting("gd_difference", {"alpha": float(a)}) for a in args.alphas.split(",")]
+    report = run_experiment(ExperimentConfig(
+        n=args.n, gap=args.gap, solvers=solvers, baseline=solvers[0].label, trials=1,
+        eps=args.eps, max_iter=args.max_iter, seed=args.seed, out_dir=args.out,
+    ))
+    for s in report.stats:
+        print(f"{s.solver}: {s.median_iterations:g} iterations, matvec speed-up {s.speedup_matvecs:.2f}x")
+    print(f"traces -> {args.out}/traces")
 
 
 if __name__ == "__main__":

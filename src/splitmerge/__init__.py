@@ -19,7 +19,7 @@ from .linop import (
     save_matrix_market,
 )
 from .matgen import SyntheticSpec, generate
-from .objective import ObjectiveEval, eval_f, eval_grad, evaluate, hessian_vec, rayleigh
+from .objective import eval_f, eval_grad, hessian_vec, rayleigh
 from .solvers import (
     IterationTrace,
     SolveResult,
@@ -59,12 +59,10 @@ __all__ = [
     "gershgorin_shift",
     "load_matrix_market",
     "save_matrix_market",
-    "ObjectiveEval",
     "eval_f",
     "eval_grad",
     "hessian_vec",
     "rayleigh",
-    "evaluate",
     "SolverConfig",
     "SolveResult",
     "IterationTrace",

@@ -5,9 +5,8 @@ index) or reuses the one Matrix Market operator; all solvers in a trial
 start from the same x0; ground truth is the generator's exact spectrum for
 synthetic sources and, for files, the LAPACK dense oracle up to
 ``dense_limit`` or a residual-certified ARPACK dominant pair above it.
-Timing wraps the solver loop only. Trials may run on worker threads;
-results merge deterministically by (solver, trial), so parallelism never
-changes anything but the time columns.
+Timing wraps the solver loop only. Trials run one after another in this
+process, and records are reported in (solver, trial) order.
 
 Config files are plain ``key = value`` text with ``#`` comments::
 
@@ -24,7 +23,6 @@ Config files are plain ``key = value`` text with ``#`` comments::
     stop_mode = oracle            # oracle | residual
     residual_tol = 1e-10
     out = bench_out
-    workers = 1
     dense_limit = 4096
 
 Solver entries take per-solver parameters in parentheses: alpha for
@@ -39,7 +37,6 @@ import math
 import re
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,7 +81,7 @@ class ExperimentConfig:
     out_dir: str = "bench_out"
     stop_mode: str = "oracle"                # oracle | residual
     residual_tol: float = 1e-10
-    workers: int = 1
+    workers: int = 1                         # must be 1; perfbench still passes it
     dense_limit: int = 4096
 
     def validate(self) -> None:
@@ -100,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError("at least one solver is required")
         if self.stop_mode not in ("oracle", "residual"):
             raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers != 1:
+            raise ConfigError(f"trials run serially; workers must be 1, got {self.workers}")
         if self.dense_limit < 1:
             raise ConfigError("dense_limit must be >= 1")
         for setting in self.solvers:
@@ -279,13 +276,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         op = load_matrix_market(config.matrix_path)
         shared = (op, _ground_truth_for(config, op))
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(lambda t: _run_trial(config, t, shared), range(config.trials)))
-    else:
-        chunks = [_run_trial(config, t, shared) for t in range(config.trials)]
-
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for t in range(config.trials) for rec in _run_trial(config, t, shared)]
     records.sort(key=lambda r: (r.solver, r.trial))
 
     trace_paths = emit_traces(records, trace_dir)
@@ -462,7 +453,6 @@ _CONFIG_KEYS = {
     "out": str,
     "stop_mode": str,
     "residual_tol": float,
-    "workers": int,
     "dense_limit": int,
 }
 

@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="output directory")
     run.add_argument("--matrix", help="Matrix Market file (switches source)")
     run.add_argument("--stop-mode", choices=["oracle", "residual"], dest="stop_mode")
-    run.add_argument("--workers", type=int)
 
     gen = sub.add_parser("gen", help="export a synthetic matrix to Matrix Market")
     gen.add_argument("--n", type=int, required=True)
@@ -76,8 +75,6 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         config.source = "matrix_market"
     if args.stop_mode is not None:
         config.stop_mode = args.stop_mode
-    if args.workers is not None:
-        config.workers = args.workers
     return config
 
 

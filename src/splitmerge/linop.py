@@ -9,7 +9,6 @@ arrays would, and as CSR otherwise, so no sparse matrix is ever densified.
 
 from __future__ import annotations
 
-import threading
 import warnings
 
 import numpy as np
@@ -30,9 +29,8 @@ class LinearOperator:
 
     Subclasses implement ``_apply`` plus the entry-level queries needed by
     the Gershgorin shift. Operators are immutable after construction; the
-    matvec counter is the only mutable state and is lock-protected so
-    concurrent benchmark trials can share an operator (or take an isolated
-    counter via :meth:`share`).
+    matvec counter is the only mutable state. It is not thread-safe:
+    concurrent callers each take their own counter via :meth:`share`.
     """
 
     def __init__(self, n: int):
@@ -40,7 +38,6 @@ class LinearOperator:
             raise DimensionMismatchError(f"operator dimension must be >= 1, got {n}")
         self.n = int(n)
         self._matvec_count = 0
-        self._count_lock = threading.Lock()
 
     # -- backend interface -------------------------------------------------
 
@@ -70,25 +67,22 @@ class LinearOperator:
             raise DimensionMismatchError(
                 f"expected vector of length {self.n}, got shape {x.shape}"
             )
-        with self._count_lock:
-            self._matvec_count += 1
+        self._matvec_count += 1
         return self._apply(x)
 
     @property
     def matvec_count(self) -> int:
-        with self._count_lock:
-            return self._matvec_count
+        return self._matvec_count
 
     def share(self) -> "LinearOperator":
         """Shallow copy sharing storage but with a fresh matvec counter.
 
-        Used by the benchmark so each solver run owns its tally even when
-        trials execute concurrently over one matrix.
+        Used by the benchmark so each solver run owns its tally. The counter
+        is not thread-safe, so concurrent callers each take a ``share()``.
         """
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone._matvec_count = 0
-        clone._count_lock = threading.Lock()
         return clone
 
 
@@ -150,28 +144,21 @@ class CsrOperator(LinearOperator):
 
 
 class ShiftedOperator(LinearOperator):
-    """sign * A + eta * I, i.e. A + eta*I (sign=+1) or -(A - eta*I) (sign=-1).
+    """A + eta * I, PSD for a sufficiently large eta (see :func:`gershgorin_shift`)."""
 
-    Both signs are PSD for a sufficiently large eta; the positive sign is
-    what :func:`gershgorin_shift` produces.
-    """
-
-    def __init__(self, base: LinearOperator, eta: float, sign: int = 1):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
+    def __init__(self, base: LinearOperator, eta: float):
         super().__init__(base.n)
         self.base = base
         self.eta = float(eta)
-        self.sign = int(sign)
 
     def _apply(self, x):
-        return self.sign * self.base._apply(x) + self.eta * x
+        return self.base._apply(x) + self.eta * x
 
     def to_dense(self):
-        return self.sign * self.base.to_dense() + self.eta * np.eye(self.n)
+        return self.base.to_dense() + self.eta * np.eye(self.n)
 
     def diagonal(self):
-        return self.sign * self.base.diagonal() + self.eta
+        return self.base.diagonal() + self.eta
 
     def abs_row_sums(self):
         off = self.base.abs_row_sums() - np.abs(self.base.diagonal())
@@ -179,10 +166,10 @@ class ShiftedOperator(LinearOperator):
 
     @property
     def frobenius_norm(self):
-        # sqrt(||A||_F^2 + 2*sign*eta*tr(A) + n*eta^2), exact for sign*A + eta*I
+        # sqrt(||A||_F^2 + 2*eta*tr(A) + n*eta^2), exact for A + eta*I
         base_fro = self.base.frobenius_norm
         trace = float(self.base.diagonal().sum())
-        val = base_fro**2 + 2.0 * self.sign * self.eta * trace + self.n * self.eta**2
+        val = base_fro**2 + 2.0 * self.eta * trace + self.n * self.eta**2
         return float(np.sqrt(max(val, 0.0)))
 
 
@@ -195,7 +182,7 @@ def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
     diag = op.diagonal()
     off = op.abs_row_sums() - np.abs(diag)
     eta = max(0.0, -float(np.min(diag - off)))
-    return ShiftedOperator(op, eta, sign=1)
+    return ShiftedOperator(op, eta)
 
 
 # -- Matrix Market ingestion -----------------------------------------------

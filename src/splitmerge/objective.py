@@ -8,8 +8,6 @@ lambda(x) = 2*sqrt(x'Ax). All functions here are pure and matrix-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonDifferentiablePointError, PsdViolationError
@@ -17,17 +15,6 @@ from .linop import LinearOperator
 
 QUAD_CLAMP_TOL = 1e-10
 DIFFERENTIABLE_TOL = 1e-14
-
-
-@dataclass
-class ObjectiveEval:
-    """One-matvec bundle of objective quantities at a point."""
-
-    f_value: float
-    quad_form: float          # x'Ax after roundoff clamping
-    rayleigh: float           # x'Ax / x'x
-    lambda_of_x: float        # 2*sqrt(x'Ax)
-    grad: np.ndarray | None = None
 
 
 def _clamped_quad(op: LinearOperator, x: np.ndarray, w: np.ndarray) -> float:
@@ -82,28 +69,6 @@ def rayleigh(op: LinearOperator, x: np.ndarray) -> float:
     if xtx == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero vector")
     return float(x @ op.apply(x)) / xtx
-
-
-def evaluate(op: LinearOperator, x: np.ndarray, with_grad: bool = False) -> ObjectiveEval:
-    """All objective quantities from a single matvec."""
-    x = np.asarray(x, dtype=float)
-    w = op.apply(x)
-    xtx = float(x @ x)
-    if xtx == 0.0:
-        raise ValueError("objective quantities undefined for the zero vector")
-    quad = _clamped_quad(op, x, w)
-    s = float(np.sqrt(quad))
-    grad = None
-    if with_grad:
-        _require_differentiable(op, x, w)
-        grad = 2.0 * x - w / s
-    return ObjectiveEval(
-        f_value=xtx - s,
-        quad_form=quad,
-        rayleigh=quad / xtx,
-        lambda_of_x=2.0 * s,
-        grad=grad,
-    )
 
 
 def _require_differentiable(op: LinearOperator, x: np.ndarray, w: np.ndarray) -> None:

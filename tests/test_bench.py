@@ -123,13 +123,11 @@ class TestRunExperiment:
             base.mean_matvecs / stats["split_merge"].mean_matvecs
         )
 
-    def test_workers_do_not_change_content(self, tmp_path):
-        serial = run_experiment(_config(tmp_path / "s", trials=4, workers=1))
-        threaded = run_experiment(_config(tmp_path / "t", trials=4, workers=3))
-        for rec_s, rec_t in zip(serial.records, threaded.records):
-            assert (rec_s.solver, rec_s.trial) == (rec_t.solver, rec_t.trial)
-            assert rec_s.iterations == rec_t.iterations
-            assert rec_s.matvecs == rec_t.matvecs
+    def test_workers_other_than_one_rejected(self, tmp_path):
+        _config(tmp_path, workers=1).validate()
+        with pytest.raises(ConfigError, match="workers"):
+            _config(tmp_path, workers=2).validate()
+        assert cli_main(["run", "--workers", "2"]) == 1
 
     def test_matrix_market_source_with_residual_stop(self, tmp_path):
         mtx = tmp_path / "m.mtx"
@@ -272,7 +270,6 @@ class TestConfigParsing:
             "seed = 3\n"
             "out = results\n"
             "stop_mode = oracle\n"
-            "workers = 2\n"
         )
         config = load_config(cfg)
         assert config.n == 48
@@ -281,12 +278,17 @@ class TestConfigParsing:
         assert config.trials == 7
         assert config.eps == pytest.approx(1e-4)
         assert config.out_dir == "results"
-        assert config.workers == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 3\n")
         with pytest.raises(ConfigError):
+            load_config(cfg)
+
+    def test_workers_key_is_unknown(self, tmp_path):
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text("workers = 2\n")
+        with pytest.raises(ConfigError, match="unknown key 'workers'"):
             load_config(cfg)
 
 

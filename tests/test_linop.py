@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from splitmerge import (
     CsrOperator,
     DenseOperator,
-    ShiftedOperator,
     dense_eigendecomposition,
     gershgorin_shift,
     load_matrix_market,
@@ -93,14 +92,6 @@ class TestGershgorin:
             n = int(rng.integers(2, 33))
             op = DenseOperator(random_symmetric(rng, n))
             assert_symmetric_psd(gershgorin_shift(op))
-
-    def test_negative_sign_shift(self):
-        base = DenseOperator(np.diag([5.0, 1.0]))
-        # -(A - 6I) has eigenvalues {1, 5}: PSD, smallest base eigenvalue on top
-        flipped = ShiftedOperator(base, eta=6.0, sign=-1)
-        np.testing.assert_allclose(flipped.apply(np.array([1.0, 0.0])), [1.0, 0.0])
-        np.testing.assert_allclose(flipped.apply(np.array([0.0, 1.0])), [0.0, 5.0])
-        assert_symmetric_psd(flipped)
 
     def test_shifted_frobenius_matches_dense(self, rng):
         base = DenseOperator(random_symmetric(rng, 9))

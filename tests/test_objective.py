@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitmerge import DenseOperator, eval_f, eval_grad, evaluate, hessian_vec, rayleigh
+from splitmerge import DenseOperator, eval_f, eval_grad, hessian_vec, rayleigh
 from splitmerge.errors import NonDifferentiablePointError, PsdViolationError
 
 from conftest import random_psd_operator
@@ -155,12 +155,3 @@ class TestInvariants:
             x = rng.standard_normal(8)
             val = rayleigh(op, x)
             assert -1e-12 <= val <= lam_max * (1 + 1e-12)
-
-    def test_evaluate_bundles_consistently(self, rng):
-        op = random_psd_operator(rng, 5)
-        x = rng.standard_normal(5)
-        bundle = evaluate(op, x, with_grad=True)
-        assert bundle.f_value == pytest.approx(eval_f(op, x))
-        assert bundle.rayleigh == pytest.approx(rayleigh(op, x))
-        assert bundle.lambda_of_x == pytest.approx(2.0 * math.sqrt(bundle.quad_form))
-        np.testing.assert_allclose(bundle.grad, eval_grad(op, x), atol=1e-14)
