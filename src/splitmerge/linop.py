@@ -2,14 +2,18 @@
 
 Dense and sparse-CSR backends behind one ``apply`` interface with exact
 matvec accounting, Matrix Market ingestion, and a Gershgorin-based shift
-that makes an indefinite symmetric operator PSD. A coordinate file is held
-dense (a BLAS matvec) when the dense array takes no more bytes than the CSR
-arrays would, and as CSR otherwise, so no sparse matrix is ever densified.
+that makes an indefinite symmetric operator PSD. ``scipy.io.mmread`` parses
+Matrix Market files on scipy's own thread pool, sized to the CPU count and
+separate from BLAS; it runs while a file loads, never inside a timed solve.
+It rejects % lines between entries and ignores text after an entry's value.
+A coordinate file is held dense (a BLAS matvec) when the dense array takes
+no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
+matrix is ever densified.
 """
 
 from __future__ import annotations
 
-import warnings
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,7 +193,10 @@ def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
 #
 # Accepted variants: "coordinate real symmetric", "coordinate real general",
 # "array real general" (square). Everything else in the banner is rejected
-# explicitly. Comment lines start with %; coordinate indices are 1-based.
+# explicitly; the banner is matched case-insensitively. scipy.io.mmread
+# parses the rest on its own thread pool: % comment lines may only come
+# before the size line, and text after an entry's value is ignored.
+# Coordinate indices are 1-based.
 
 _MM_RELATIVE_SYMMETRY_TOL = 1e-12
 
@@ -212,105 +219,68 @@ def _parse_header(line: str, path) -> tuple[str, str]:
     return fmt, symmetry
 
 
+class _BannerStream:
+    """Binary reader yielding ``banner``, then what is left of ``fh``.
+
+    scipy spells "%%MatrixMarket" case-sensitively, so it reads the body
+    behind a canonical banner, without the file being re-read or copied.
+    """
+
+    def __init__(self, banner: bytes, fh):
+        self._banner = banner
+        self._fh = fh
+
+    def read(self, size=-1):
+        head = self._banner if size < 0 else self._banner[:size]
+        self._banner = self._banner[len(head):]
+        return head + self._fh.read(-1 if size < 0 else size - len(head))
+
+
 def load_matrix_market(path) -> LinearOperator:
     """Read a Matrix Market file into an operator with symmetrized storage.
 
     Array files become dense operators. A coordinate file becomes a dense
     operator when the n x n float array takes no more bytes than the CSR
     arrays (values, column indices, row pointers) of its symmetrized entries,
-    and a CSR operator otherwise; both hold the same values. "general"
-    variants must be symmetric to 1e-12 relative (max-entry norm) and are
-    stored as (A + A')/2.
+    and a CSR operator otherwise; both hold the same values. "symmetric"
+    files have every off-diagonal entry mirrored; "general" variants must be
+    symmetric to 1e-12 relative (max-entry norm) and are stored as (A + A')/2.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    import scipy.io  # only file-backed runs pay for the import
+
+    with open(path, "rb") as fh:
         header = fh.readline()
         if not header:
             raise MatrixMarketHeaderError(f"{path}: empty file")
-        fmt, symmetry = _parse_header(header, path)
+        # a non-ASCII byte decodes to U+FFFD, which no accepted banner field holds
+        fmt, symmetry = _parse_header(header.decode("ascii", "replace"), path)
+        banner = f"%%MatrixMarket matrix {fmt} real {symmetry}\n".encode("ascii")
+        try:
+            # mmread allocates for every declared entry (each takes >= 2 bytes of
+            # the file) and dies of SIGFPE on an array with no rows: check first
+            rows, cols, entries = scipy.io.mminfo(_BannerStream(banner, fh))[:3]
+            if rows != cols:
+                raise NonSquareMatrixError(f"{path}: {rows}x{cols} matrix is not square")
+            if rows < 1 or 2 * entries > os.fstat(fh.fileno()).st_size:
+                raise MatrixMarketError(f"{path}: impossible size line {rows} {cols} {entries}")
+            fh.seek(len(header))
+            mat = scipy.io.mmread(_BannerStream(banner, fh))
+        except (ValueError, OverflowError) as exc:
+            error = IndexOutOfRangeError if "index out of bounds" in str(exc) else MatrixMarketError
+            raise error(f"{path}: {exc}") from exc
 
-        size_line = None
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
-        if size_line is None:
-            raise MatrixMarketError(f"{path}: missing size line")
-
-        sizes = _size_fields(size_line, 3 if fmt == "coordinate" else 2, path)
-        rows, cols = sizes[:2]
-        if rows != cols:
-            raise NonSquareMatrixError(f"{path}: {rows}x{cols} matrix is not square")
-        if fmt == "coordinate":
-            nnz = sizes[2]
-            entries = _coordinate_body(fh, nnz, path)
-        else:
-            body = fh.read().split()
-
-    if fmt == "coordinate":
-        index = entries[:, :2]
-        if np.any(index != np.floor(index)):
-            raise MatrixMarketError(f"{path}: non-integral entry index")
-        if nnz and (index.min() < 1 or index.max() > rows):
-            raise IndexOutOfRangeError(f"{path}: entry index outside 1..{rows}")
-        _require_finite(entries[:, 2], path)
-        ii = index[:, 0].astype(np.int64) - 1
-        jj = index[:, 1].astype(np.int64) - 1
-        mat = sp.coo_matrix((entries[:, 2], (ii, jj)), shape=(rows, cols)).tocsr()
-        if symmetry == "symmetric":
-            lower = sp.tril(mat, k=-1)
-            mat = mat + lower.T
-        else:
-            _require_symmetric_sparse(mat, path)
-            mat = (mat + mat.T) * 0.5
-        csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        if mat.dtype.itemsize * rows * cols <= csr_bytes:
-            return DenseOperator(mat.toarray())
-        return CsrOperator(mat)
-
-    # array real general, column-major dense payload
-    if len(body) != rows * cols:
-        raise MatrixMarketError(f"{path}: expected {rows * cols} values, found {len(body)}")
-    try:
-        values = np.array(body, dtype=float)
-    except ValueError as exc:
-        raise MatrixMarketError(f"{path}: non-numeric array value") from exc
-    _require_finite(values, path)
-    dense = values.reshape((cols, rows)).T  # file stores columns contiguously
-    scale = float(np.abs(dense).max()) if dense.size else 0.0
-    asym = float(np.abs(dense - dense.T).max())
-    if scale > 0.0 and asym > _MM_RELATIVE_SYMMETRY_TOL * scale:
-        raise AsymmetricMatrixError(
-            f"{path}: 'general' matrix is asymmetric (max |a_ij - a_ji| = {asym:.3e})"
-        )
-    return DenseOperator((dense + dense.T) * 0.5)
-
-
-def _size_fields(size_line: str, count: int, path) -> list[int]:
-    tokens = size_line.split()
-    if len(tokens) != count:
-        raise MatrixMarketError(f"{path}: size line needs {count} fields: {size_line!r}")
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise MatrixMarketError(f"{path}: bad size line {size_line!r}") from exc
-
-
-def _coordinate_body(fh, nnz: int, path) -> np.ndarray:
-    """The (row, col, value) entry lines left in ``fh`` as an (nnz, 3) float array."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
-            entries = np.loadtxt(fh, dtype=float, comments="%", ndmin=2)
-    except ValueError as exc:
-        raise MatrixMarketError(f"{path}: malformed entry line: {exc}") from exc
-    if entries.shape[0] != nnz or (nnz and entries.shape[1] != 3):
-        raise MatrixMarketError(
-            f"{path}: expected {nnz} entries of 3 fields, found {entries.shape[0]} lines "
-            f"of {entries.shape[1]} fields"
-        )
-    return entries.reshape(nnz, 3)
+    if fmt == "array":
+        _require_finite(mat, path)
+        return DenseOperator(_symmetrized(mat, path))
+    _require_finite(mat.data, path)
+    mat = mat.tocsr()
+    mat.eliminate_zeros()  # a stored 0.0 costs matvec work and storage-rule bytes
+    if symmetry == "general":
+        mat = _symmetrized(mat, path)
+    csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    if mat.dtype.itemsize * rows * cols <= csr_bytes:
+        return DenseOperator(mat.toarray())
+    return CsrOperator(mat)
 
 
 def _require_finite(values: np.ndarray, path) -> None:
@@ -318,14 +288,15 @@ def _require_finite(values: np.ndarray, path) -> None:
         raise MatrixMarketError(f"{path}: non-finite (nan or inf) matrix value")
 
 
-def _require_symmetric_sparse(mat: sp.csr_matrix, path) -> None:
-    diff = abs(mat - mat.T)
-    asym = float(diff.max()) if diff.nnz else 0.0
-    scale = float(abs(mat).max()) if mat.nnz else 0.0
+def _symmetrized(mat, path):
+    """(A + A')/2 of a dense or CSR "general" matrix, which must be symmetric."""
+    asym = float(abs(mat - mat.T).max())
+    scale = float(abs(mat).max())
     if scale > 0.0 and asym > _MM_RELATIVE_SYMMETRY_TOL * scale:
         raise AsymmetricMatrixError(
             f"{path}: 'general' matrix is asymmetric (max |a_ij - a_ji| = {asym:.3e})"
         )
+    return (mat + mat.T) * 0.5
 
 
 def save_matrix_market(op: LinearOperator, path) -> None:

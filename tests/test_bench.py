@@ -328,6 +328,13 @@ class TestCli:
             "run", "--matrix", str(bad), "--trials", "1", "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_non_ascii_banner_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes("%%MatrixMarket matrix coordinate réal symmetric\n1 1 1\n1 1 4.0\n".encode())
+        assert cli_main([
+            "run", "--matrix", str(bad), "--trials", "1", "--out", str(tmp_path / "o"),
+        ]) == 2
+
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"
         assert cli_main(["gen", "--n", "8", "--gap", "0.25", "--seed", "2", "--out", str(mtx)]) == 0

@@ -136,14 +136,28 @@ class TestMatrixMarket:
         op = load_matrix_market(path)
         np.testing.assert_allclose(op.to_dense(), [[2.0, 1.0], [1.0, 0.0]])
 
-    def test_index_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("entry", ["3 1 1.0", "1 3 1.0", "0 1 1.0"])
+    def test_index_out_of_range(self, tmp_path, entry):
         path = _write(
             tmp_path,
             "bad.mtx",
-            "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n" + entry + "\n",
         )
         with pytest.raises(IndexOutOfRangeError):
             load_matrix_market(path)
+
+    @pytest.mark.parametrize("entry", ["1 2 5.0", "1 2 5.0 7", "1 2 5.0junk"])
+    def test_symmetric_upper_entry_is_mirrored(self, tmp_path, entry):
+        # an off-diagonal entry of a "symmetric" file is mirrored whichever
+        # triangle holds it; text after an entry's value is ignored
+        path = _write(
+            tmp_path,
+            "upper.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n" + entry + "\n",
+        )
+        dense = load_matrix_market(path).to_dense()
+        np.testing.assert_array_equal(dense, dense.T)
+        np.testing.assert_array_equal(dense, [[1.0, 5.0], [5.0, 0.0]])
 
     def test_general_asymmetric_rejected(self, tmp_path):
         path = _write(
@@ -223,12 +237,28 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketHeaderError):
             load_matrix_market(path)
 
-    def test_entry_count_mismatch(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "short.mtx",
+    @pytest.mark.parametrize(
+        "text",
+        [
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n",
-        )
+            "%%MatrixMarket matrix array real general\n2 2\n2.0\n1.0\n1.0\n",
+            "%%MatrixMarket matrix array real general\n2 2\n2.0\n1.0\n1.0\n2.0\n2.0\n",
+            # comments may only come before the size line; this one reads as an entry
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n% note\n2 2 1.0\n",
+            # size lines checked before parsing: the reader allocates for every
+            # declared entry, and an array with no rows kills the process
+            "%%MatrixMarket matrix coordinate real general\n2 2 10000000000\n1 1 1.0\n",
+            "%%MatrixMarket matrix array real general\n100000 100000\n1.0\n",
+            "%%MatrixMarket matrix array real general\n0 0\n",
+            "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
+        ],
+        ids=[
+            "coordinate-short", "array-short", "array-long", "comment-between-entries",
+            "coordinate-1e10-entries", "array-1e10-entries", "array-0x0", "coordinate-0x0",
+        ],
+    )
+    def test_entry_count_mismatch(self, tmp_path, text):
+        path = _write(tmp_path, "short.mtx", text)
         with pytest.raises(MatrixMarketError):
             load_matrix_market(path)
 
@@ -301,6 +331,21 @@ class TestMatrixMarket:
         )
         np.testing.assert_allclose(load_matrix_market(path).to_dense(), [[4.0]])
 
+    def test_non_ascii_bytes(self, tmp_path):
+        # a comment may hold any bytes; the banner must be ASCII, so a UTF-8
+        # no-break space does not pass as trailing whitespace
+        comment = tmp_path / "comment.mtx"
+        comment.write_bytes(
+            "%%MatrixMarket matrix coordinate real symmetric\n% café\n1 1 1\n1 1 4.0\n".encode()
+        )
+        np.testing.assert_array_equal(load_matrix_market(comment).to_dense(), [[4.0]])
+        banner = tmp_path / "banner.mtx"
+        banner.write_bytes(
+            "%%MatrixMarket matrix coordinate real symmetric\u00a0\n1 1 1\n1 1 4.0\n".encode()
+        )
+        with pytest.raises(MatrixMarketHeaderError):
+            load_matrix_market(banner)
+
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_apply_matches_dense_reference_property(seed):
@@ -356,6 +401,16 @@ class TestStorageRule:
         path = tmp_path / "tri.mtx"
         save_matrix_market(CsrOperator(matrix), path)
         assert isinstance(load_matrix_market(path), CsrOperator)
+
+    def test_explicit_zeros_are_dropped(self, tmp_path):
+        # one nonzero at n = 2 takes 24 CSR bytes against 32 dense; keeping the
+        # stored 0.0 and its mirror would take 48 and flip the file to dense
+        path = _write(
+            tmp_path,
+            "zeros.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 1 0.0\n",
+        )
+        assert type(load_matrix_market(path)) is CsrOperator
 
     @pytest.mark.parametrize("pairs, storage", [(3, DenseOperator), (2, CsrOperator)])
     def test_byte_boundary(self, tmp_path, pairs, storage):
