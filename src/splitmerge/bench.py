@@ -25,9 +25,11 @@ Config files are plain ``key = value`` text with ``#`` comments::
     out = bench_out
     dense_limit = 4096
 
-Solver entries take per-solver parameters in parentheses: alpha for
-gd_difference, beta (a number or ``auto`` = ideal lambda2^2/4) for
-power_momentum, rho_policy (named policy or a constant) for split_merge.
+Each solver entry may set its method's one parameter in parentheses:
+alpha for gd_difference, beta (a number or ``auto`` = ideal lambda2^2/4)
+for power_momentum, rho_policy (a named policy or a finite positive
+constant) for split_merge; power takes none. Every solver setting is
+checked before any matrix is loaded.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, SplitMergeError
 from .linop import LinearOperator, load_matrix_market
 from .matgen import SyntheticSpec, generate
-from .solvers import METHODS, SolveResult, SolverConfig, init_vector, solve
+from .solvers import METHOD_PARAMS, SolveResult, SolverConfig, init_vector, solve
 from .theory import Spectrum, dense_eigendecomposition, reference_dominant_eigenpair
 
 
@@ -75,12 +77,12 @@ class ExperimentConfig:
     )
     baseline: str = "power"
     trials: int = 50
-    eps: float = 1e-5
-    max_iter: int = 20000
+    eps: float = SolverConfig.eps
+    max_iter: int = SolverConfig.max_iter
     seed: int = 0
     out_dir: str = "bench_out"
-    stop_mode: str = "oracle"                # oracle | residual
-    residual_tol: float = 1e-10
+    stop_mode: str = SolverConfig.stop_mode
+    residual_tol: float = SolverConfig.residual_tol
     workers: int = 1                         # must be 1; perfbench still passes it
     dense_limit: int = 4096
 
@@ -95,21 +97,16 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.solvers:
             raise ConfigError("at least one solver is required")
-        if self.stop_mode not in ("oracle", "residual"):
-            raise ConfigError(f"unknown stop_mode {self.stop_mode!r}")
         if self.workers != 1:
             raise ConfigError(f"trials run serially; workers must be 1, got {self.workers}")
         if self.dense_limit < 1:
             raise ConfigError("dense_limit must be >= 1")
-        for setting in self.solvers:
-            if setting.method not in METHODS:
-                raise ConfigError(f"unknown solver {setting.method!r}")
+        for setting in self.solvers:   # beta=auto waits for the spectrum; 0.0 stands in
+            _solver_config(setting, self, auto_beta=0.0)
         labels = [s.label for s in self.solvers]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate solver entries: {labels}")
-        if self.baseline not in [s.label for s in self.solvers] and self.baseline not in [
-            s.method for s in self.solvers
-        ]:
+        if self.baseline not in labels + [s.method for s in self.solvers]:
             raise ConfigError(f"baseline {self.baseline!r} is not among the solvers")
 
 
@@ -160,18 +157,7 @@ class RunReport:
             "baseline": self.baseline,
             "solvers": [vars(s) for s in self.stats],
             "trials": [
-                {
-                    "solver": r.solver,
-                    "trial": r.trial,
-                    "converged": r.converged,
-                    "iterations": r.iterations,
-                    "matvecs": r.matvecs,
-                    "seconds": r.seconds,
-                    "error": r.error,
-                    "stop_reason": r.stop_reason,
-                    "safeguard_activations": r.safeguard_activations,
-                    "degenerate_fallbacks": r.degenerate_fallbacks,
-                }
+                {k: v for k, v in vars(r).items() if k not in ("result", "f_star")}
                 for r in self.records
             ],
         }
@@ -186,43 +172,30 @@ def _ground_truth_for(config: ExperimentConfig, op: LinearOperator):
     return reference_dominant_eigenpair(op)
 
 
-def _solver_config(setting: SolverSetting, config: ExperimentConfig, ground_truth) -> SolverConfig:
+def _solver_config(setting: SolverSetting, config: ExperimentConfig, auto_beta) -> SolverConfig:
+    """The SolverConfig of one entry; ``auto_beta`` is what beta=auto means, if known."""
     params = dict(setting.params)
-    beta = params.pop("beta", 0.0)
-    alpha = params.pop("alpha", 0.5)
-    rho_policy = params.pop("rho_policy", "fixed_one_with_safeguard")
-    if params:
-        raise ConfigError(f"unknown parameters for {setting.method}: {sorted(params)}")
-    if beta == "auto":
-        lam2 = _lambda2_of(ground_truth)
-        if lam2 is None:
+    unknown = params.keys() - {METHOD_PARAMS.get(setting.method)}
+    if unknown:
+        raise ConfigError(f"{setting.label}: unknown parameters {sorted(unknown)}")
+    if params.get("beta") == "auto":
+        if auto_beta is None:
             raise ConfigError("beta=auto needs a full ground-truth spectrum")
-        beta = lam2**2 / 4.0
+        params["beta"] = auto_beta
     try:
         return SolverConfig(
-            method=setting.method,
-            alpha=float(alpha),
-            beta=float(beta),
-            eps=config.eps,
-            max_iter=config.max_iter,
-            rho_policy=rho_policy,
-            stop_mode="oracle_angle" if config.stop_mode == "oracle" else "residual",
-            residual_tol=config.residual_tol,
+            setting.method, eps=config.eps, max_iter=config.max_iter,
+            stop_mode=config.stop_mode, residual_tol=config.residual_tol, **params,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{setting.label}: {exc}") from exc
 
 
-def _lambda2_of(ground_truth) -> float | None:
+def _auto_beta(ground_truth) -> float | None:
+    """The ideal momentum lambda2^2/4, or None without a full spectrum."""
     if isinstance(ground_truth, Spectrum) and ground_truth.eigenvalues.size > 1:
-        return float(ground_truth.eigenvalues[1])
+        return float(ground_truth.eigenvalues[1]) ** 2 / 4.0
     return None
-
-
-def _lambda1_of(ground_truth) -> float:
-    if ground_truth is None:
-        return math.nan
-    return float(ground_truth.lambda1)
 
 
 def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord]:
@@ -232,12 +205,13 @@ def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord
         op, truth = shared
 
     x0 = init_vector(op.n, np.random.SeedSequence((config.seed, trial, 1)), op)
-    f_star = -_lambda1_of(truth) / 4.0
+    f_star = math.nan if truth is None else -float(truth.lambda1) / 4.0
+    auto_beta = _auto_beta(truth)
 
     records = []
     for setting in config.solvers:
         run_op = op.share()
-        solver_config = _solver_config(setting, config, truth)
+        solver_config = _solver_config(setting, config, auto_beta)
         start = time.perf_counter()
         try:
             result = solve(run_op, solver_config, ground_truth=truth, x0=x0)
@@ -456,7 +430,7 @@ _CONFIG_KEYS = {
     "dense_limit": int,
 }
 
-_KEY_TO_FIELD = {"matrix": "matrix_path", "out": "out_dir"}
+KEY_TO_FIELD = {"matrix": "matrix_path", "out": "out_dir"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -476,5 +450,5 @@ def load_config(path) -> ExperimentConfig:
             parsed = _CONFIG_KEYS[key](value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        setattr(config, _KEY_TO_FIELD.get(key, key), parsed)
+        setattr(config, KEY_TO_FIELD.get(key, key), parsed)
     return config

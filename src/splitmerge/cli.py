@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ExperimentConfig, load_config, parse_solver_list, run_experiment
+from .bench import KEY_TO_FIELD, ExperimentConfig, load_config, parse_solver_list, run_experiment
 from .errors import ConfigError, MatrixMarketError
 from .linop import save_matrix_market
 from .matgen import SyntheticSpec, generate
+from .solvers import STOP_MODES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,18 +33,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bench", description="dominant-eigenvector solver benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every run flag but --config is the config-file key of the same name
     run = sub.add_parser("run", help="run a benchmark experiment")
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--n", type=int, help="synthetic matrix dimension")
     run.add_argument("--gap", type=float, help="synthetic eigengap")
-    run.add_argument("--solvers", help="comma list, e.g. power,split_merge,gd_difference(alpha=0.9)")
+    run.add_argument(
+        "--solvers", type=parse_solver_list,
+        help="comma list, e.g. power,split_merge,gd_difference(alpha=0.9)",
+    )
     run.add_argument("--trials", type=int)
     run.add_argument("--eps", type=float, help="stopping tolerance on sin(theta)")
     run.add_argument("--max-iter", type=int, dest="max_iter")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output directory")
     run.add_argument("--matrix", help="Matrix Market file (switches source)")
-    run.add_argument("--stop-mode", choices=["oracle", "residual"], dest="stop_mode")
+    run.add_argument("--stop-mode", choices=STOP_MODES, dest="stop_mode")
 
     gen = sub.add_parser("gen", help="export a synthetic matrix to Matrix Market")
     gen.add_argument("--n", type=int, required=True)
@@ -53,34 +58,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.n is not None:
-        config.n = args.n
-    if args.gap is not None:
-        config.gap = args.gap
-    if args.solvers is not None:
-        config.solvers = parse_solver_list(args.solvers)
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.eps is not None:
-        config.eps = args.eps
-    if args.max_iter is not None:
-        config.max_iter = args.max_iter
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.matrix is not None:
-        config.matrix_path = args.matrix
-        config.source = "matrix_market"
-    if args.stop_mode is not None:
-        config.stop_mode = args.stop_mode
-    return config
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    config = _apply_overrides(config, args)
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
+            setattr(config, KEY_TO_FIELD.get(key, key), value)
+    if args.matrix is not None:
+        config.source = "matrix_market"
     report = run_experiment(config)
     _print_report(report)
     return 0

@@ -33,8 +33,10 @@ from .errors import (
 from .linop import LinearOperator
 
 METHODS = ("power", "gd_difference", "power_momentum", "split_merge")
+# the one SolverConfig field each method reads beyond the shared ones; power has none
+METHOD_PARAMS = {"gd_difference": "alpha", "power_momentum": "beta", "split_merge": "rho_policy"}
 RHO_POLICIES = ("fixed_one_with_safeguard", "convergence_guaranteed")
-STOP_MODES = ("oracle_angle", "residual")
+STOP_MODES = ("oracle", "residual")
 
 # D <= factor * ||A^2 x||^2 triggers the DCA fallback. The factor sits at the
 # float64 noise floor of the cancellation in D so the guard catches exact
@@ -49,8 +51,8 @@ NORM_GUARD = (1e-150, 1e150)
 class SolverConfig:
     """Run parameters for :func:`solve`.
 
-    rho_policy is one of the named policies or a float, meaning a constant
-    rho (which must keep sigma > 0, otherwise the step raises).
+    rho_policy is one of the named policies or a constant rho, finite and
+    positive (and keeping sigma > 0, otherwise the step raises).
     """
 
     method: str
@@ -59,7 +61,7 @@ class SolverConfig:
     eps: float = 1e-5
     max_iter: int = 20000
     rho_policy: str | float = "fixed_one_with_safeguard"
-    stop_mode: str = "oracle_angle"
+    stop_mode: str = "oracle"
     residual_tol: float = 1e-10
     seed: int = 0
 
@@ -70,29 +72,38 @@ class SolverConfig:
             raise ValueError(f"unknown stop_mode {self.stop_mode!r}")
         if isinstance(self.rho_policy, str) and self.rho_policy not in RHO_POLICIES:
             raise ValueError(f"unknown rho_policy {self.rho_policy!r}")
+        if not isinstance(self.rho_policy, str):
+            _constant_rho(self.rho_policy)
         if self.method == "gd_difference" and not 0.0 < self.alpha < 1.0:
             # alpha*L+ in (0,2) with L+ = 2 restricts the step to (0,1)
             raise ValueError(f"gd_difference needs alpha in (0,1), got {self.alpha}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        # negated comparisons so that nan fails them too
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not self.beta >= 0.0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not self.residual_tol > 0.0:
+            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+
+
+def _constant_rho(rho_policy) -> float:
+    rho = float(rho_policy)
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"a constant rho must be finite and positive, got {rho_policy!r}")
+    return rho
 
 
 @dataclass
 class SplitMergeCoefficients:
-    """Per-iteration scalars of the split-merge update, plus cached products.
+    """Per-iteration scalars of the split-merge update.
 
-    ``w`` and ``z`` are the Ax and A^2x computed while forming the scalars;
-    the step consumes them so each iteration costs exactly two matvecs.
-    :func:`solve` drops them once its step has used them, so the entries of
-    ``trace.coeffs`` carry scalars only. ``degenerate`` marks an iterate that
-    is numerically an eigenvector, in which case the coefficients describe
-    the pure DCA step (omega = 0).
+    Only the public :func:`split_merge_coeffs` sets ``w`` and ``z``, the Ax
+    and A^2x it computed, so that :func:`split_merge_step` costs no matvec;
+    the entries of ``trace.coeffs`` carry scalars only. ``degenerate`` marks
+    an iterate that is numerically an eigenvector, in which case the
+    coefficients describe the pure DCA step (omega = 0).
     """
 
     mu: float
@@ -228,7 +239,7 @@ class IterationKernel:
     def split_merge_coeffs(
         self, w: np.ndarray, z: np.ndarray, quad: float, rho_policy: str | float
     ) -> SplitMergeCoefficients:
-        """Split-merge scalars from w = Ax, z = A^2x and quad = x'Ax; caches w and z."""
+        """Split-merge scalars from w = Ax, z = A^2x and quad = x'Ax."""
         if quad <= 0.0:
             raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
         wtw = float(w @ w)           # x'A^2x by symmetry
@@ -245,7 +256,7 @@ class IterationKernel:
             # DCA step Ax / (2*sqrt(x'Ax)), i.e. the v = 0 member of the family.
             return SplitMergeCoefficients(
                 mu=mu, gamma=0.0, sigma=1.0, zeta=1.0 / mu, omega=0.0, rho=1.0,
-                degenerate=True, w=w, z=z,
+                degenerate=True,
             )
 
         gamma = num / den
@@ -260,7 +271,7 @@ class IterationKernel:
             else:
                 raise ValueError(f"unknown rho policy {rho_policy!r}")
         else:
-            rho = float(rho_policy)
+            rho = _constant_rho(rho_policy)
 
         sigma = 1.0 - gamma / (rho * mu)
         if sigma <= 0.0:
@@ -271,7 +282,7 @@ class IterationKernel:
         omega = 1.0 / (mu**2 * sigma * rho)
         return SplitMergeCoefficients(
             mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
-            degenerate=False, w=w, z=z,
+            degenerate=False,
         )
 
     def power(self, w: np.ndarray) -> np.ndarray:
@@ -299,11 +310,11 @@ class IterationKernel:
         np.divide(x, norm, out=self.prev)
         return np.divide(y, norm, out=self.out)
 
-    def split_merge(self, coeffs: SplitMergeCoefficients) -> np.ndarray:
-        """zeta*Ax + omega*A^2x from the products cached on ``coeffs``."""
-        nxt = np.multiply(coeffs.w, coeffs.zeta, out=self.out)
+    def split_merge(self, w: np.ndarray, z, coeffs: SplitMergeCoefficients) -> np.ndarray:
+        """zeta*Ax + omega*A^2x from w = Ax and z = A^2x (unused when degenerate)."""
+        nxt = np.multiply(w, coeffs.zeta, out=self.out)
         if not coeffs.degenerate:
-            np.add(nxt, np.multiply(coeffs.z, coeffs.omega, out=self.tmp), out=nxt)
+            np.add(nxt, np.multiply(z, coeffs.omega, out=self.tmp), out=nxt)
         norm = math.sqrt(float(nxt @ nxt))
         if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
             raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
@@ -348,7 +359,9 @@ def split_merge_coeffs(
     x = np.asarray(x, dtype=float)
     w = op.apply(x)
     z = op.apply(w)
-    return IterationKernel(op.n).split_merge_coeffs(w, z, float(x @ w), rho_policy)
+    coeffs = IterationKernel(op.n).split_merge_coeffs(w, z, float(x @ w), rho_policy)
+    coeffs.w, coeffs.z = w, z
+    return coeffs
 
 
 def split_merge_step(
@@ -357,7 +370,7 @@ def split_merge_step(
     """zeta*Ax + omega*A^2x using the products cached in ``coeffs``. No matvecs."""
     if coeffs.w is None or (coeffs.z is None and not coeffs.degenerate):
         raise ValueError("coefficients carry no cached products; compute them at this x")
-    return IterationKernel(op.n).split_merge(coeffs)
+    return IterationKernel(op.n).split_merge(coeffs.w, coeffs.z, coeffs)
 
 
 # -- driver -------------------------------------------------------------------
@@ -372,19 +385,19 @@ def solve(
     """Run the configured method with per-iteration trace recording.
 
     ``ground_truth`` needs a unit ``u1`` attribute (a Spectrum or dominant
-    reference) and is required in oracle_angle stop mode. Hitting the
-    iteration cap is not an error; the result just has converged=False and
-    stop_reason "max_iter". Diagnostics reuse the step's own matvecs, so the
-    cumulative matvec count advances by exactly the method's per-iteration
-    cost. Memory is O(n) plus a few scalars per iteration: the products a
-    step consumes are released once it has used them.
+    reference) and is required in oracle stop mode. Hitting the iteration
+    cap is not an error; the result just has converged=False and stop_reason
+    "max_iter". An iterate whose x'Ax is not finite and positive raises
+    NonDifferentiablePointError. Diagnostics reuse the step's own matvecs, so
+    the cumulative matvec count advances by exactly the method's
+    per-iteration cost. Memory is O(n) plus a few scalars per iteration.
     """
     u1 = None
     if ground_truth is not None:
         u1 = np.asarray(ground_truth.u1, dtype=float)
         u1 = u1 / np.linalg.norm(u1)
-    if config.stop_mode == "oracle_angle" and u1 is None:
-        raise ValueError("oracle_angle stop mode requires ground truth")
+    if config.stop_mode == "oracle" and u1 is None:
+        raise ValueError("oracle stop mode requires ground truth")
 
     if x0 is None:
         x = init_vector(op.n, config.seed, op)
@@ -406,7 +419,7 @@ def solve(
         z = op.apply(w) if is_sm else None
 
         quad = float(x @ w)
-        if quad <= 0.0:
+        if not 0.0 < quad < math.inf:
             raise NonDifferentiablePointError(f"x'Ax = {quad:.3e} at iteration {k}")
         xtx, r, resid, sin_t = kernel.diagnostics(x, w, quad, u1)
         s = math.sqrt(quad)
@@ -426,7 +439,7 @@ def solve(
         trace.seconds.append(time.perf_counter() - t0)
 
         iterations = k
-        if config.stop_mode == "oracle_angle":
+        if config.stop_mode == "oracle":
             stop = sin_t <= config.eps
         else:
             stop = resid / r <= config.residual_tol
@@ -443,12 +456,9 @@ def solve(
         elif config.method == "power_momentum":
             nxt = kernel.momentum(x, w, config.beta)
         else:
-            nxt = kernel.split_merge(coeffs)
-            coeffs.w = coeffs.z = None
+            nxt = kernel.split_merge(w, z, coeffs)
         x, kernel.out = nxt, x
 
-    if is_sm:
-        coeffs.w = coeffs.z = None   # the final record's products were never applied
     norm_x = float(np.linalg.norm(x))
     return SolveResult(
         x=x,

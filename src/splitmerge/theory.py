@@ -358,7 +358,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     explicit = w / (2.0 * s) + (float(fv @ w) / (4.0 * sigma * quad)) * fv
 
     kernel = IterationKernel(op.n)
-    merged = kernel.split_merge(kernel.split_merge_coeffs(w, z, quad, rho))
+    merged = kernel.split_merge(w, z, kernel.split_merge_coeffs(w, z, quad, rho))
     rel = float(np.linalg.norm(explicit - merged)) / float(np.linalg.norm(merged))
     return VhatCheck(
         passed=rel <= 1e-8,

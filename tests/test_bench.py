@@ -239,6 +239,25 @@ class TestRunExperiment:
             run_experiment(_config(tmp_path, source="matrix_market", matrix_path=None))
         with pytest.raises(ConfigError):
             run_experiment(_config(tmp_path, dense_limit=0))
+        # each method takes only its own parameter
+        with pytest.raises(ConfigError, match="alpha"):
+            run_experiment(_config(tmp_path, solvers=parse_solver_list("power(alpha=0.3)")))
+        with pytest.raises(ConfigError, match="beta"):
+            run_experiment(_config(tmp_path, solvers=parse_solver_list("split_merge(beta=0.1)")))
+
+    def test_bad_solver_setting_fails_before_loading(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        def no_load(path):
+            pytest.fail("the matrix was loaded before the solver settings were checked")
+
+        monkeypatch.setattr(harness, "load_matrix_market", no_load)
+        config = _config(
+            tmp_path, source="matrix_market", matrix_path=str(tmp_path / "m.mtx"),
+            solvers=parse_solver_list("power, gd_difference(alpha=2.0)"),
+        )
+        with pytest.raises(ConfigError, match=r"gd_difference\(alpha=2.0\)"):
+            run_experiment(config)
 
 
 class TestConfigParsing:
@@ -314,6 +333,9 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
         assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert cli_main([
+            "run", "--solvers", "power,split_merge(rho_policy=0)", "--out", str(tmp_path / "o"),
+        ]) == 1
 
     def test_unknown_flag_exit_code(self):
         assert cli_main(["run", "--bogus", "3"]) == 1

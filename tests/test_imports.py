@@ -1,0 +1,45 @@
+"""The heavy scipy submodules load only on the paths that need them.
+
+A fresh interpreter per case, since the test session itself imports them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WATCHED = ("scipy.io", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def _loaded_after(body: str, tmp_path) -> set[str]:
+    """The WATCHED modules loaded after running ``body`` in a new interpreter."""
+    script = (
+        "import json, sys\n"
+        "from splitmerge import ExperimentConfig, run_experiment\n"
+        f"{body}\n"
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_synthetic_run_loads_no_scipy_io_or_linalg(tmp_path):
+    body = "run_experiment(ExperimentConfig(n=16, gap=0.2, trials=1, out_dir='out'))"
+    assert _loaded_after(body, tmp_path) == set()
+
+
+def test_matrix_market_run_under_dense_limit_loads_only_scipy_io(tmp_path):
+    body = (
+        "from splitmerge import SyntheticSpec, generate, save_matrix_market\n"
+        "save_matrix_market(generate(SyntheticSpec(n=12, gap=0.2, seed=1))[0], 'm.mtx')\n"
+        "run_experiment(ExperimentConfig(source='matrix_market', matrix_path='m.mtx',\n"
+        "                                trials=1, out_dir='out', dense_limit=64))"
+    )
+    assert _loaded_after(body, tmp_path) == {"scipy.io"}

@@ -22,10 +22,11 @@ from splitmerge import (
 from splitmerge.errors import (
     BreakdownError,
     InitializationError,
+    NonDifferentiablePointError,
     OverflowGuardError,
     SigmaNotPositiveError,
 )
-from splitmerge.solvers import SplitMergeCoefficients
+from splitmerge.solvers import METHODS, SplitMergeCoefficients
 
 from conftest import random_psd_operator
 
@@ -161,6 +162,11 @@ class TestSplitMergeCoeffs:
         with pytest.raises(SigmaNotPositiveError):
             split_merge_coeffs(diag21, x, bad_rho)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_constant_rho_must_be_finite_and_positive(self, diag21, rho):
+        with pytest.raises(ValueError, match="finite and positive"):
+            split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho)
+
     def test_two_matvecs(self, diag21):
         before = diag21.matvec_count
         split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
@@ -244,6 +250,13 @@ class TestSolverConfig:
             {"method": "power_momentum", "beta": -0.1},
             {"method": "split_merge", "rho_policy": "bogus"},
             {"method": "power", "stop_mode": "bogus"},
+            {"method": "power", "eps": math.nan},
+            {"method": "power_momentum", "beta": math.nan},
+            {"method": "power", "residual_tol": math.nan},
+            {"method": "split_merge", "rho_policy": 0},
+            {"method": "split_merge", "rho_policy": -1.0},
+            {"method": "split_merge", "rho_policy": math.inf},
+            {"method": "split_merge", "rho_policy": math.nan},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -316,6 +329,13 @@ class TestSolve:
     def test_oracle_mode_requires_ground_truth(self, diag21):
         with pytest.raises(ValueError):
             solve(diag21, SolverConfig("power"))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nan_start_is_not_differentiable(self, diag21, method):
+        # x'Ax = nan must not pass as positive, nor sin theta as 0
+        truth = type("GT", (), {"u1": np.array([1.0, 0.0])})()
+        with pytest.raises(NonDifferentiablePointError):
+            solve(diag21, SolverConfig(method), ground_truth=truth, x0=np.array([math.nan, 1.0]))
 
     def test_trace_lengths_consistent(self):
         op, truth = generate(SyntheticSpec(n=8, gap=0.4, seed=3))
