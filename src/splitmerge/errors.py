@@ -30,7 +30,13 @@ class IndexOutOfRangeError(MatrixMarketError):
 
 
 class AsymmetricMatrixError(MatrixMarketError):
-    """A "general" file failed the relative symmetry check."""
+    """A matrix is not symmetric enough for its storage.
+
+    Raised for a "general" Matrix Market file that fails the 1e-12 relative
+    symmetry check, and for a dense operator of order ``linop.SYMV_MIN_N``
+    or more that is not exactly equal to its transpose (its matvec reads one
+    triangle).
+    """
 
 
 class PsdViolationError(SplitMergeError):

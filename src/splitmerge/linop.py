@@ -8,7 +8,9 @@ separate from BLAS; it runs while a file loads, never inside a timed solve.
 It rejects % lines between entries and ignores text after an entry's value.
 A coordinate file is held dense (a BLAS matvec) when the dense array takes
 no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
-matrix is ever densified.
+matrix is ever densified. A dense operator of order ``SYMV_MIN_N`` or more
+multiplies with BLAS ``dsymv``, which reads one triangle, so it must be
+exactly symmetric; building the first one imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -90,19 +92,58 @@ class LinearOperator:
         return clone
 
 
+# Order from which the dense matvec is BLAS dsymv (one triangle) rather
+# than gemv. With one BLAS thread on a 2-core Xeon VM the two take 4.4 and
+# 5.0 us at n = 128, too little to pay for importing scipy.linalg; dsymv
+# leads by 11.3 vs 12.5 us at n = 256 and 256 vs 452 us at n = 1024
+# (BENCH_dense_symv.json).
+SYMV_MIN_N = 256
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """Whether a == a.T, compared one tile against its mirror at a time.
+
+    A whole-array ``a == a.T`` reads the transpose across rows and takes
+    about 4x longer (14 vs 3.4 ms at n = 1024, one thread).
+    """
+    n, tile = a.shape[0], 64
+    return all(
+        np.array_equal(a[i:i + tile, j:j + tile], a[j:j + tile, i:i + tile].T)
+        for i in range(0, n, tile)
+        for j in range(0, i + 1, tile)
+    )
+
+
 class DenseOperator(LinearOperator):
-    """Dense symmetric backend over an n x n float array."""
+    """Dense symmetric backend over an n x n float array.
+
+    Below ``SYMV_MIN_N`` the matvec is ``a @ x`` (gemv). From ``SYMV_MIN_N``
+    on it is BLAS ``dsymv``, which reads only the lower triangle, so the
+    matrix must equal its transpose exactly (``AsymmetricMatrixError``
+    otherwise), and the first such operator imports ``scipy.linalg``.
+    """
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.ascontiguousarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
         super().__init__(matrix.shape[0])
+        if self.n >= SYMV_MIN_N:
+            if not _exactly_symmetric(matrix):
+                raise AsymmetricMatrixError(
+                    f"a dense operator of order {self.n} >= {SYMV_MIN_N} must be exactly symmetric"
+                )
+            from scipy.linalg.blas import dsymv  # only large dense operators pay for it
+
+            self._symv = dsymv
         self._a = matrix
         self._fro = float(np.linalg.norm(matrix))
 
     def _apply(self, x):
-        return self._a @ x
+        if self.n < SYMV_MIN_N:
+            return self._a @ x
+        # a.T of the C-ordered array is the Fortran view f2py takes without a copy
+        return self._symv(1.0, self._a.T, x, lower=1)
 
     def to_dense(self):
         return self._a.copy()

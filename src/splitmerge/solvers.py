@@ -77,15 +77,16 @@ class SolverConfig:
         if self.method == "gd_difference" and not 0.0 < self.alpha < 1.0:
             # alpha*L+ in (0,2) with L+ = 2 restricts the step to (0,1)
             raise ValueError(f"gd_difference needs alpha in (0,1), got {self.alpha}")
-        # negated comparisons so that nan fails them too
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        # negated comparisons so that nan fails them too; an infinite
+        # tolerance would stop any start as converged at iteration 0
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.residual_tol > 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
 
 
 def _constant_rho(rho_policy) -> float:
@@ -240,6 +241,11 @@ class IterationKernel:
         self, w: np.ndarray, z: np.ndarray, quad: float, rho_policy: str | float
     ) -> SplitMergeCoefficients:
         """Split-merge scalars from w = Ax, z = A^2x and quad = x'Ax."""
+        if isinstance(rho_policy, str):
+            if rho_policy not in RHO_POLICIES:
+                raise ValueError(f"unknown rho policy {rho_policy!r}")
+        else:
+            rho = _constant_rho(rho_policy)
         if quad <= 0.0:
             raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
         wtw = float(w @ w)           # x'A^2x by symmetry
@@ -261,17 +267,12 @@ class IterationKernel:
 
         gamma = num / den
         ratio = gamma / mu
-        if isinstance(rho_policy, str):
-            if rho_policy == "fixed_one_with_safeguard":
-                rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
-            elif rho_policy == "convergence_guaranteed":
-                # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
-                # which pins every rate ratio into [0, 1].
-                rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
-            else:
-                raise ValueError(f"unknown rho policy {rho_policy!r}")
-        else:
-            rho = _constant_rho(rho_policy)
+        if rho_policy == "fixed_one_with_safeguard":
+            rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
+        elif rho_policy == "convergence_guaranteed":
+            # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
+            # which pins every rate ratio into [0, 1].
+            rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
 
         sigma = 1.0 - gamma / (rho * mu)
         if sigma <= 0.0:

@@ -1,5 +1,8 @@
 """The heavy scipy submodules load only on the paths that need them.
 
+``scipy.linalg`` comes in with the first dense operator of order
+``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``.
+
 A fresh interpreter per case, since the test session itself imports them.
 """
 
@@ -43,3 +46,11 @@ def test_matrix_market_run_under_dense_limit_loads_only_scipy_io(tmp_path):
         "                                trials=1, out_dir='out', dense_limit=64))"
     )
     assert _loaded_after(body, tmp_path) == {"scipy.io"}
+
+
+def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):
+    body = (
+        "from splitmerge.linop import SYMV_MIN_N\n"
+        "run_experiment(ExperimentConfig(n=SYMV_MIN_N, gap=0.2, trials=1, out_dir='out'))"
+    )
+    assert _loaded_after(body, tmp_path) == {"scipy.linalg"}

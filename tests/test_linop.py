@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from splitmerge import (
     CsrOperator,
     DenseOperator,
+    SolverConfig,
+    SyntheticSpec,
     dense_eigendecomposition,
+    generate,
     gershgorin_shift,
     load_matrix_market,
     save_matrix_market,
+    solve,
 )
 from splitmerge.errors import (
     AsymmetricMatrixError,
@@ -21,6 +25,7 @@ from splitmerge.errors import (
     MatrixMarketHeaderError,
     NonSquareMatrixError,
 )
+from splitmerge.linop import SYMV_MIN_N
 
 from conftest import assert_symmetric_psd, random_symmetric
 
@@ -63,6 +68,63 @@ class TestApply:
             ref = dense @ x
             got = op.apply(x)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+
+
+class _Gemv(DenseOperator):
+    """The full-matrix product ``a @ x`` at every size, as below SYMV_MIN_N."""
+
+    def _apply(self, x):
+        return self._a @ x
+
+
+class TestSymv:
+    """From SYMV_MIN_N on, the dense matvec is dsymv over the lower triangle."""
+
+    @pytest.mark.parametrize("n", [SYMV_MIN_N - 1, SYMV_MIN_N, 1024])
+    def test_matches_full_product(self, rng, n):
+        dense = random_symmetric(rng, n)
+        x = rng.standard_normal(2 * n)[::2]    # a strided view, not contiguous
+        ref = dense @ x
+        for op in (DenseOperator(dense), DenseOperator(np.asfortranarray(dense))):
+            got = op.apply(x)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+            np.testing.assert_array_equal(op.to_dense(), dense)
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (-1, 3)])   # a diagonal and a far tile
+    def test_exact_symmetry_required_from_threshold(self, rng, row, col):
+        for n, accepted in [(SYMV_MIN_N - 1, True), (SYMV_MIN_N, False)]:
+            dense = random_symmetric(rng, n)
+            dense[row, col] = np.nextafter(dense[row, col], np.inf)   # one ulp off symmetric
+            if accepted:
+                assert DenseOperator(dense).n == n
+            else:
+                with pytest.raises(AsymmetricMatrixError):
+                    DenseOperator(dense)
+
+    def test_trajectory_drift_against_gemv(self):
+        """dsymv sums in another order than gemv, so trajectories drift at round-off.
+
+        On this matrix power takes as many iterations as with gemv, and its
+        first 50 sin theta values agree to ~2e-16 relative. Later ones differ
+        by up to ~2e-11 absolute, since sin theta = sqrt(1 - cos^2) carries
+        about 1e-16 / sin theta of round-off. Split-merge's first 50 sin theta
+        values agree to ~1e-9 relative (its larger steps amplify the
+        round-off), and both runs converge, though their stopping iterations
+        may differ by a few.
+        """
+        op, truth = generate(SyntheticSpec(n=512, gap=1e-2, seed=3))
+        gemv = _Gemv(op.to_dense())
+        for method, rtol in [("power", 1e-12), ("split_merge", 1e-6)]:
+            config = SolverConfig(method, seed=5)
+            got = solve(op.share(), config, ground_truth=truth)
+            ref = solve(gemv.share(), config, ground_truth=truth)
+            assert got.converged and ref.converged
+            sin_got = np.asarray(got.trace.sin_theta)
+            sin_ref = np.asarray(ref.trace.sin_theta)
+            np.testing.assert_allclose(sin_got[:50], sin_ref[:50], rtol=rtol, atol=0.0)
+            if method == "power":
+                assert got.iterations == ref.iterations
+                np.testing.assert_allclose(sin_got, sin_ref, rtol=0.0, atol=1e-10)
 
 
 class TestGershgorin:

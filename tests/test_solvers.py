@@ -167,6 +167,11 @@ class TestSplitMergeCoeffs:
         with pytest.raises(ValueError, match="finite and positive"):
             split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho)
 
+    @pytest.mark.parametrize("rho", ["bogus", 0.0])
+    def test_bad_policy_rejected_at_an_eigenvector(self, diag21, rho):
+        with pytest.raises(ValueError):
+            split_merge_coeffs(diag21, np.array([1.0, 0.0]), rho)
+
     def test_two_matvecs(self, diag21):
         before = diag21.matvec_count
         split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
@@ -253,6 +258,8 @@ class TestSolverConfig:
             {"method": "power", "eps": math.nan},
             {"method": "power_momentum", "beta": math.nan},
             {"method": "power", "residual_tol": math.nan},
+            {"method": "power", "eps": math.inf},
+            {"method": "power", "stop_mode": "residual", "residual_tol": math.inf},
             {"method": "split_merge", "rho_policy": 0},
             {"method": "split_merge", "rho_policy": -1.0},
             {"method": "split_merge", "rho_policy": math.inf},
