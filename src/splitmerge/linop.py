@@ -8,9 +8,10 @@ separate from BLAS; it runs while a file loads, never inside a timed solve.
 It rejects % lines between entries and ignores text after an entry's value.
 A coordinate file is held dense (a BLAS matvec) when the dense array takes
 no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
-matrix is ever densified. A dense operator of order ``SYMV_MIN_N`` or more
-multiplies with BLAS ``dsymv``, which reads one triangle, so it must be
-exactly symmetric; building the first one imports ``scipy.linalg``.
+matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
+multiplies with ``a.dot(x)`` (BLAS gemv); one of that order or more with
+BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric;
+building the first one imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -117,10 +118,12 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
 class DenseOperator(LinearOperator):
     """Dense symmetric backend over an n x n float array.
 
-    Below ``SYMV_MIN_N`` the matvec is ``a @ x`` (gemv). From ``SYMV_MIN_N``
-    on it is BLAS ``dsymv``, which reads only the lower triangle, so the
-    matrix must equal its transpose exactly (``AsymmetricMatrixError``
-    otherwise), and the first such operator imports ``scipy.linalg``.
+    Below ``SYMV_MIN_N`` the matvec is ``a.dot(x)`` (gemv): the same BLAS
+    call and bits as ``a @ x``, without its ufunc dispatch (3.0-3.3 against
+    4.2-4.3 us at n = 128, one BLAS thread). From ``SYMV_MIN_N`` on it is
+    BLAS ``dsymv``, which reads only the lower triangle, so the matrix must
+    equal its transpose exactly (``AsymmetricMatrixError`` otherwise), and
+    the first such operator imports ``scipy.linalg``.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -141,7 +144,7 @@ class DenseOperator(LinearOperator):
 
     def _apply(self, x):
         if self.n < SYMV_MIN_N:
-            return self._a @ x
+            return self._a.dot(x)
         # a.T of the C-ordered array is the Fortran view f2py takes without a copy
         return self._symv(1.0, self._a.T, x, lower=1)
 
@@ -340,15 +343,24 @@ def _symmetrized(mat, path):
     return (mat + mat.T) * 0.5
 
 
+def _storage(op: LinearOperator):
+    """The operator's matrix: sparse over CSR storage, a dense array otherwise."""
+    if isinstance(op, CsrOperator):
+        return op._a
+    if isinstance(op, ShiftedOperator) and isinstance(op.base, CsrOperator):
+        # the same sums a_ii + eta and a_ij + 0.0 that to_dense forms
+        return op.base._a + op.eta * sp.identity(op.n, format="csr")
+    return op.to_dense()
+
+
 def save_matrix_market(op: LinearOperator, path) -> None:
     """Write an operator as 'coordinate real symmetric' (lower triangle).
 
     Nonzero entries are written in row-major order with 17 significant
-    digits. A CSR operator is written from its sparse lower triangle, never
-    densified.
+    digits. A CSR operator, shifted or not, is written from its sparse lower
+    triangle, never densified.
     """
-    source = op._a if isinstance(op, CsrOperator) else op.to_dense()
-    lower = sp.tril(source, format="csr")
+    lower = sp.tril(_storage(op), format="csr")
     lower.eliminate_zeros()
     lower.sort_indices()
     n = op.n

@@ -90,6 +90,13 @@ class TestSymv:
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
             np.testing.assert_array_equal(op.to_dense(), dense)
 
+    @pytest.mark.parametrize("n", [128, SYMV_MIN_N - 1])
+    def test_below_threshold_bit_identical_to_full_product(self, rng, n):
+        dense = random_symmetric(rng, n)
+        op = DenseOperator(dense)
+        x = rng.standard_normal(n)
+        assert np.array_equal(op.apply(x), op.to_dense() @ x)
+
     @pytest.mark.parametrize("row, col", [(1, 0), (-1, 3)])   # a diagonal and a far tile
     def test_exact_symmetry_required_from_threshold(self, rng, row, col):
         for n, accepted in [(SYMV_MIN_N - 1, True), (SYMV_MIN_N, False)]:
@@ -374,6 +381,21 @@ class TestMatrixMarket:
         assert isinstance(loaded, CsrOperator)
         x = rng.standard_normal(n)
         assert loaded.apply(x).tobytes() == (matrix @ x).tobytes()
+
+        # a Gershgorin-shifted CSR operator is written from sparse storage too
+        indefinite = matrix - sp.identity(n, format="csr")
+        shifted = gershgorin_shift(CsrOperator(indefinite))
+        assert shifted.eta > 0.0
+        save_matrix_market(shifted, path)
+        expected = indefinite + shifted.eta * sp.identity(n, format="csr")
+        assert (scipy.io.mmread(path) != expected).nnz == 0
+
+    def test_save_shifted_csr_as_shifted_dense(self, tmp_path, rng):
+        dense = random_symmetric(rng, 6)
+        dense[np.abs(dense) < 0.5] = 0.0
+        save_matrix_market(gershgorin_shift(CsrOperator(sp.csr_matrix(dense))), tmp_path / "csr.mtx")
+        save_matrix_market(gershgorin_shift(DenseOperator(dense)), tmp_path / "dense.mtx")
+        assert (tmp_path / "csr.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
 
     def test_save_csr_drops_explicit_zeros(self, tmp_path, rng):
         dense = random_symmetric(rng, 6)

@@ -21,6 +21,7 @@ from splitmerge import (
 )
 from splitmerge.errors import (
     BreakdownError,
+    DimensionMismatchError,
     InitializationError,
     NonDifferentiablePointError,
     OverflowGuardError,
@@ -128,6 +129,10 @@ class TestPowerMomentumStep:
         x_prev = diag21.apply(x) / beta
         with pytest.raises(BreakdownError):
             power_momentum_step(diag21, x, x_prev, beta)
+
+    def test_prev_of_wrong_length_rejected(self, diag21):
+        with pytest.raises(DimensionMismatchError):
+            power_momentum_step(diag21, np.ones(2), np.ones(3), 0.25)
 
 
 class TestSplitMergeCoeffs:
@@ -239,6 +244,25 @@ class TestSplitMergeStep:
             split_merge_step(diag21, x, huge)
 
 
+@pytest.mark.parametrize("n", [128, 1000])
+def test_steps_ignore_memory_layout(rng, n):
+    """Every step gives the same bits on a strided view as on its contiguous copy."""
+    op = random_psd_operator(rng, n)
+    x, x_prev = (rng.standard_normal(2 * n)[::2] for _ in range(2))
+    assert not x.flags.c_contiguous
+    same = np.testing.assert_array_equal
+    same(power_step(op, x), power_step(op, x.copy()))
+    same(gd_step(op, x, 0.3), gd_step(op, x.copy(), 0.3))
+    got = power_momentum_step(op, x, x_prev, 0.2)
+    ref = power_momentum_step(op, x.copy(), x_prev.copy(), 0.2)
+    same(got[0], ref[0])
+    same(got[1], ref[1])
+    got, ref = split_merge_coeffs(op, x), split_merge_coeffs(op, x.copy())
+    for name in ("mu", "gamma", "sigma", "zeta", "omega", "rho", "degenerate"):
+        assert getattr(got, name) == getattr(ref, name), name
+    same(split_merge_step(op, x, got), split_merge_step(op, x.copy(), ref))
+
+
 class TestSolverConfig:
     def test_alpha_range_enforced_for_gd(self):
         with pytest.raises(ValueError):
@@ -336,6 +360,22 @@ class TestSolve:
     def test_oracle_mode_requires_ground_truth(self, diag21):
         with pytest.raises(ValueError):
             solve(diag21, SolverConfig("power"))
+
+    @pytest.mark.parametrize(
+        "u1, error",
+        [
+            (np.zeros(3), ValueError),
+            (np.array([math.nan, 0.0, 0.0]), ValueError),
+            (np.ones(2), DimensionMismatchError),
+        ],
+        ids=["zero", "nan", "wrong_length"],
+    )
+    def test_malformed_ground_truth_rejected(self, u1, error):
+        # a zero or nan u1 would read as sin theta = 0, converged at iteration 0
+        op = DenseOperator(np.diag([2.0, 1.0, 0.5]))
+        truth = type("GT", (), {"u1": u1})()
+        with pytest.raises(error):
+            solve(op, SolverConfig("power"), ground_truth=truth, x0=np.ones(3))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_nan_start_is_not_differentiable(self, diag21, method):
