@@ -7,7 +7,9 @@ Subcommands::
 
 Exit codes: 0 on completion, 1 on configuration errors (including bad
 flags), 2 on I/O errors (unreadable files, malformed Matrix Market input,
-unwritable output).
+unwritable output), 3 on any other library error (a ``SplitMergeError``
+such as no usable starting vector or a failed ground-truth eigensolve),
+printed as ``error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from .bench import KEY_TO_FIELD, ExperimentConfig, load_config, parse_solver_list, run_experiment
-from .errors import ConfigError, MatrixMarketError
+from .errors import ConfigError, MatrixMarketError, SplitMergeError
 from .linop import save_matrix_market
 from .matgen import SyntheticSpec, generate
 from .solvers import STOP_MODES
@@ -115,6 +117,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except SplitMergeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -68,7 +68,11 @@ class LinearOperator:
     # -- shared behavior ----------------------------------------------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return A @ x, counting exactly one matvec."""
+        """Return A @ x as a new array, counting exactly one matvec.
+
+        The solvers write each iteration's update over this array, so an
+        ``_apply`` must not return x itself or a buffer it reuses.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatchError(

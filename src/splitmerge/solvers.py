@@ -20,6 +20,8 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -54,6 +56,11 @@ class SolverConfig:
 
     rho_policy is one of the named policies or a constant rho, finite and
     positive (and keeping sigma > 0, otherwise the step raises).
+
+    An oracle ``eps`` below about 1e-8 is not meaningful: sin theta is
+    computed as sqrt(1 - cos^2), which carries about 1e-16 / sin theta of
+    round-off and rounds to exactly 0 near sin theta = 1e-8, so the stop
+    test would pass on round-off. The residual stop has no such floor.
     """
 
     method: str
@@ -206,47 +213,169 @@ def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
 
 # -- the iteration kernel -------------------------------------------------------
 
+# Elements per block of the kernel's passes (measured table in IterationKernel).
+BLOCK = 32768
+BREAKDOWN_NORM = 1e-300    # power and momentum steps: a norm below this broke down
+
+
+def _reductions(x, w, u1, with_wtw):
+    """Pass 1: (x'Ax, x'x, ||Ax||^2, u1'x), 0.0 for a term not asked for."""
+    return (
+        0.0 if x is None else float(x.dot(w)),
+        0.0 if x is None else float(x.dot(x)),
+        float(w.dot(w)) if with_wtw else 0.0,
+        0.0 if u1 is None else float(u1.dot(x)),
+    )
+
+
+def _vectors(x, w, z, scratch, power, r, quad, wtw, norm):
+    """Pass 2: (||Ax - r*x||^2, g'g, g'Ax, ||A^2x||^2); with ``power``, Ax/norm over w.
+
+    g = A^2x - c*Ax with c = x'A^2x / x'Ax is formed explicitly, not through
+    its cancelling expansion. The residual term needs x, the other three
+    need z; without them they read 0.0. A norm below ``BREAKDOWN_NORM``
+    writes no update (the power step then raises).
+    """
+    rr = gg = gw = zz = 0.0
+    if x is not None:
+        res = np.multiply(x, r, scratch)
+        np.subtract(w, res, res)
+        rr = float(res.dot(res))
+    if z is not None:
+        g = np.multiply(w, wtw / quad, scratch)
+        np.subtract(z, g, g)         # orthogonal residual of A^2x against Ax
+        gg = float(g.dot(g))         # ||A^2x - c*Ax||^2
+        gw = float(g.dot(w))         # x'A^3x - (x'A^2x)^2 / x'Ax
+        zz = float(z.dot(z))
+    if power and norm >= BREAKDOWN_NORM:
+        np.divide(w, norm, w)        # after the block's last read of w
+    return rr, gg, gw, zz
+
+
+def _split_merge_update(w, z, scratch, zeta, omega):
+    """zeta*Ax (+ omega*A^2x unless z is None) over w; returns its squared norm."""
+    nxt = np.multiply(w, zeta, w)
+    if z is not None:
+        np.add(nxt, np.multiply(z, omega, scratch), nxt)
+    return (float(nxt.dot(nxt)),)
+
+
+def _gd_update(x, w, scratch, keep, step):
+    """keep*x + step*Ax over w."""
+    step_term = np.multiply(w, step, scratch)
+    nxt = np.multiply(x, keep, w)
+    np.add(nxt, step_term, nxt)
+    return ()
+
+
+def _momentum_direction(prev, w, scratch, beta):
+    """y = Ax - beta*prev over w; returns ||y||^2."""
+    np.subtract(w, np.multiply(prev, beta, scratch), w)
+    return (float(w.dot(w)),)
+
+
+def _momentum_rescale(x, y, prev, norm):
+    np.divide(x, norm, prev)
+    np.divide(y, norm, y)
+    return ()
+
+
+def _blockwise(body, blocks):
+    """``body`` run block by block, its sums added in block order; ``body``
+    itself when ``blocks`` is None (one block covers the vectors).
+
+    An array argument is sliced per block, a list is taken as one argument
+    per block already (the kernel's block scratch), and anything else is
+    passed to every block as it is.
+    """
+    if blocks is None:
+        return body
+
+    def run(*args):
+        columns = [
+            a if isinstance(a, list) else [a[b] for b in blocks] if isinstance(a, np.ndarray)
+            else repeat(a)
+            for a in args
+        ]
+        parts = map(body, *columns)
+        sums = next(parts)
+        for part in parts:
+            sums = list(map(add, sums, part))
+        return sums
+
+    return run
+
 
 class IterationKernel:
-    """The arithmetic of one iteration, on buffers reused across iterations.
+    """The arithmetic of one iteration, in a few passes over cache-sized blocks.
 
-    The caller takes the matvecs (always through ``op.apply``) and computes
-    x'Ax; the kernel forms every other dot product once and writes each
-    full-length intermediate into a preallocated buffer, so the operator's
-    own outputs are the only vectors an iteration allocates. Every update
-    writes the next iterate into ``out`` and returns it: a caller that keeps
-    iterating must give the kernel a fresh ``out`` (the driver hands back
-    the previous iterate's buffer), and the public step functions use a
-    fresh kernel per call so what they return is the caller's.
+    The caller takes the matvecs (always through ``op.apply``); the kernel
+    does the rest in passes that each read their operands once:
 
-    At small n the loop costs more than its arithmetic, so every call here
-    takes numpy's cheapest path: a 1-D reduction is ``a.dot(b)``, never
-    ``a @ b``, and a ufunc gets its output buffer positionally, never as
-    ``out=``. Both forms give the same bits. With one BLAS thread on a
-    2-core Xeon VM at n = 128 (medians of interleaved ``timeit`` runs,
-    BENCH_small_loop.json), ``x @ w`` costs 1.5-1.6 us against 0.7-0.9 us
-    for ``x.dot(w)``, and ``np.multiply(x, 2.0, out=t)`` 1.20-1.25 us
-    against 1.09-1.20 us for ``np.multiply(x, 2.0, t)``; a power iteration
-    makes five reductions and a split-merge iteration nine.
+    1. ``reductions``: x'Ax, x'x, ||Ax||^2 and u1'x;
+    2. ``vectors``: the residual Ax - r*x with its squared norm, the explicit
+       g = A^2x - c*Ax with g'g and g'Ax and ||A^2x||^2 (split-merge), and
+       the power update Ax/||Ax||;
+    3. the update (:meth:`split_merge`, :meth:`gd`, :meth:`momentum`).
+
+    Every update writes the next iterate over Ax, the operator's fresh
+    output, and returns that array: a block already read into cache, so the
+    write costs no read of a cold destination, and no buffer is swapped
+    between iterations. Ax and A^2x must not be used after the update.
+
+    Each pass walks the vectors in blocks of ``BLOCK`` elements, so a block's
+    operands stay in L2 across the pass's numpy calls instead of streaming
+    from L3 once per call, and its dot products are summed block by block in
+    block order. At n <= BLOCK there is one block, and each pass is its
+    block function called on the whole, unsliced vectors: the same numpy
+    calls on the same operands in the same order as a whole-vector
+    computation, so every value is bit-identical to it, and no view or
+    wrapper call is paid per pass at small n, where the loop costs more than
+    its arithmetic. Above BLOCK the sums are taken in another order and
+    trajectories move at round-off.
+
+    BLOCK = 32768 elements is 256 KiB per operand, so a pass's up to five
+    operands fit the 2 MiB L2 of the machine it was measured on. Per-iteration
+    solve time at n = 1e6 (CSR tridiagonal, one BLAS thread, 2-core Xeon VM,
+    medians of 8 interleaved rounds; "whole" is one block of n, the
+    whole-vector order; BENCH_kernel_blocks.json)::
+
+        block            8192   16384   32768   65536  131072   whole
+        power  [ms]      7.77    7.29    7.06    7.05    7.49    8.46
+        split-merge     14.36   13.38   13.00   13.23   14.56   16.90
+
+    32768 and 65536 tie for power there; in a second set of 14 rounds over
+    16384, 32768 and 65536, 32768 was fastest for both methods (7.03 and
+    13.05 ms against 7.08 and 13.12 at 65536). Smaller blocks pay more
+    Python per element, larger ones spill L2.
+
+    Throwaway vectors (the residual, g, a step's second term) go into
+    ``scratch``: one full-length buffer at one block, one block-sized,
+    cache-resident buffer above (a full-length one would be written back to
+    memory, ~0.9 ms a pass at n = 1e6). So the operator's own outputs are
+    the only vectors an iteration allocates.
+
+    Every call takes numpy's cheapest path: a 1-D reduction is
+    ``a.dot(b)``, never ``a @ b``, and a ufunc gets its output buffer
+    positionally, never as ``out=``. Both forms give the same bits
+    (BENCH_small_loop.json).
     """
 
     def __init__(self, n: int):
-        self.tmp = np.empty(n)     # w - r*x, then g = z - c*w, then a step's second term
-        self.out = np.empty(n)     # the next iterate
         self.prev = np.zeros(n)    # power_momentum: previous iterate, scaled with the current
-
-    def diagnostics(self, x, w, quad: float, u1) -> tuple[float, float, float, float]:
-        """(x'x, Rayleigh quotient r, ||Ax - r x|| / ||x||, sin theta to unit u1 or nan)."""
-        xtx = float(x.dot(x))
-        r = quad / xtx
-        resid_vec = np.multiply(x, r, self.tmp)
-        np.subtract(w, resid_vec, resid_vec)
-        resid = math.sqrt(float(resid_vec.dot(resid_vec))) / math.sqrt(xtx)
-        sin_t = math.nan
-        if u1 is not None:
-            cos_t = abs(float(u1.dot(x))) / math.sqrt(xtx)
-            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        return xtx, r, resid, sin_t
+        if n <= BLOCK:
+            blocks = None
+            self.scratch = np.empty(n)
+        else:
+            blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+            buffer = np.empty(BLOCK)    # the scratch of every block, so it stays in cache
+            self.scratch = [buffer[: b.stop - b.start] for b in blocks]
+        self.reductions = _blockwise(_reductions, blocks)
+        self.vectors = _blockwise(_vectors, blocks)
+        self._split_merge = _blockwise(_split_merge_update, blocks)
+        self._gd = _blockwise(_gd_update, blocks)
+        self._momentum_direction = _blockwise(_momentum_direction, blocks)
+        self._momentum_rescale = _blockwise(_momentum_rescale, blocks)
 
     def split_merge_coeffs(
         self, w: np.ndarray, z: np.ndarray, quad: float, rho_policy: str | float
@@ -256,81 +385,84 @@ class IterationKernel:
             if rho_policy not in RHO_POLICIES:
                 raise ValueError(f"unknown rho policy {rho_policy!r}")
         else:
-            rho = _constant_rho(rho_policy)
+            _constant_rho(rho_policy)
         if quad <= 0.0:
             raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
-        wtw = float(w.dot(w))        # x'A^2x by symmetry
-        mu = 2.0 * math.sqrt(quad)
+        wtw = self.reductions(None, w, None, True)[2]
+        _, num, den, zz = self.vectors(None, w, z, self.scratch, False, 0.0, quad, wtw, 0.0)
+        return coefficients_from_sums(quad, wtw, num, den, zz, rho_policy)
 
-        c = wtw / quad
-        g = np.multiply(w, c, self.tmp)
-        np.subtract(z, g, g)         # orthogonal residual of A^2x against Ax
-        num = float(g.dot(g))        # ||A^2x - c*Ax||^2
-        den = float(g.dot(w))        # x'A^3x - (x'A^2x)^2 / x'Ax
+    def power(self, w: np.ndarray, norm: float | None = None) -> np.ndarray:
+        """Ax / ||Ax||, written over w = Ax and returned.
 
-        if den <= DEGENERATE_FACTOR * float(z.dot(z)):
-            # x is numerically an eigenvector: gamma is 0/0, fall back to the
-            # DCA step Ax / (2*sqrt(x'Ax)), i.e. the v = 0 member of the family.
-            return SplitMergeCoefficients(
-                mu=mu, gamma=0.0, sigma=1.0, zeta=1.0 / mu, omega=0.0, rho=1.0,
-                degenerate=True,
-            )
-
-        gamma = num / den
-        ratio = gamma / mu
-        if rho_policy == "fixed_one_with_safeguard":
-            rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
-        elif rho_policy == "convergence_guaranteed":
-            # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
-            # which pins every rate ratio into [0, 1].
-            rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
-
-        sigma = 1.0 - gamma / (rho * mu)
-        if sigma <= 0.0:
-            raise SigmaNotPositiveError(
-                f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
-            )
-        zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
-        omega = 1.0 / (mu**2 * sigma * rho)
-        return SplitMergeCoefficients(
-            mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
-            degenerate=False,
-        )
-
-    def power(self, w: np.ndarray) -> np.ndarray:
-        """Ax / ||Ax||."""
-        norm = math.sqrt(float(w.dot(w)))
-        if norm < 1e-300:
+        The driver passes norm = ||Ax|| once ``vectors`` has written it.
+        """
+        if norm is None:
+            norm = math.sqrt(self.reductions(None, w, None, True)[2])
+            self.vectors(None, w, None, self.scratch, True, 0.0, 0.0, 0.0, norm)
+        if norm < BREAKDOWN_NORM:
             raise BreakdownError("power step broke down: ||Ax|| ~ 0")
-        return np.divide(w, norm, self.out)
+        return w
 
     def gd(self, x: np.ndarray, w: np.ndarray, quad: float, alpha: float) -> np.ndarray:
-        """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax)."""
+        """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), written over w = Ax."""
         if quad <= 0.0:
             raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
-        nxt = np.multiply(x, 1.0 - 2.0 * alpha, self.out)
-        step = np.multiply(w, alpha / math.sqrt(quad), self.tmp)
-        return np.add(nxt, step, nxt)
+        self._gd(x, w, self.scratch, 1.0 - 2.0 * alpha, alpha / math.sqrt(quad))
+        return w
 
     def momentum(self, x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-        """y = Ax - beta*prev; returns y/||y|| and sets prev to x/||y||."""
-        y = np.multiply(self.prev, beta, self.tmp)
-        np.subtract(w, y, y)
-        norm = math.sqrt(float(y.dot(y)))
-        if norm < 1e-300:
+        """y = Ax - beta*prev; returns y/||y||, written over w = Ax, and sets prev to x/||y||."""
+        norm = math.sqrt(self._momentum_direction(self.prev, w, self.scratch, beta)[0])
+        if norm < BREAKDOWN_NORM:
             raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
-        np.divide(x, norm, self.prev)
-        return np.divide(y, norm, self.out)
+        self._momentum_rescale(x, w, self.prev, norm)
+        return w
 
     def split_merge(self, w: np.ndarray, z, coeffs: SplitMergeCoefficients) -> np.ndarray:
-        """zeta*Ax + omega*A^2x from w = Ax and z = A^2x (unused when degenerate)."""
-        nxt = np.multiply(w, coeffs.zeta, self.out)
-        if not coeffs.degenerate:
-            np.add(nxt, np.multiply(z, coeffs.omega, self.tmp), nxt)
-        norm = math.sqrt(float(nxt.dot(nxt)))
+        """zeta*Ax + omega*A^2x, written over w = Ax (z = A^2x is unused when degenerate)."""
+        z = None if coeffs.degenerate else z
+        norm = math.sqrt(self._split_merge(w, z, self.scratch, coeffs.zeta, coeffs.omega)[0])
         if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
             raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
-        return nxt
+        return w
+
+
+def coefficients_from_sums(
+    quad: float, wtw: float, num: float, den: float, zz: float, rho_policy: str | float
+) -> SplitMergeCoefficients:
+    """Split-merge scalars from x'Ax, x'A^2x, g'g, g'Ax and ||A^2x||^2 (passes 1 and 2)."""
+    mu = 2.0 * math.sqrt(quad)
+    if den <= DEGENERATE_FACTOR * zz:
+        # x is numerically an eigenvector: gamma is 0/0, fall back to the
+        # DCA step Ax / (2*sqrt(x'Ax)), i.e. the v = 0 member of the family.
+        return SplitMergeCoefficients(
+            mu=mu, gamma=0.0, sigma=1.0, zeta=1.0 / mu, omega=0.0, rho=1.0,
+            degenerate=True,
+        )
+
+    gamma = num / den
+    ratio = gamma / mu
+    if rho_policy == "fixed_one_with_safeguard":
+        rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
+    elif rho_policy == "convergence_guaranteed":
+        # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
+        # which pins every rate ratio into [0, 1].
+        rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
+    else:
+        rho = float(rho_policy)
+
+    sigma = 1.0 - gamma / (rho * mu)
+    if sigma <= 0.0:
+        raise SigmaNotPositiveError(
+            f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
+        )
+    zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
+    omega = 1.0 / (mu**2 * sigma * rho)
+    return SplitMergeCoefficients(
+        mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
+        degenerate=False,
+    )
 
 
 # -- single steps (public contract: each does its own matvecs) ---------------
@@ -345,7 +477,8 @@ def gd_step(op: LinearOperator, x: np.ndarray, alpha: float) -> np.ndarray:
     """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), unnormalized. One matvec."""
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
     w = op.apply(x)
-    return IterationKernel(op.n).gd(x, w, float(x.dot(w)), alpha)
+    kernel = IterationKernel(op.n)
+    return kernel.gd(x, w, kernel.reductions(x, w, None, False)[0], alpha)
 
 
 def power_momentum_step(
@@ -376,7 +509,8 @@ def split_merge_coeffs(
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
     w = op.apply(x)
     z = op.apply(w)
-    coeffs = IterationKernel(op.n).split_merge_coeffs(w, z, float(x.dot(w)), rho_policy)
+    kernel = IterationKernel(op.n)
+    coeffs = kernel.split_merge_coeffs(w, z, kernel.reductions(x, w, None, False)[0], rho_policy)
     coeffs.w, coeffs.z = w, z
     return coeffs
 
@@ -387,7 +521,8 @@ def split_merge_step(
     """zeta*Ax + omega*A^2x using the products cached in ``coeffs``. No matvecs."""
     if coeffs.w is None or (coeffs.z is None and not coeffs.degenerate):
         raise ValueError("coefficients carry no cached products; compute them at this x")
-    return IterationKernel(op.n).split_merge(coeffs.w, coeffs.z, coeffs)
+    # the update is written over its Ax: leave the cached product as it is
+    return IterationKernel(op.n).split_merge(coeffs.w.copy(), coeffs.z, coeffs)
 
 
 # -- driver -------------------------------------------------------------------
@@ -432,12 +567,21 @@ def solve(
         x = np.asarray(x0, dtype=float).copy()
 
     is_sm = config.method == "split_merge"
+    is_power = config.method == "power"
+    with_wtw = is_sm or is_power     # ||Ax||^2: split-merge's c, power's norm
     kernel = IterationKernel(op.n)
+    scratch, norm = kernel.scratch, 0.0
+    oracle = config.stop_mode == "oracle"
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
     safeguards = fallbacks = 0
 
+    # the trace columns' appends, bound once: attribute lookups count at small n
+    columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.lambda_of_x,
+               trace.residual, trace.matvecs, trace.seconds)
+    add_sin, add_f, add_r, add_lambda, add_resid, add_mv, add_s = (c.append for c in columns)
+    clock = time.perf_counter
     mv0 = op.matvec_count
-    t0 = time.perf_counter()
+    t0 = clock()
     converged = False
     iterations = 0
 
@@ -445,28 +589,37 @@ def solve(
         w = op.apply(x)
         z = op.apply(w) if is_sm else None
 
-        quad = float(x.dot(w))
+        quad, xtx, wtw, u1x = kernel.reductions(x, w, u1, with_wtw)
         if not 0.0 < quad < math.inf:
             raise NonDifferentiablePointError(f"x'Ax = {quad:.3e} at iteration {k}")
-        xtx, r, resid, sin_t = kernel.diagnostics(x, w, quad, u1)
+        r = quad / xtx
+        if is_power:     # pass 2 also writes the power update
+            norm = math.sqrt(wtw)
+        rr, num, den, zz = kernel.vectors(x, w, z, scratch, is_power, r, quad, wtw, norm)
+        root_xtx = math.sqrt(xtx)
+        resid = math.sqrt(rr) / root_xtx
+        sin_t = math.nan
+        if u1 is not None:
+            cos_t = abs(u1x) / root_xtx
+            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
         s = math.sqrt(quad)
 
         if is_sm:
-            coeffs = kernel.split_merge_coeffs(w, z, quad, config.rho_policy)
+            coeffs = coefficients_from_sums(quad, wtw, num, den, zz, config.rho_policy)
             trace.coeffs.append(coeffs)
             safeguards += coeffs.rho > 1.0
             fallbacks += coeffs.degenerate
 
-        trace.sin_theta.append(sin_t)
-        trace.f_value.append(xtx - s)
-        trace.rayleigh.append(r)
-        trace.lambda_of_x.append(2.0 * s)
-        trace.residual.append(resid)
-        trace.matvecs.append(op.matvec_count - mv0)
-        trace.seconds.append(time.perf_counter() - t0)
+        add_sin(sin_t)
+        add_f(xtx - s)
+        add_r(r)
+        add_lambda(2.0 * s)
+        add_resid(resid)
+        add_mv(op.matvec_count - mv0)
+        add_s(clock() - t0)
 
         iterations = k
-        if config.stop_mode == "oracle":
+        if oracle:
             stop = sin_t <= config.eps
         else:
             stop = resid / r <= config.residual_tol
@@ -476,15 +629,14 @@ def solve(
         if k == config.max_iter:
             break
 
-        if config.method == "power":
-            nxt = kernel.power(w)
+        if is_power:
+            x = kernel.power(w, norm)
         elif config.method == "gd_difference":
-            nxt = kernel.gd(x, w, quad, config.alpha)
+            x = kernel.gd(x, w, quad, config.alpha)
         elif config.method == "power_momentum":
-            nxt = kernel.momentum(x, w, config.beta)
+            x = kernel.momentum(x, w, config.beta)
         else:
-            nxt = kernel.split_merge(w, z, coeffs)
-        x, kernel.out = nxt, x
+            x = kernel.split_merge(w, z, coeffs)
 
     norm_x = float(np.linalg.norm(x))
     return SolveResult(

@@ -357,6 +357,19 @@ class TestCli:
             "run", "--matrix", str(bad), "--trials", "1", "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_library_error_exit_code(self, tmp_path, capsys):
+        # diag(-1, -2, -3): x'Ax < 0 for every start, so init_vector gives up
+        neg = tmp_path / "neg.mtx"
+        neg.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 -1\n2 2 -2\n3 3 -3\n"
+        )
+        assert cli_main([
+            "run", "--matrix", str(neg), "--trials", "1", "--out", str(tmp_path / "o"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: InitializationError: ")
+        assert "Traceback" not in err
+
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"
         assert cli_main(["gen", "--n", "8", "--gap", "0.25", "--seed", "2", "--out", str(mtx)]) == 0

@@ -61,3 +61,14 @@ def test_step_size_sweep_writes_per_alpha_traces(tmp_path):
         gaps = [float(r["f_minus_fstar"]) for r in rows]
         assert min(gaps) >= -1e-12
         assert gaps[-1] < gaps[0]
+
+
+def test_kernel_parts_prints_each_part():
+    for method in ("power", "split_merge"):
+        (line,) = _run_script("kernel_parts.py", "--n", "500", "--method", method, "--repeat", "1",
+                              "--iters", "3")
+        parts = json.loads(line)
+        assert (parts["n"], parts["method"]) == (500, method)
+        for name in ("matvec", "reductions", "vectors", "update", "trace_recording", "whole_iteration"):
+            assert parts[name] > 0.0, name
+        assert ("scalars" in parts) == (method == "split_merge")

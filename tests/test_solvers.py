@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from splitmerge import (
+    CsrOperator,
     DenseOperator,
     SolverConfig,
     SyntheticSpec,
@@ -27,7 +29,7 @@ from splitmerge.errors import (
     OverflowGuardError,
     SigmaNotPositiveError,
 )
-from splitmerge.solvers import METHODS, SplitMergeCoefficients
+from splitmerge.solvers import BLOCK, METHODS, IterationKernel, SplitMergeCoefficients
 
 from conftest import random_psd_operator
 
@@ -215,6 +217,15 @@ class TestSplitMergeStep:
         before = diag21.matvec_count
         split_merge_step(diag21, x, c)
         assert diag21.matvec_count == before
+
+    def test_cached_products_left_as_they_are(self, diag21):
+        x = np.array([1.0, 1.0]) / math.sqrt(2)
+        c = split_merge_coeffs(diag21, x)
+        w, z = c.w.copy(), c.z.copy()
+        first = split_merge_step(diag21, x, c)
+        np.testing.assert_array_equal(split_merge_step(diag21, x, c), first)
+        np.testing.assert_array_equal(c.w, w)
+        np.testing.assert_array_equal(c.z, z)
 
     def test_degenerate_step_is_dca_iterate(self, rng):
         # eigenvectors with exactly-representable arithmetic (entries k/64,
@@ -500,3 +511,85 @@ class TestSolveObservability:
         )
         assert res.degenerate_fallbacks == len(res.trace.coeffs) >= 1
         assert all(c.w is None and c.z is None for c in res.trace.coeffs)
+
+
+def _tridiagonal(n, seed):
+    """CSR tridiagonal with diagonal in [2, 3) and off-diagonals in [0, 1): diagonally dominant, PSD."""
+    rng = np.random.default_rng([seed, n])
+    off = rng.random(n - 1)
+    return CsrOperator(sp.diags([off, 2.0 + rng.random(n), off], [-1, 0, 1], format="csr"))
+
+
+def _kernel_scalars(kernel, x, w, z, u1):
+    """Every scalar one power-with-split-merge pass pair forms, and the power update it writes."""
+    quad, xtx, wtw, u1x = kernel.reductions(x, w, u1, True)
+    r = quad / xtx
+    out = w.copy()     # pass 2 writes the power update over its Ax
+    rr, num, den, zz = kernel.vectors(x, out, z, kernel.scratch, True, r, quad, wtw, math.sqrt(wtw))
+    scalars = {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": zz, "u1x": u1x, "rr": rr,
+               "num": num, "den": den}
+    return scalars, out
+
+
+def _whole_vector_scalars(x, w, z, u1):
+    """The same scalars from whole-vector numpy calls, in the kernel's order of operations."""
+    quad, xtx, wtw = x.dot(w), x.dot(x), w.dot(w)
+    res = np.subtract(w, np.multiply(x, quad / xtx))
+    g = np.subtract(z, np.multiply(w, wtw / quad))
+    return {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": z.dot(z), "u1x": u1.dot(x),
+            "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
+
+
+def _relative(got, ref):
+    return float(np.linalg.norm(np.subtract(got, ref)) / np.linalg.norm(ref))
+
+
+class TestBlockBoundaries:
+    """The kernel's passes sum over BLOCK-element blocks: exact at one block, round-off above."""
+
+    @pytest.mark.parametrize("n", [128, BLOCK])
+    def test_one_block_is_the_whole_vector_computation(self, rng, n):
+        op = _tridiagonal(n, 0)
+        x, u1 = rng.standard_normal(n), rng.standard_normal(n)
+        w = op.apply(x)
+        z = op.apply(w)
+        got, power_update = _kernel_scalars(IterationKernel(n), x, w, z, u1)
+        assert got == _whole_vector_scalars(x, w, z, u1)
+        np.testing.assert_array_equal(power_update, np.divide(w, math.sqrt(w.dot(w))))
+
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 17], ids=["one_element_tail", "ragged_tail"])
+    def test_blocked_passes_match_whole_vectors(self, rng, n):
+        op = _tridiagonal(n, 1)
+        x, x_prev, noise = (rng.standard_normal(n) for _ in range(3))
+        u1 = x + 0.5 * noise    # correlated with x, so u1'x does not cancel to round-off
+        w = op.apply(x)
+        z = op.apply(w)
+        got, power_update = _kernel_scalars(IterationKernel(n), x, w, z, u1)
+        ref = _whole_vector_scalars(x, w, z, u1)
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= 1e-13 * abs(value), name
+
+        power = w / np.linalg.norm(w)
+        assert _relative(power_update, power) <= 1e-13
+        assert _relative(power_step(op, x), power) <= 1e-13
+        quad = ref["quad"]
+        gd = (1.0 - 2.0 * 0.3) * x + (0.3 / math.sqrt(quad)) * w
+        assert _relative(gd_step(op, x, 0.3), gd) <= 1e-13
+        y = w - 0.2 * x_prev
+        nxt, prev = power_momentum_step(op, x, x_prev, 0.2)
+        assert _relative(nxt, y / np.linalg.norm(y)) <= 1e-13
+        assert _relative(prev, x / np.linalg.norm(y)) <= 1e-13
+
+        coeffs = split_merge_coeffs(op, x, "fixed_one_with_safeguard")
+        assert not coeffs.degenerate
+        mu = 2.0 * math.sqrt(quad)
+        gamma = ref["num"] / ref["den"]
+        rho = 1.2 * gamma / mu if gamma / mu >= 1.0 else 1.0
+        sigma = 1.0 - gamma / (rho * mu)
+        zeta = 1.0 / mu - 4.0 * ref["wtw"] / (mu**4 * sigma * rho)
+        omega = 1.0 / (mu**2 * sigma * rho)
+        expected = {"mu": mu, "gamma": gamma, "rho": rho, "sigma": sigma, "zeta": zeta, "omega": omega}
+        for name, value in expected.items():
+            assert abs(getattr(coeffs, name) - value) <= 1e-13 * abs(value), name
+        merged = split_merge_step(op, x, coeffs)
+        assert _relative(merged, zeta * w + omega * z) <= 1e-13
