@@ -82,6 +82,15 @@ class TestPowerStep:
         with pytest.raises(BreakdownError):
             power_step(op, np.array([0.0, 1.0]))
 
+    def test_zero_start_breaks_down(self, diag21):
+        with pytest.raises(BreakdownError):
+            power_step(diag21, np.zeros(2))
+
+    def test_zero_quadratic_form_is_not_an_error(self):
+        # power needs only ||Ax|| > 0, not x'Ax > 0
+        got = power_step(DenseOperator(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(got, np.array([1.0, -1.0]) / math.sqrt(2.0))
+
 
 class TestGdStep:
     def test_fixed_point_at_minimizer_scale(self):
@@ -106,6 +115,10 @@ class TestGdStep:
             b = power_step(op, x)
             cos = abs(a @ b) / np.linalg.norm(a)
             assert cos >= 1.0 - 1e-12
+
+    def test_zero_start_not_differentiable(self, diag21):
+        with pytest.raises(NonDifferentiablePointError):
+            gd_step(diag21, np.zeros(2), 0.5)
 
 
 class TestPowerMomentumStep:
@@ -392,7 +405,7 @@ class TestSolve:
     def test_nan_start_is_not_differentiable(self, diag21, method):
         # x'Ax = nan must not pass as positive, nor sin theta as 0
         truth = type("GT", (), {"u1": np.array([1.0, 0.0])})()
-        with pytest.raises(NonDifferentiablePointError):
+        with pytest.raises(NonDifferentiablePointError, match="at iteration 0"):
             solve(diag21, SolverConfig(method), ground_truth=truth, x0=np.array([math.nan, 1.0]))
 
     def test_trace_lengths_consistent(self):
