@@ -2,16 +2,18 @@
 """Time the parts of one solver iteration and print them as JSON.
 
 The parts are the ones ``solve`` runs each iteration: the matvecs, the
-kernel's reductions pass, its vector pass, the update and the trace
-recording, plus the split-merge scalars for split_merge. Each is the
-fastest of ``--repeat`` x max(1, 200000 // n) single calls of the statement
-the loop runs, in microseconds, each call on a fresh copy of Ax (the
-updates write over it), on a seeded tridiagonal CSR operator (diagonally
-dominant, so PSD) from ``init_vector``. ``whole_iteration`` is the best of ``--repeat`` solves
-held to ``--iters`` iterations, per record, and ``rest_of_loop`` is what the
-parts do not account for (loop control, the stop test; noisy, can be
-negative). BLAS runs on one thread unless the environment already says
-otherwise.
+kernel's two calls (``measure`` and ``update``) and the trace recording.
+``measure`` is split into its reductions pass (pass 1, timed on its own),
+its vector pass (``measure`` less pass 1) and, for split_merge, the scalars
+(``coefficients_from_sums``, timed on its own, subtracted too). Each timed
+part is the fastest of ``--repeat`` x max(1, 200000 // n) single calls of
+the statement the loop runs, in microseconds, on a seeded tridiagonal CSR
+operator (diagonally dominant, so PSD) from ``init_vector``; each call of a
+kernel call starts from the Ax it would see in the loop, since both write
+over it. ``whole_iteration`` is the best of ``--repeat`` solves held to
+``--iters`` iterations, per record, and ``rest_of_loop`` is what the parts
+do not account for (loop control, the stop test; noisy, can be negative).
+BLAS runs on one thread unless the environment already says otherwise.
 
     python3 scripts/kernel_parts.py --n 1000000 --method split_merge
 """
@@ -35,12 +37,7 @@ from splitmerge import solvers  # noqa: E402
 from splitmerge.solvers import METHODS, IterationKernel, IterationTrace, init_vector  # noqa: E402
 
 RHO = "fixed_one_with_safeguard"
-UPDATES = {
-    "power": "kernel.power(w, norm)",
-    "gd_difference": "kernel.gd(x, w, quad, 0.9)",
-    "power_momentum": "kernel.momentum(x, w, 0.1)",
-    "split_merge": "kernel.split_merge(w, z, coeffs)",
-}
+PARAMS = {"gd_difference": 0.9, "power_momentum": 0.1, "split_merge": RHO}
 RECORD = (
     "trace.sin_theta.append(sin_t); trace.f_value.append(xtx - s); trace.rayleigh.append(r); "
     "trace.lambda_of_x.append(2.0 * s); trace.residual.append(resid); "
@@ -62,43 +59,37 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     x = init_vector(n, seed, op)
     u1 = np.ones(n) / math.sqrt(n)
     is_sm = method == "split_merge"
-    kernel = IterationKernel(n)
+    kernel = IterationKernel(n, method, PARAMS.get(method), u1)
     w = op.apply(x)
     z = op.apply(w) if is_sm else None
-    with_wtw = method in ("power", "split_merge")
-    quad, xtx, wtw, u1x = kernel.reductions(x, w, u1, with_wtw)
-    r = quad / xtx
-    norm = math.sqrt(wtw)
-    power = method == "power"     # pass 2 writes the power update over Ax
     w0 = w.copy()
-    rr, num, den, zz = kernel.vectors(x, w, z, kernel.scratch, power, r, quad, wtw, norm)
-    np.copyto(w, w0)
-    coeffs = solvers.coefficients_from_sums(quad, wtw, num, den, zz, RHO) if is_sm else None
-    names = dict(
-        op=op, x=x, w=w, w0=w0, z=z, u1=u1, kernel=kernel, with_wtw=with_wtw, quad=quad,
-        xtx=xtx, wtw=wtw, zz=zz, r=r, norm=norm, power=power, num=num, den=den, coeffs=coeffs,
-        np=np, time=time, solvers=solvers, RHO=RHO, trace=IterationTrace(method=method),
-        sin_t=0.1, s=1.0, resid=0.1,
-    )
+    kernel.measure(x, w, z)
+    w1 = w.copy()    # what update sees: for power and momentum, the update in progress
+    names = dict(op=op, x=x, w=w, w0=w0, w1=w1, z=z, u1=u1, kernel=kernel, np=np, time=time,
+                 solvers=solvers, trace=IterationTrace(method=method), sin_t=0.1, s=1.0,
+                 resid=0.1, xtx=1.0, r=1.0)
+    # (statement, setup) per part; pass 1 is the kernel's own blockwise function
     parts = {
-        "matvec": "op.apply(w); op.apply(x)" if is_sm else "op.apply(x)",
-        "reductions": "kernel.reductions(x, w, u1, with_wtw)",
-        "vectors": "kernel.vectors(x, w, z, kernel.scratch, power, r, quad, wtw, norm)",
-        "update": UPDATES[method],
-        "trace_recording": RECORD,
+        "matvec": ("op.apply(w); op.apply(x)" if is_sm else "op.apply(x)", "pass"),
+        "measure": ("kernel.measure(x, w, z)", "np.copyto(w, w0)"),
+        "reductions": ("kernel._reductions(x, w, u1, kernel._with_wtw)", "pass"),
+        "update": ("kernel.update(x, w, z)", "np.copyto(w, w1)"),
+        "trace_recording": (RECORD, "pass"),
     }
     if is_sm:
-        parts["scalars"] = "solvers.coefficients_from_sums(quad, wtw, num, den, zz, RHO)"
-    # single calls, each on a fresh copy of Ax: the power update and every
-    # step write over it
+        quad, wtw = float(x.dot(w0)), float(w0.dot(w0))
+        g = z - (wtw / quad) * w0
+        names["sums"] = (quad, wtw, float(g.dot(g)), float(g.dot(w0)), float(z.dot(z)), RHO)
+        parts["scalars"] = ("solvers.coefficients_from_sums(*sums)", "pass")
     calls = repeat * max(1, 200_000 // n)
     result = {"n": n, "method": method, "block": solvers.BLOCK, "unit": "us per iteration"}
-    for name, stmt in parts.items():
-        times = timeit.repeat(stmt, setup="np.copyto(w, w0)", globals=names, number=1, repeat=calls)
+    for name, (stmt, setup) in parts.items():
+        times = timeit.repeat(stmt, setup=setup, globals=names, number=1, repeat=calls)
         result[name] = round(min(times) * 1e6, 3)
+    result["vectors"] = round(result["measure"] - result["reductions"] - result.get("scalars", 0.0), 3)
 
     config = SolverConfig(method, stop_mode="residual", residual_tol=1e-300, max_iter=iters,
-                          alpha=0.9, beta=0.1, seed=seed)
+                          alpha=PARAMS["gd_difference"], beta=PARAMS["power_momentum"], seed=seed)
     best = math.inf
     for _ in range(repeat):
         run_op = op.share()
@@ -106,7 +97,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
         res = solve(run_op, config, x0=x)
         best = min(best, (time.perf_counter() - t0) / (res.iterations + 1))
     result["whole_iteration"] = round(best * 1e6, 3)
-    result["rest_of_loop"] = round(result["whole_iteration"] - sum(result[p] for p in parts), 3)
+    loop_parts = ("matvec", "measure", "update", "trace_recording")
+    result["rest_of_loop"] = round(result["whole_iteration"] - sum(result[p] for p in loop_parts), 3)
     return result
 
 

@@ -10,8 +10,9 @@ dynamics keep ||x|| near sqrt(lambda1)/2 and the curvature scalar sigma is
 not scale-invariant, so normalizing would change the trajectory. Overflow
 guards stand in for normalization.
 
-All per-iteration arithmetic lives in :class:`IterationKernel`, which the
-driver, the public step functions and the theory checks share.
+All per-iteration arithmetic lives in :class:`IterationKernel`, built for
+one method; the driver, the public step functions and the theory checks
+make its two calls per iteration, ``measure`` and ``update``.
 """
 
 from __future__ import annotations
@@ -78,10 +79,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.stop_mode not in STOP_MODES:
             raise ValueError(f"unknown stop_mode {self.stop_mode!r}")
-        if isinstance(self.rho_policy, str) and self.rho_policy not in RHO_POLICIES:
-            raise ValueError(f"unknown rho_policy {self.rho_policy!r}")
-        if not isinstance(self.rho_policy, str):
-            _constant_rho(self.rho_policy)
+        _check_rho_policy(self.rho_policy)
         if self.method == "gd_difference" and not 0.0 < self.alpha < 1.0:
             # alpha*L+ in (0,2) with L+ = 2 restricts the step to (0,1)
             raise ValueError(f"gd_difference needs alpha in (0,1), got {self.alpha}")
@@ -97,11 +95,12 @@ class SolverConfig:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
 
 
-def _constant_rho(rho_policy) -> float:
-    rho = float(rho_policy)
-    if not 0.0 < rho < math.inf:
+def _check_rho_policy(rho_policy) -> None:
+    if isinstance(rho_policy, str):
+        if rho_policy not in RHO_POLICIES:
+            raise ValueError(f"unknown rho_policy {rho_policy!r}")
+    elif not 0.0 < float(rho_policy) < math.inf:
         raise ValueError(f"a constant rho must be finite and positive, got {rho_policy!r}")
-    return rho
 
 
 @dataclass
@@ -221,73 +220,66 @@ BREAKDOWN_NORM = 1e-300    # power and momentum steps: a norm below this broke d
 def _reductions(x, w, u1, with_wtw):
     """Pass 1: (x'Ax, x'x, ||Ax||^2, u1'x), 0.0 for a term not asked for."""
     return (
-        0.0 if x is None else float(x.dot(w)),
-        0.0 if x is None else float(x.dot(x)),
+        float(x.dot(w)),
+        float(x.dot(x)),
         float(w.dot(w)) if with_wtw else 0.0,
         0.0 if u1 is None else float(u1.dot(x)),
     )
 
 
-def _vectors(x, w, z, scratch, power, r, quad, wtw, norm):
-    """Pass 2: (||Ax - r*x||^2, g'g, g'Ax, ||A^2x||^2); with ``power``, Ax/norm over w.
+def _vectors(x, w, v, scratch, method, r, s):
+    """Pass 2: (||Ax - r*x||^2, ...), then what ``method`` needs of w, v and s.
 
-    g = A^2x - c*Ax with c = x'A^2x / x'Ax is formed explicitly, not through
-    its cancelling expansion. The residual term needs x, the other three
-    need z; without them they read 0.0. A norm below ``BREAKDOWN_NORM``
-    writes no update (the power step then raises).
+    - power: Ax/s over w, s = ||Ax|| (no write below ``BREAKDOWN_NORM``);
+    - power_momentum: y = Ax - s*v over w, v = prev, s = beta; adds ||y||^2;
+    - split_merge: g = v - s*Ax, v = A^2x, s = c = x'A^2x / x'Ax, formed
+      explicitly, not through its cancelling expansion; adds g'g, g'Ax
+      and ||A^2x||^2.
     """
-    rr = gg = gw = zz = 0.0
-    if x is not None:
-        res = np.multiply(x, r, scratch)
-        np.subtract(w, res, res)
-        rr = float(res.dot(res))
-    if z is not None:
-        g = np.multiply(w, wtw / quad, scratch)
-        np.subtract(z, g, g)         # orthogonal residual of A^2x against Ax
-        gg = float(g.dot(g))         # ||A^2x - c*Ax||^2
-        gw = float(g.dot(w))         # x'A^3x - (x'A^2x)^2 / x'Ax
-        zz = float(z.dot(z))
-    if power and norm >= BREAKDOWN_NORM:
-        np.divide(w, norm, w)        # after the block's last read of w
-    return rr, gg, gw, zz
+    res = np.multiply(x, r, scratch)
+    np.subtract(w, res, res)
+    rr = float(res.dot(res))
+    if method == "power":
+        if s >= BREAKDOWN_NORM:
+            np.divide(w, s, w)       # after the block's last read of w
+    elif method == "power_momentum":
+        np.subtract(w, np.multiply(v, s, scratch), w)
+        return rr, float(w.dot(w))
+    elif method == "split_merge":
+        g = np.multiply(w, s, scratch)
+        np.subtract(v, g, g)         # orthogonal residual of A^2x against Ax
+        return rr, float(g.dot(g)), float(g.dot(w)), float(v.dot(v))
+    return (rr,)
 
 
-def _split_merge_update(w, z, scratch, zeta, omega):
-    """zeta*Ax (+ omega*A^2x unless z is None) over w; returns its squared norm."""
-    nxt = np.multiply(w, zeta, w)
-    if z is not None:
-        np.add(nxt, np.multiply(z, omega, scratch), nxt)
-    return (float(nxt.dot(nxt)),)
+def _finish(x, w, v, scratch, method, a, b):
+    """Pass 3: the updates that need a pass-2 sum, over w.
 
-
-def _gd_update(x, w, scratch, keep, step):
-    """keep*x + step*Ax over w."""
-    step_term = np.multiply(w, step, scratch)
-    nxt = np.multiply(x, keep, w)
-    np.add(nxt, step_term, nxt)
-    return ()
-
-
-def _momentum_direction(prev, w, scratch, beta):
-    """y = Ax - beta*prev over w; returns ||y||^2."""
-    np.subtract(w, np.multiply(prev, beta, scratch), w)
-    return (float(w.dot(w)),)
-
-
-def _momentum_rescale(x, y, prev, norm):
-    np.divide(x, norm, prev)
-    np.divide(y, norm, y)
+    - gd_difference: a*x + b*Ax, a = 1 - 2*alpha, b = alpha/sqrt(x'Ax);
+    - power_momentum: y/a over w = y and x/a over v = prev, a = ||y||;
+    - split_merge: a*Ax + b*A^2x, v = A^2x (None when degenerate); returns
+      its squared norm.
+    """
+    if method == "gd_difference":
+        step_term = np.multiply(w, b, scratch)
+        nxt = np.multiply(x, a, w)
+        np.add(nxt, step_term, nxt)
+    elif method == "power_momentum":
+        np.divide(x, a, v)
+        np.divide(w, a, w)
+    else:
+        nxt = np.multiply(w, a, w)
+        if v is not None:
+            np.add(nxt, np.multiply(v, b, scratch), nxt)
+        return (float(nxt.dot(nxt)),)
     return ()
 
 
 def _blockwise(body, blocks):
-    """``body`` run block by block, its sums added in block order; ``body``
-    itself when ``blocks`` is None (one block covers the vectors).
-
-    An array argument is sliced per block, a list is taken as one argument
-    per block already (the kernel's block scratch), and anything else is
-    passed to every block as it is.
-    """
+    """``body`` run block by block, its sums added in block order, or ``body``
+    itself when ``blocks`` is None. An array argument is sliced per block, a
+    list is one argument per block already (the block scratch), and anything
+    else goes to every block as it is."""
     if blocks is None:
         return body
 
@@ -307,124 +299,115 @@ def _blockwise(body, blocks):
 
 
 class IterationKernel:
-    """The arithmetic of one iteration, in a few passes over cache-sized blocks.
+    """One method's iteration: two calls, each a pass or two over cache-sized blocks.
 
-    The caller takes the matvecs (always through ``op.apply``); the kernel
-    does the rest in passes that each read their operands once:
+    A kernel is built for one method, the one parameter that method reads
+    (``METHOD_PARAMS``; none for power) and, when the run has one, the unit
+    ground truth u1. The caller takes the matvecs (always through
+    ``op.apply``), w = Ax and, for split_merge, z = A^2x, then calls:
 
-    1. ``reductions``: x'Ax, x'x, ||Ax||^2 and u1'x;
-    2. ``vectors``: the residual Ax - r*x with its squared norm, the explicit
-       g = A^2x - c*Ax with g'g and g'Ax and ||A^2x||^2 (split-merge), and
-       the power update Ax/||Ax||;
-    3. the update (:meth:`split_merge`, :meth:`gd`, :meth:`momentum`).
+    1. ``measure(x, w, z)``. Pass 1 forms x'Ax, x'x, ||Ax||^2 and u1'x;
+       pass 2 the residual Ax - r*x, r = x'Ax / x'x, and for split-merge
+       g = A^2x - c*Ax, from whose sums it sets ``coeffs``. Pass 2 also
+       writes over w the updates that need no pass-2 sum, power's Ax/||Ax||
+       and momentum's y = Ax - beta*prev: for these two methods Ax is spent
+       after this call.
+    2. ``update(x, w, z)``: the rest of the update, written over w and
+       returned as the next iterate. Pass 3 forms gd's step, momentum's
+       rescale by 1/||y|| or split-merge's zeta*Ax + omega*A^2x; power needs
+       no pass 3. It raises where the step is undefined. ``measure`` raises
+       only for split-merge at x'Ax <= 0; a nan x'Ax passes both calls, for
+       the driver to report.
 
-    Every update writes the next iterate over Ax, the operator's fresh
-    output, and returns that array: a block already read into cache, so the
-    write costs no read of a cold destination, and no buffer is swapped
-    between iterations. Ax and A^2x must not be used after the update.
+    The update goes over Ax, the operator's fresh output: a block already
+    in cache, so the write reads no cold destination, and no buffer is
+    swapped between iterations. Ax and A^2x must not be used after it.
 
-    Each pass walks the vectors in blocks of ``BLOCK`` elements, so a block's
-    operands stay in L2 across the pass's numpy calls instead of streaming
-    from L3 once per call, and its dot products are summed block by block in
-    block order. At n <= BLOCK there is one block, and each pass is its
-    block function called on the whole, unsliced vectors: the same numpy
-    calls on the same operands in the same order as a whole-vector
-    computation, so every value is bit-identical to it, and no view or
-    wrapper call is paid per pass at small n, where the loop costs more than
-    its arithmetic. Above BLOCK the sums are taken in another order and
-    trajectories move at round-off.
+    Each pass walks the vectors in blocks of ``BLOCK`` elements, so a
+    block's operands stay in L2 across the pass's numpy calls, and sums its
+    dot products block by block in block order. At n <= BLOCK each pass is
+    its block function called once on the whole vectors: the numpy calls of
+    a whole-vector computation, so bit-identical to it, with no wrapper
+    cost at small n, where the loop costs more than its arithmetic. Above
+    BLOCK trajectories move at round-off.
 
     BLOCK = 32768 elements is 256 KiB per operand, so a pass's up to five
-    operands fit the 2 MiB L2 of the machine it was measured on. Per-iteration
-    solve time at n = 1e6 (CSR tridiagonal, one BLAS thread, 2-core Xeon VM,
-    medians of 8 interleaved rounds; "whole" is one block of n, the
-    whole-vector order; BENCH_kernel_blocks.json)::
+    operands fit the 2 MiB L2 of the machine it was measured on: ms per
+    iteration at n = 1e6 (CSR tridiagonal, one BLAS thread, 2-core Xeon VM,
+    medians of 8 interleaved rounds; "whole" is one block of n; 32768 also
+    beat 65536 in 14 more rounds; BENCH_kernel_blocks.json)::
 
         block            8192   16384   32768   65536  131072   whole
         power  [ms]      7.77    7.29    7.06    7.05    7.49    8.46
         split-merge     14.36   13.38   13.00   13.23   14.56   16.90
 
-    32768 and 65536 tie for power there; in a second set of 14 rounds over
-    16384, 32768 and 65536, 32768 was fastest for both methods (7.03 and
-    13.05 ms against 7.08 and 13.12 at 65536). Smaller blocks pay more
-    Python per element, larger ones spill L2.
-
-    Throwaway vectors (the residual, g, a step's second term) go into
-    ``scratch``: one full-length buffer at one block, one block-sized,
-    cache-resident buffer above (a full-length one would be written back to
-    memory, ~0.9 ms a pass at n = 1e6). So the operator's own outputs are
-    the only vectors an iteration allocates.
-
-    Every call takes numpy's cheapest path: a 1-D reduction is
-    ``a.dot(b)``, never ``a @ b``, and a ufunc gets its output buffer
-    positionally, never as ``out=``. Both forms give the same bits
-    (BENCH_small_loop.json).
+    Throwaway vectors (the residual, g, a step's second term) go into one
+    scratch buffer, block-sized above BLOCK so that it stays in cache, so
+    the operator's outputs are the only vectors an iteration allocates.
+    Every call takes numpy's cheapest path, with the same bits: ``a.dot(b)``
+    for a 1-D reduction and a ufunc's output passed positionally, never
+    ``a @ b`` or ``out=`` (BENCH_small_loop.json).
     """
 
-    def __init__(self, n: int):
-        self.prev = np.zeros(n)    # power_momentum: previous iterate, scaled with the current
+    def __init__(self, n: int, method: str, param=None, u1: np.ndarray | None = None):
+        self.method, self.param, self.u1 = method, param, u1
+        # power_momentum: the previous iterate, scaled with the current
+        self.prev = np.zeros(n) if method == "power_momentum" else None
+        self.coeffs: SplitMergeCoefficients | None = None    # split_merge: what update applies
+        self._with_wtw = method in ("power", "split_merge")   # ||Ax||^2: power's norm, c
         if n <= BLOCK:
             blocks = None
-            self.scratch = np.empty(n)
+            self._scratch = np.empty(n)
         else:
             blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
             buffer = np.empty(BLOCK)    # the scratch of every block, so it stays in cache
-            self.scratch = [buffer[: b.stop - b.start] for b in blocks]
-        self.reductions = _blockwise(_reductions, blocks)
-        self.vectors = _blockwise(_vectors, blocks)
-        self._split_merge = _blockwise(_split_merge_update, blocks)
-        self._gd = _blockwise(_gd_update, blocks)
-        self._momentum_direction = _blockwise(_momentum_direction, blocks)
-        self._momentum_rescale = _blockwise(_momentum_rescale, blocks)
+            self._scratch = [buffer[: b.stop - b.start] for b in blocks]
+        self._reductions = _blockwise(_reductions, blocks)
+        self._vectors = _blockwise(_vectors, blocks)
+        self._finish = _blockwise(_finish, blocks)
 
-    def split_merge_coeffs(
-        self, w: np.ndarray, z: np.ndarray, quad: float, rho_policy: str | float
-    ) -> SplitMergeCoefficients:
-        """Split-merge scalars from w = Ax, z = A^2x and quad = x'Ax."""
-        if isinstance(rho_policy, str):
-            if rho_policy not in RHO_POLICIES:
-                raise ValueError(f"unknown rho policy {rho_policy!r}")
+    def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
+        """Passes 1 and 2 at x; returns (x'Ax, x'x, u1'x, ||Ax - r*x||^2)."""
+        method = self.method
+        quad, xtx, wtw, u1x = self._reductions(x, w, self.u1, self._with_wtw)
+        self._quad = quad
+        r = quad / xtx if xtx else 0.0    # x'x = 0 only at x = 0, whose residual is 0 for any r
+        if method == "split_merge":
+            if quad <= 0.0:
+                raise NonDifferentiablePointError(f"split-merge needs x'Ax > 0, got {quad:.3e}")
+            rr, num, den, zz = self._vectors(x, w, z, self._scratch, method, r, wtw / quad)
+            self.coeffs = coefficients_from_sums(quad, wtw, num, den, zz, self.param)
+        elif method == "power_momentum":
+            rr, yy = self._vectors(x, w, self.prev, self._scratch, method, r, self.param)
+            self._norm = math.sqrt(yy)
         else:
-            _constant_rho(rho_policy)
-        if quad <= 0.0:
-            raise NonDifferentiablePointError("split-merge coefficients need x'Ax > 0")
-        wtw = self.reductions(None, w, None, True)[2]
-        _, num, den, zz = self.vectors(None, w, z, self.scratch, False, 0.0, quad, wtw, 0.0)
-        return coefficients_from_sums(quad, wtw, num, den, zz, rho_policy)
+            self._norm = math.sqrt(wtw)     # power's ||Ax||; gd reads none
+            rr = self._vectors(x, w, None, self._scratch, method, r, self._norm)[0]
+        return quad, xtx, u1x, rr
 
-    def power(self, w: np.ndarray, norm: float | None = None) -> np.ndarray:
-        """Ax / ||Ax||, written over w = Ax and returned.
-
-        The driver passes norm = ||Ax|| once ``vectors`` has written it.
-        """
-        if norm is None:
-            norm = math.sqrt(self.reductions(None, w, None, True)[2])
-            self.vectors(None, w, None, self.scratch, True, 0.0, 0.0, 0.0, norm)
-        if norm < BREAKDOWN_NORM:
-            raise BreakdownError("power step broke down: ||Ax|| ~ 0")
-        return w
-
-    def gd(self, x: np.ndarray, w: np.ndarray, quad: float, alpha: float) -> np.ndarray:
-        """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), written over w = Ax."""
-        if quad <= 0.0:
-            raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
-        self._gd(x, w, self.scratch, 1.0 - 2.0 * alpha, alpha / math.sqrt(quad))
-        return w
-
-    def momentum(self, x: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-        """y = Ax - beta*prev; returns y/||y||, written over w = Ax, and sets prev to x/||y||."""
-        norm = math.sqrt(self._momentum_direction(self.prev, w, self.scratch, beta)[0])
-        if norm < BREAKDOWN_NORM:
-            raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
-        self._momentum_rescale(x, w, self.prev, norm)
-        return w
-
-    def split_merge(self, w: np.ndarray, z, coeffs: SplitMergeCoefficients) -> np.ndarray:
-        """zeta*Ax + omega*A^2x, written over w = Ax (z = A^2x is unused when degenerate)."""
-        z = None if coeffs.degenerate else z
-        norm = math.sqrt(self._split_merge(w, z, self.scratch, coeffs.zeta, coeffs.omega)[0])
-        if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
-            raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
+    def update(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """The rest of the update ``measure`` began, written over w and returned."""
+        method = self.method
+        if method == "power":
+            if self._norm < BREAKDOWN_NORM:
+                raise BreakdownError("power step broke down: ||Ax|| ~ 0")
+        elif method == "gd_difference":    # (1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax)
+            quad, alpha = self._quad, self.param
+            if quad <= 0.0:
+                raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
+            step = alpha / math.sqrt(quad)
+            self._finish(x, w, None, self._scratch, method, 1.0 - 2.0 * alpha, step)
+        elif method == "power_momentum":   # y/||y|| over w = y, and prev = x/||y||
+            if self._norm < BREAKDOWN_NORM:
+                raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
+            self._finish(x, w, self.prev, self._scratch, method, self._norm, 0.0)
+        else:
+            coeffs = self.coeffs            # A^2x is unused when degenerate
+            z = None if coeffs.degenerate else z
+            sums = self._finish(x, w, z, self._scratch, method, coeffs.zeta, coeffs.omega)
+            norm = math.sqrt(sums[0])
+            if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
+                raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
         return w
 
 
@@ -468,17 +451,30 @@ def coefficients_from_sums(
 # -- single steps (public contract: each does its own matvecs) ---------------
 
 
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """v as a float array; DimensionMismatchError unless its shape is (n,)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise DimensionMismatchError(f"expected {name} of length {n}, got shape {v.shape}")
+    return v
+
+
+def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
+    """One iteration of ``kernel``'s method from x. One matvec."""
+    x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
+    w = op.apply(x)
+    kernel.measure(x, w)
+    return kernel.update(x, w)
+
+
 def power_step(op: LinearOperator, x: np.ndarray) -> np.ndarray:
     """Ax / ||Ax||. One matvec."""
-    return IterationKernel(op.n).power(op.apply(np.asarray(x, dtype=float)))
+    return _step(IterationKernel(op.n, "power"), op, x)
 
 
 def gd_step(op: LinearOperator, x: np.ndarray, alpha: float) -> np.ndarray:
     """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), unnormalized. One matvec."""
-    x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
-    w = op.apply(x)
-    kernel = IterationKernel(op.n)
-    return kernel.gd(x, w, kernel.reductions(x, w, None, False)[0], alpha)
+    return _step(IterationKernel(op.n, "gd_difference", alpha), op, x)
 
 
 def power_momentum_step(
@@ -490,29 +486,23 @@ def power_momentum_step(
     recursion equivalent to the unnormalized scheme, so beta retains its
     meaning across iterations.
     """
-    x_curr = np.asarray(x_curr, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    if x_prev.shape != (op.n,):
-        raise DimensionMismatchError(
-            f"expected x_prev of length {op.n}, got shape {x_prev.shape}"
-        )
-    w = op.apply(x_curr)
-    kernel = IterationKernel(op.n)
-    kernel.prev[:] = x_prev
-    return kernel.momentum(x_curr, w, beta), kernel.prev
+    kernel = IterationKernel(op.n, "power_momentum", beta)
+    kernel.prev[:] = _vector(x_prev, op.n, "x_prev")
+    return _step(kernel, op, x_curr), kernel.prev
 
 
 def split_merge_coeffs(
     op: LinearOperator, x: np.ndarray, rho_policy: str | float = "fixed_one_with_safeguard"
 ) -> SplitMergeCoefficients:
     """Split-merge scalars at x. Two matvecs; products cached on the result."""
+    _check_rho_policy(rho_policy)
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
     w = op.apply(x)
     z = op.apply(w)
-    kernel = IterationKernel(op.n)
-    coeffs = kernel.split_merge_coeffs(w, z, kernel.reductions(x, w, None, False)[0], rho_policy)
-    coeffs.w, coeffs.z = w, z
-    return coeffs
+    kernel = IterationKernel(op.n, "split_merge", rho_policy)
+    kernel.measure(x, w, z)
+    kernel.coeffs.w, kernel.coeffs.z = w, z
+    return kernel.coeffs
 
 
 def split_merge_step(
@@ -521,8 +511,13 @@ def split_merge_step(
     """zeta*Ax + omega*A^2x using the products cached in ``coeffs``. No matvecs."""
     if coeffs.w is None or (coeffs.z is None and not coeffs.degenerate):
         raise ValueError("coefficients carry no cached products; compute them at this x")
+    x = _vector(x, op.n, "x")
+    w = _vector(coeffs.w, op.n, "cached Ax")
+    z = None if coeffs.z is None else _vector(coeffs.z, op.n, "cached A^2x")
+    kernel = IterationKernel(op.n, "split_merge")
+    kernel.coeffs = coeffs
     # the update is written over its Ax: leave the cached product as it is
-    return IterationKernel(op.n).split_merge(coeffs.w.copy(), coeffs.z, coeffs)
+    return kernel.update(x, w.copy(), z)
 
 
 # -- driver -------------------------------------------------------------------
@@ -548,11 +543,7 @@ def solve(
     """
     u1 = None
     if ground_truth is not None:
-        u1 = np.asarray(ground_truth.u1, dtype=float)
-        if u1.shape != (op.n,):
-            raise DimensionMismatchError(
-                f"expected ground truth u1 of length {op.n}, got shape {u1.shape}"
-            )
+        u1 = _vector(ground_truth.u1, op.n, "ground truth u1")
         norm_u1 = float(np.linalg.norm(u1))
         # negated so that a nan norm fails too: sin theta against nan reads 0
         if not 0.0 < norm_u1 < math.inf:
@@ -567,10 +558,8 @@ def solve(
         x = np.asarray(x0, dtype=float).copy()
 
     is_sm = config.method == "split_merge"
-    is_power = config.method == "power"
-    with_wtw = is_sm or is_power     # ||Ax||^2: split-merge's c, power's norm
-    kernel = IterationKernel(op.n)
-    scratch, norm = kernel.scratch, 0.0
+    param = METHOD_PARAMS.get(config.method)
+    kernel = IterationKernel(op.n, config.method, param and getattr(config, param), u1)
     oracle = config.stop_mode == "oracle"
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
     safeguards = fallbacks = 0
@@ -589,13 +578,10 @@ def solve(
         w = op.apply(x)
         z = op.apply(w) if is_sm else None
 
-        quad, xtx, wtw, u1x = kernel.reductions(x, w, u1, with_wtw)
+        quad, xtx, u1x, rr = kernel.measure(x, w, z)
         if not 0.0 < quad < math.inf:
             raise NonDifferentiablePointError(f"x'Ax = {quad:.3e} at iteration {k}")
         r = quad / xtx
-        if is_power:     # pass 2 also writes the power update
-            norm = math.sqrt(wtw)
-        rr, num, den, zz = kernel.vectors(x, w, z, scratch, is_power, r, quad, wtw, norm)
         root_xtx = math.sqrt(xtx)
         resid = math.sqrt(rr) / root_xtx
         sin_t = math.nan
@@ -605,7 +591,7 @@ def solve(
         s = math.sqrt(quad)
 
         if is_sm:
-            coeffs = coefficients_from_sums(quad, wtw, num, den, zz, config.rho_policy)
+            coeffs = kernel.coeffs
             trace.coeffs.append(coeffs)
             safeguards += coeffs.rho > 1.0
             fallbacks += coeffs.degenerate
@@ -629,14 +615,7 @@ def solve(
         if k == config.max_iter:
             break
 
-        if is_power:
-            x = kernel.power(w, norm)
-        elif config.method == "gd_difference":
-            x = kernel.gd(x, w, quad, config.alpha)
-        elif config.method == "power_momentum":
-            x = kernel.momentum(x, w, config.beta)
-        else:
-            x = kernel.split_merge(w, z, coeffs)
+        x = kernel.update(x, w, z)
 
     norm_x = float(np.linalg.norm(x))
     return SolveResult(

@@ -64,11 +64,12 @@ def test_step_size_sweep_writes_per_alpha_traces(tmp_path):
 
 
 def test_kernel_parts_prints_each_part():
-    for method in ("power", "split_merge"):
+    for method in ("power", "gd_difference", "power_momentum", "split_merge"):
         (line,) = _run_script("kernel_parts.py", "--n", "500", "--method", method, "--repeat", "1",
                               "--iters", "3")
         parts = json.loads(line)
         assert (parts["n"], parts["method"]) == (500, method)
-        for name in ("matvec", "reductions", "vectors", "update", "trace_recording", "whole_iteration"):
+        for name in ("matvec", "measure", "reductions", "vectors", "update", "trace_recording",
+                     "whole_iteration"):
             assert parts[name] > 0.0, name
         assert ("scalars" in parts) == (method == "split_merge")

@@ -29,7 +29,13 @@ from splitmerge.errors import (
     OverflowGuardError,
     SigmaNotPositiveError,
 )
-from splitmerge.solvers import BLOCK, METHODS, IterationKernel, SplitMergeCoefficients
+from splitmerge.solvers import (
+    BLOCK,
+    METHODS,
+    IterationKernel,
+    SplitMergeCoefficients,
+    coefficients_from_sums,
+)
 
 from conftest import random_psd_operator
 
@@ -256,6 +262,17 @@ class TestSplitMergeStep:
             w = op.to_dense() @ x
             dca = w / (2.0 * math.sqrt(float(x @ w)))
             assert np.linalg.norm(got - dca) <= 1e-12 * np.linalg.norm(dca)
+
+    def test_x_of_wrong_length_rejected(self, diag21):
+        c = split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
+        with pytest.raises(DimensionMismatchError):
+            split_merge_step(diag21, np.ones(3), c)
+
+    def test_coefficients_of_another_operator_rejected(self, diag21):
+        c = split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
+        op3 = DenseOperator(np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(DimensionMismatchError):
+            split_merge_step(op3, np.ones(3), c)
 
     def test_overflow_guard(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -533,15 +550,15 @@ def _tridiagonal(n, seed):
     return CsrOperator(sp.diags([off, 2.0 + rng.random(n), off], [-1, 0, 1], format="csr"))
 
 
-def _kernel_scalars(kernel, x, w, z, u1):
-    """Every scalar one power-with-split-merge pass pair forms, and the power update it writes."""
-    quad, xtx, wtw, u1x = kernel.reductions(x, w, u1, True)
-    r = quad / xtx
+def _kernel_scalars(x, w, z, u1):
+    """What a split-merge kernel's first call measures at x, and a power kernel's update."""
+    kernel = IterationKernel(len(x), "split_merge", "fixed_one_with_safeguard", u1)
+    got = dict(zip(("quad", "xtx", "u1x", "rr"), kernel.measure(x, w, z)))
+    got["coeffs"] = kernel.coeffs
+    power = IterationKernel(len(x), "power")
     out = w.copy()     # pass 2 writes the power update over its Ax
-    rr, num, den, zz = kernel.vectors(x, out, z, kernel.scratch, True, r, quad, wtw, math.sqrt(wtw))
-    scalars = {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": zz, "u1x": u1x, "rr": rr,
-               "num": num, "den": den}
-    return scalars, out
+    power.measure(x, out)
+    return got, power.update(x, out)
 
 
 def _whole_vector_scalars(x, w, z, u1):
@@ -566,8 +583,11 @@ class TestBlockBoundaries:
         x, u1 = rng.standard_normal(n), rng.standard_normal(n)
         w = op.apply(x)
         z = op.apply(w)
-        got, power_update = _kernel_scalars(IterationKernel(n), x, w, z, u1)
-        assert got == _whole_vector_scalars(x, w, z, u1)
+        got, power_update = _kernel_scalars(x, w, z, u1)
+        ref = _whole_vector_scalars(x, w, z, u1)
+        sums = [ref[name] for name in ("quad", "wtw", "num", "den", "zz")]
+        assert got.pop("coeffs") == coefficients_from_sums(*sums, "fixed_one_with_safeguard")
+        assert got == {name: ref[name] for name in got}
         np.testing.assert_array_equal(power_update, np.divide(w, math.sqrt(w.dot(w))))
 
     @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 17], ids=["one_element_tail", "ragged_tail"])
@@ -577,10 +597,10 @@ class TestBlockBoundaries:
         u1 = x + 0.5 * noise    # correlated with x, so u1'x does not cancel to round-off
         w = op.apply(x)
         z = op.apply(w)
-        got, power_update = _kernel_scalars(IterationKernel(n), x, w, z, u1)
+        got, power_update = _kernel_scalars(x, w, z, u1)
         ref = _whole_vector_scalars(x, w, z, u1)
-        for name, value in ref.items():
-            assert abs(got[name] - value) <= 1e-13 * abs(value), name
+        for name in ("quad", "xtx", "u1x", "rr"):
+            assert abs(got[name] - ref[name]) <= 1e-13 * abs(ref[name]), name
 
         power = w / np.linalg.norm(w)
         assert _relative(power_update, power) <= 1e-13
