@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "matrix_market" and not self.matrix_path:
             raise ConfigError("matrix_market source needs a matrix path")
+        if self.source == "synthetic" and self.n < 2:
+            raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.source == "synthetic" and not 0.0 < self.gap < 1.0:
             raise ConfigError(f"gap must lie in (0,1), got {self.gap}")
         if self.trials < 1:

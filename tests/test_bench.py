@@ -337,6 +337,12 @@ class TestCli:
             "run", "--solvers", "power,split_merge(rho_policy=0)", "--out", str(tmp_path / "o"),
         ]) == 1
 
+    def test_synthetic_n_below_two_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli_main(["run", "--n", "1", "--trials", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: n must be >= 2, got 1\n"
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self):
         assert cli_main(["run", "--bogus", "3"]) == 1
 
