@@ -227,12 +227,13 @@ def _reductions(x, w, u1, with_wtw):
     )
 
 
-def _vectors(x, w, v, scratch, method, r, s):
-    """Pass 2: (||Ax - r*x||^2, ...), then what ``method`` needs of w, v and s.
+def _vectors(x, w, v, scratch, method, r, a, b):
+    """Pass 2: (||Ax - r*x||^2, ...), then what ``method`` needs of w, v, a and b.
 
-    - power: Ax/s over w, s = ||Ax|| (no write below ``BREAKDOWN_NORM``);
-    - power_momentum: y = Ax - s*v over w, v = prev, s = beta; adds ||y||^2;
-    - split_merge: g = v - s*Ax, v = A^2x, s = c = x'A^2x / x'Ax, formed
+    - power: Ax/a over w, a = ||Ax|| (no write below ``BREAKDOWN_NORM``);
+    - gd_difference: a*x + b*Ax over w, a = 1 - 2*alpha, b = alpha/sqrt(x'Ax);
+    - power_momentum: y = Ax - a*v over w, v = prev, a = beta; adds ||y||^2;
+    - split_merge: g = v - a*Ax, v = A^2x, a = c = x'A^2x / x'Ax, formed
       explicitly, not through its cancelling expansion; adds g'g, g'Ax
       and ||A^2x||^2.
     """
@@ -240,39 +241,34 @@ def _vectors(x, w, v, scratch, method, r, s):
     np.subtract(w, res, res)
     rr = float(res.dot(res))
     if method == "power":
-        if s >= BREAKDOWN_NORM:
-            np.divide(w, s, w)       # after the block's last read of w
+        if a >= BREAKDOWN_NORM:
+            np.divide(w, a, w)       # after the block's last read of w
+    elif method == "gd_difference":
+        step_term = np.multiply(w, b, scratch)
+        nxt = np.multiply(x, a, w)
+        np.add(nxt, step_term, nxt)
     elif method == "power_momentum":
-        np.subtract(w, np.multiply(v, s, scratch), w)
+        np.subtract(w, np.multiply(v, a, scratch), w)
         return rr, float(w.dot(w))
-    elif method == "split_merge":
-        g = np.multiply(w, s, scratch)
+    else:
+        g = np.multiply(w, a, scratch)
         np.subtract(v, g, g)         # orthogonal residual of A^2x against Ax
         return rr, float(g.dot(g)), float(g.dot(w)), float(v.dot(v))
     return (rr,)
 
 
 def _finish(x, w, v, scratch, method, a, b):
-    """Pass 3: the updates that need a pass-2 sum, over w.
-
-    - gd_difference: a*x + b*Ax, a = 1 - 2*alpha, b = alpha/sqrt(x'Ax);
-    - power_momentum: y/a over w = y and x/a over v = prev, a = ||y||;
-    - split_merge: a*Ax + b*A^2x, v = A^2x (None when degenerate); returns
-      its squared norm.
-    """
-    if method == "gd_difference":
-        step_term = np.multiply(w, b, scratch)
-        nxt = np.multiply(x, a, w)
-        np.add(nxt, step_term, nxt)
-    elif method == "power_momentum":
+    """Pass 3, the updates that need a pass-2 sum: momentum's y/a over w = y and
+    x/a over v = prev, a = ||y||; split-merge's a*Ax + b*A^2x over w, v = A^2x
+    (None when degenerate), returning its squared norm."""
+    if method == "power_momentum":
         np.divide(x, a, v)
         np.divide(w, a, w)
-    else:
-        nxt = np.multiply(w, a, w)
-        if v is not None:
-            np.add(nxt, np.multiply(v, b, scratch), nxt)
-        return (float(nxt.dot(nxt)),)
-    return ()
+        return ()
+    nxt = np.multiply(w, a, w)
+    if v is not None:
+        np.add(nxt, np.multiply(v, b, scratch), nxt)
+    return (float(nxt.dot(nxt)),)
 
 
 def _blockwise(body, blocks):
@@ -309,13 +305,14 @@ class IterationKernel:
     1. ``measure(x, w, z)``. Pass 1 forms x'Ax, x'x, ||Ax||^2 and u1'x;
        pass 2 the residual Ax - r*x, r = x'Ax / x'x, and for split-merge
        g = A^2x - c*Ax, from whose sums it sets ``coeffs``. Pass 2 also
-       writes over w the updates that need no pass-2 sum, power's Ax/||Ax||
-       and momentum's y = Ax - beta*prev: for these two methods Ax is spent
-       after this call.
+       writes over w the updates that need no pass-2 sum: power's Ax/||Ax||,
+       gd's (1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax) and momentum's
+       y = Ax - beta*prev. So for these three methods Ax is spent after
+       this call.
     2. ``update(x, w, z)``: the rest of the update, written over w and
-       returned as the next iterate. Pass 3 forms gd's step, momentum's
-       rescale by 1/||y|| or split-merge's zeta*Ax + omega*A^2x; power needs
-       no pass 3. It raises where the step is undefined. ``measure`` raises
+       returned as the next iterate. Pass 3 forms momentum's rescale by
+       1/||y|| or split-merge's zeta*Ax + omega*A^2x; power and gd need no
+       pass 3. It raises where the step is undefined. ``measure`` raises
        only for split-merge at x'Ax <= 0; a nan x'Ax passes both calls, for
        the driver to report.
 
@@ -355,6 +352,7 @@ class IterationKernel:
         self.prev = np.zeros(n) if method == "power_momentum" else None
         self.coeffs: SplitMergeCoefficients | None = None    # split_merge: what update applies
         self._with_wtw = method in ("power", "split_merge")   # ||Ax||^2: power's norm, c
+        self._quad = self._norm = 0.0    # gd's x'Ax and the power or momentum norm, for update
         if n <= BLOCK:
             blocks = None
             self._scratch = np.empty(n)
@@ -367,23 +365,28 @@ class IterationKernel:
         self._finish = _blockwise(_finish, blocks)
 
     def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
-        """Passes 1 and 2 at x; returns (x'Ax, x'x, u1'x, ||Ax - r*x||^2)."""
-        method = self.method
-        quad, xtx, wtw, u1x = self._reductions(x, w, self.u1, self._with_wtw)
+        """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""
+        # a local function call specializes, an instance attribute's does not
+        method, reductions, vectors = self.method, self._reductions, self._vectors
+        quad, xtx, wtw, u1x = reductions(x, w, self.u1, self._with_wtw)
         self._quad = quad
         r = quad / xtx if xtx else 0.0    # x'x = 0 only at x = 0, whose residual is 0 for any r
-        if method == "split_merge":
-            if quad <= 0.0:
-                raise NonDifferentiablePointError(f"split-merge needs x'Ax > 0, got {quad:.3e}")
-            rr, num, den, zz = self._vectors(x, w, z, self._scratch, method, r, wtw / quad)
-            self.coeffs = coefficients_from_sums(quad, wtw, num, den, zz, self.param)
+        if method == "power":
+            self._norm = norm = math.sqrt(wtw)
+            (rr,) = vectors(x, w, None, self._scratch, method, r, norm, 0.0)
+        elif method == "gd_difference":    # update raises where x'Ax <= 0 leaves no step
+            alpha = self.param
+            step = alpha / math.sqrt(quad) if quad > 0.0 else 0.0
+            (rr,) = vectors(x, w, None, self._scratch, method, r, 1.0 - 2.0 * alpha, step)
         elif method == "power_momentum":
-            rr, yy = self._vectors(x, w, self.prev, self._scratch, method, r, self.param)
+            rr, yy = vectors(x, w, self.prev, self._scratch, method, r, self.param, 0.0)
             self._norm = math.sqrt(yy)
         else:
-            self._norm = math.sqrt(wtw)     # power's ||Ax||; gd reads none
-            rr = self._vectors(x, w, None, self._scratch, method, r, self._norm)[0]
-        return quad, xtx, u1x, rr
+            if quad <= 0.0:
+                raise NonDifferentiablePointError(f"split-merge needs x'Ax > 0, got {quad:.3e}")
+            rr, num, den, zz = vectors(x, w, z, self._scratch, method, r, wtw / quad, 0.0)
+            self.coeffs = coefficients_from_sums(quad, wtw, num, den, zz, self.param)
+        return quad, xtx, r, u1x, rr
 
     def update(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         """The rest of the update ``measure`` began, written over w and returned."""
@@ -391,12 +394,9 @@ class IterationKernel:
         if method == "power":
             if self._norm < BREAKDOWN_NORM:
                 raise BreakdownError("power step broke down: ||Ax|| ~ 0")
-        elif method == "gd_difference":    # (1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax)
-            quad, alpha = self._quad, self.param
-            if quad <= 0.0:
+        elif method == "gd_difference":
+            if self._quad <= 0.0:
                 raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
-            step = alpha / math.sqrt(quad)
-            self._finish(x, w, None, self._scratch, method, 1.0 - 2.0 * alpha, step)
         elif method == "power_momentum":   # y/||y|| over w = y, and prev = x/||y||
             if self._norm < BREAKDOWN_NORM:
                 raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
@@ -558,17 +558,18 @@ def solve(
         x = np.asarray(x0, dtype=float).copy()
 
     is_sm = config.method == "split_merge"
-    param = METHOD_PARAMS.get(config.method)
-    kernel = IterationKernel(op.n, config.method, param and getattr(config, param), u1)
+    param_name = METHOD_PARAMS.get(config.method)
+    param = getattr(config, param_name) if param_name else None
+    kernel = IterationKernel(op.n, config.method, param, u1)
     oracle = config.stop_mode == "oracle"
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
     safeguards = fallbacks = 0
 
-    # the trace columns' appends, bound once: attribute lookups count at small n
+    # the trace columns' appends and the loop's functions, bound once: lookups count at small n
     columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.lambda_of_x,
                trace.residual, trace.matvecs, trace.seconds)
     add_sin, add_f, add_r, add_lambda, add_resid, add_mv, add_s = (c.append for c in columns)
-    clock = time.perf_counter
+    clock, sqrt, inf, nan = time.perf_counter, math.sqrt, math.inf, math.nan
     mv0 = op.matvec_count
     t0 = clock()
     converged = False
@@ -578,17 +579,17 @@ def solve(
         w = op.apply(x)
         z = op.apply(w) if is_sm else None
 
-        quad, xtx, u1x, rr = kernel.measure(x, w, z)
-        if not 0.0 < quad < math.inf:
+        quad, xtx, r, u1x, rr = kernel.measure(x, w, z)
+        if not 0.0 < quad < inf:
             raise NonDifferentiablePointError(f"x'Ax = {quad:.3e} at iteration {k}")
-        r = quad / xtx
-        root_xtx = math.sqrt(xtx)
-        resid = math.sqrt(rr) / root_xtx
-        sin_t = math.nan
+        root_xtx = sqrt(xtx)
+        resid = sqrt(rr) / root_xtx
+        sin_t = nan
         if u1 is not None:
-            cos_t = abs(u1x) / root_xtx
-            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        s = math.sqrt(quad)
+            cos_t = u1x / root_xtx       # its sign drops out of cos_t^2
+            sin2 = 1.0 - cos_t * cos_t
+            sin_t = sqrt(sin2) if sin2 > 0.0 else 0.0
+        s = sqrt(quad)
 
         if is_sm:
             coeffs = kernel.coeffs

@@ -553,7 +553,7 @@ def _tridiagonal(n, seed):
 def _kernel_scalars(x, w, z, u1):
     """What a split-merge kernel's first call measures at x, and a power kernel's update."""
     kernel = IterationKernel(len(x), "split_merge", "fixed_one_with_safeguard", u1)
-    got = dict(zip(("quad", "xtx", "u1x", "rr"), kernel.measure(x, w, z)))
+    got = dict(zip(("quad", "xtx", "r", "u1x", "rr"), kernel.measure(x, w, z)))
     got["coeffs"] = kernel.coeffs
     power = IterationKernel(len(x), "power")
     out = w.copy()     # pass 2 writes the power update over its Ax
@@ -566,7 +566,7 @@ def _whole_vector_scalars(x, w, z, u1):
     quad, xtx, wtw = x.dot(w), x.dot(x), w.dot(w)
     res = np.subtract(w, np.multiply(x, quad / xtx))
     g = np.subtract(z, np.multiply(w, wtw / quad))
-    return {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": z.dot(z), "u1x": u1.dot(x),
+    return {"quad": quad, "xtx": xtx, "r": quad / xtx, "wtw": wtw, "zz": z.dot(z), "u1x": u1.dot(x),
             "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
 
 
@@ -599,7 +599,7 @@ class TestBlockBoundaries:
         z = op.apply(w)
         got, power_update = _kernel_scalars(x, w, z, u1)
         ref = _whole_vector_scalars(x, w, z, u1)
-        for name in ("quad", "xtx", "u1x", "rr"):
+        for name in ("quad", "xtx", "r", "u1x", "rr"):
             assert abs(got[name] - ref[name]) <= 1e-13 * abs(ref[name]), name
 
         power = w / np.linalg.norm(w)
