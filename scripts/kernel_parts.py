@@ -86,7 +86,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     for name, (stmt, setup) in parts.items():
         times = timeit.repeat(stmt, setup=setup, globals=names, number=1, repeat=calls)
         result[name] = round(min(times) * 1e6, 3)
-    result["vectors"] = round(result["measure"] - result["reductions"] - result.get("scalars", 0.0), 3)
+    vectors = result["measure"] - result["reductions"] - result.get("scalars", 0.0)
+    result["vectors"] = round(vectors, 3)
 
     config = SolverConfig(method, stop_mode="residual", residual_tol=1e-300, max_iter=iters,
                           alpha=PARAMS["gd_difference"], beta=PARAMS["power_momentum"], seed=seed)
@@ -97,8 +98,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
         res = solve(run_op, config, x0=x)
         best = min(best, (time.perf_counter() - t0) / (res.iterations + 1))
     result["whole_iteration"] = round(best * 1e6, 3)
-    loop_parts = ("matvec", "measure", "update", "trace_recording")
-    result["rest_of_loop"] = round(result["whole_iteration"] - sum(result[p] for p in loop_parts), 3)
+    loop = sum(result[p] for p in ("matvec", "measure", "update", "trace_recording"))
+    result["rest_of_loop"] = round(result["whole_iteration"] - loop, 3)
     return result
 
 

@@ -233,9 +233,8 @@ def _vectors(x, w, v, scratch, method, r, a, b):
     - power: Ax/a over w, a = ||Ax|| (no write below ``BREAKDOWN_NORM``);
     - gd_difference: a*x + b*Ax over w, a = 1 - 2*alpha, b = alpha/sqrt(x'Ax);
     - power_momentum: y = Ax - a*v over w, v = prev, a = beta; adds ||y||^2;
-    - split_merge: g = v - a*Ax, v = A^2x, a = c = x'A^2x / x'Ax, formed
-      explicitly, not through its cancelling expansion; adds g'g, g'Ax
-      and ||A^2x||^2.
+    - split_merge: g = v - a*Ax, v = A^2x, a = c = x'A^2x / x'Ax (formed
+      explicitly, not by its cancelling expansion); adds g'g, g'Ax, ||A^2x||^2.
     """
     res = np.multiply(x, r, scratch)
     np.subtract(w, res, res)
@@ -329,7 +328,8 @@ class IterationKernel:
     BLOCK trajectories move at round-off.
 
     BLOCK = 32768 elements is 256 KiB per operand, so a pass's up to five
-    operands fit the 2 MiB L2 of the machine it was measured on: ms per
+    operands fit the 2 MiB L2 of the machine it was measured on; smaller
+    blocks pay more Python per element, larger ones spill L2. Ms per
     iteration at n = 1e6 (CSR tridiagonal, one BLAS thread, 2-core Xeon VM,
     medians of 8 interleaved rounds; "whole" is one block of n; 32768 also
     beat 65536 in 14 more rounds; BENCH_kernel_blocks.json)::

@@ -566,8 +566,8 @@ def _whole_vector_scalars(x, w, z, u1):
     quad, xtx, wtw = x.dot(w), x.dot(x), w.dot(w)
     res = np.subtract(w, np.multiply(x, quad / xtx))
     g = np.subtract(z, np.multiply(w, wtw / quad))
-    return {"quad": quad, "xtx": xtx, "r": quad / xtx, "wtw": wtw, "zz": z.dot(z), "u1x": u1.dot(x),
-            "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
+    return {"quad": quad, "xtx": xtx, "r": quad / xtx, "wtw": wtw, "zz": z.dot(z),
+            "u1x": u1.dot(x), "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
 
 
 def _relative(got, ref):
