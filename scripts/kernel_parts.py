@@ -3,14 +3,17 @@
 
 The parts are the ones ``solve`` runs each iteration: the matvecs, the
 kernel's two calls (``measure`` and ``update``) and the trace recording.
-``measure`` is split into its reductions pass (pass 1, timed on its own),
-its vector pass (``measure`` less pass 1) and, for split_merge, the scalars
-(``coefficients_from_sums``, timed on its own, subtracted too). Each timed
-part is the fastest of ``--repeat`` x max(1, 200000 // n) single calls of
-the statement the loop runs, in microseconds, on a seeded tridiagonal CSR
-operator (diagonally dominant, so PSD) from ``init_vector``; each call of a
-kernel call starts from the Ax it would see in the loop, since both write
-over it. ``whole_iteration`` is the best of ``--repeat`` solves held to
+``measure``'s own parts are timed too, each on its own: its reductions pass
+(pass 1), its vector pass (pass 2, the method's block function with the
+arguments ``measure`` gives it) and, for split_merge, the scalars
+(``coefficients_from_sums``). Each timed part is the fastest of
+``--repeat`` x max(1, 200000 // n) single calls of the statement the loop
+runs, in microseconds, on a seeded tridiagonal CSR operator (diagonally
+dominant, so PSD) from ``init_vector``; each call of a part that writes
+over Ax starts from the Ax it would see in the loop. The passes are the
+kernel's bound block functions, ``_reductions`` and ``_vectors``, which
+its docstring names for this use. ``whole_iteration`` is the best of
+``--repeat`` solves held to
 ``--iters`` iterations, per record, and ``rest_of_loop`` is what the parts
 do not account for (loop control, the stop test; noisy, can be negative).
 BLAS runs on one thread unless the environment already says otherwise.
@@ -65,19 +68,30 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     w0 = w.copy()
     kernel.measure(x, w, z)
     w1 = w.copy()    # what update sees: for power and momentum, the update in progress
+    quad, xtx, wtw = float(x.dot(w0)), float(x.dot(x)), float(w0.dot(w0))
+    r = quad / xtx
+    # pass 2's arguments after the scratch buffer, as measure passes them
+    alpha, beta = PARAMS["gd_difference"], PARAMS["power_momentum"]
+    pass2 = {
+        "power": (r, math.sqrt(wtw)),
+        "gd_difference": (r, 1.0 - 2.0 * alpha, alpha / math.sqrt(quad)),
+        "power_momentum": (r, kernel.prev, beta),
+        "split_merge": (r, z, wtw / quad),
+    }[method]
     names = dict(op=op, x=x, w=w, w0=w0, w1=w1, z=z, u1=u1, kernel=kernel, np=np, time=time,
                  solvers=solvers, trace=IterationTrace(method=method), sin_t=0.1, s=1.0,
-                 resid=0.1, xtx=1.0, r=1.0)
-    # (statement, setup) per part; pass 1 is the kernel's own blockwise function
+                 resid=0.1, xtx=1.0, r=1.0, with_wtw=method in ("power", "split_merge"),
+                 pass2=pass2)
+    # (statement, setup) per part
     parts = {
         "matvec": ("op.apply(w); op.apply(x)" if is_sm else "op.apply(x)", "pass"),
         "measure": ("kernel.measure(x, w, z)", "np.copyto(w, w0)"),
-        "reductions": ("kernel._reductions(x, w, u1, kernel._with_wtw)", "pass"),
+        "reductions": ("kernel._reductions(x, w, u1, with_wtw)", "pass"),
+        "vectors": ("kernel._vectors(x, w, kernel._scratch, *pass2)", "np.copyto(w, w0)"),
         "update": ("kernel.update(x, w, z)", "np.copyto(w, w1)"),
         "trace_recording": (RECORD, "pass"),
     }
     if is_sm:
-        quad, wtw = float(x.dot(w0)), float(w0.dot(w0))
         g = z - (wtw / quad) * w0
         names["sums"] = (quad, wtw, float(g.dot(g)), float(g.dot(w0)), float(z.dot(z)), RHO)
         parts["scalars"] = ("solvers.coefficients_from_sums(*sums)", "pass")
@@ -86,8 +100,6 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     for name, (stmt, setup) in parts.items():
         times = timeit.repeat(stmt, setup=setup, globals=names, number=1, repeat=calls)
         result[name] = round(min(times) * 1e6, 3)
-    vectors = result["measure"] - result["reductions"] - result.get("scalars", 0.0)
-    result["vectors"] = round(vectors, 3)
 
     config = SolverConfig(method, stop_mode="residual", residual_tol=1e-300, max_iter=iters,
                           alpha=PARAMS["gd_difference"], beta=PARAMS["power_momentum"], seed=seed)

@@ -212,8 +212,7 @@ def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
 
 # -- the iteration kernel -------------------------------------------------------
 
-# Elements per block of the kernel's passes (measured table in IterationKernel).
-BLOCK = 32768
+BLOCK = 32768    # elements per block of the kernel's passes (chosen in IterationKernel)
 BREAKDOWN_NORM = 1e-300    # power and momentum steps: a norm below this broke down
 
 
@@ -227,54 +226,73 @@ def _reductions(x, w, u1, with_wtw):
     )
 
 
-def _vectors(x, w, v, scratch, method, r, a, b):
-    """Pass 2: (||Ax - r*x||^2, ...), then what ``method`` needs of w, v, a and b.
-
-    - power: Ax/a over w, a = ||Ax|| (no write below ``BREAKDOWN_NORM``);
-    - gd_difference: a*x + b*Ax over w, a = 1 - 2*alpha, b = alpha/sqrt(x'Ax);
-    - power_momentum: y = Ax - a*v over w, v = prev, a = beta; adds ||y||^2;
-    - split_merge: g = v - a*Ax, v = A^2x, a = c = x'A^2x / x'Ax (formed
-      explicitly, not by its cancelling expansion); adds g'g, g'Ax, ||A^2x||^2.
-    """
+def _residual(x, w, scratch, r):
+    """||Ax - r*x||^2, the residual formed in scratch: the sum every pass 2 starts with."""
     res = np.multiply(x, r, scratch)
     np.subtract(w, res, res)
-    rr = float(res.dot(res))
-    if method == "power":
-        if a >= BREAKDOWN_NORM:
-            np.divide(w, a, w)       # after the block's last read of w
-    elif method == "gd_difference":
-        step_term = np.multiply(w, b, scratch)
-        nxt = np.multiply(x, a, w)
-        np.add(nxt, step_term, nxt)
-    elif method == "power_momentum":
-        np.subtract(w, np.multiply(v, a, scratch), w)
-        return rr, float(w.dot(w))
-    else:
-        g = np.multiply(w, a, scratch)
-        np.subtract(v, g, g)         # orthogonal residual of A^2x against Ax
-        return rr, float(g.dot(g)), float(g.dot(w)), float(v.dot(v))
+    return float(res.dot(res))
+
+
+def _power_vectors(x, w, scratch, r, norm):
+    """Ax/norm over w, norm = ||Ax||; no write below ``BREAKDOWN_NORM``."""
+    rr = _residual(x, w, scratch, r)
+    if norm >= BREAKDOWN_NORM:
+        np.divide(w, norm, w)       # after the block's last read of w
     return (rr,)
 
 
-def _finish(x, w, v, scratch, method, a, b):
-    """Pass 3, the updates that need a pass-2 sum: momentum's y/a over w = y and
-    x/a over v = prev, a = ||y||; split-merge's a*Ax + b*A^2x over w, v = A^2x
-    (None when degenerate), returning its squared norm."""
-    if method == "power_momentum":
-        np.divide(x, a, v)
-        np.divide(w, a, w)
-        return ()
-    nxt = np.multiply(w, a, w)
-    if v is not None:
-        np.add(nxt, np.multiply(v, b, scratch), nxt)
+def _gd_vectors(x, w, scratch, r, keep, step):
+    """keep*x + step*Ax over w, keep = 1 - 2*alpha, step = alpha/sqrt(x'Ax)."""
+    rr = _residual(x, w, scratch, r)
+    step_term = np.multiply(w, step, scratch)
+    nxt = np.multiply(x, keep, w)
+    np.add(nxt, step_term, nxt)
+    return (rr,)
+
+
+def _momentum_vectors(x, w, scratch, r, prev, beta):
+    """y = Ax - beta*prev over w; adds ||y||^2."""
+    rr = _residual(x, w, scratch, r)
+    np.subtract(w, np.multiply(prev, beta, scratch), w)
+    return rr, float(w.dot(w))
+
+
+def _split_merge_vectors(x, w, scratch, r, z, c):
+    """Adds g'g, g'Ax and ||A^2x||^2 of g = A^2x - c*Ax, c = x'A^2x / x'Ax; writes nothing."""
+    rr = _residual(x, w, scratch, r)
+    g = np.multiply(w, c, scratch)
+    np.subtract(z, g, g)         # formed explicitly, not by its cancelling expansion
+    return rr, float(g.dot(g)), float(g.dot(w)), float(z.dot(z))
+
+
+def _momentum_finish(x, w, prev, norm):
+    """y/norm over w = y and x/norm over prev, norm = ||y||."""
+    np.divide(x, norm, prev)
+    np.divide(w, norm, w)
+    return ()
+
+
+def _split_merge_finish(w, z, scratch, zeta, omega):
+    """zeta*Ax + omega*A^2x over w, or zeta*Ax when z is None; returns (its squared norm,)."""
+    nxt = np.multiply(w, zeta, w)
+    if z is not None:
+        np.add(nxt, np.multiply(z, omega, scratch), nxt)
     return (float(nxt.dot(nxt)),)
 
 
+# each method's pass 2 and pass 3 bodies; power and gd finish in pass 2
+_PASSES = {
+    "power": (_power_vectors, None),
+    "gd_difference": (_gd_vectors, None),
+    "power_momentum": (_momentum_vectors, _momentum_finish),
+    "split_merge": (_split_merge_vectors, _split_merge_finish),
+}
+
+
 def _blockwise(body, blocks):
-    """``body`` run block by block, its sums added in block order, or ``body``
-    itself when ``blocks`` is None. An array argument is sliced per block, a
-    list is one argument per block already (the block scratch), and anything
-    else goes to every block as it is."""
+    """``body`` run block by block, its sums added in block order (``body`` itself
+    when ``blocks`` is None): an array argument is sliced per block, a list is
+    already one per block (the scratch), and anything else goes to every block."""
     if blocks is None:
         return body
 
@@ -301,46 +319,36 @@ class IterationKernel:
     ground truth u1. The caller takes the matvecs (always through
     ``op.apply``), w = Ax and, for split_merge, z = A^2x, then calls:
 
-    1. ``measure(x, w, z)``. Pass 1 forms x'Ax, x'x, ||Ax||^2 and u1'x;
-       pass 2 the residual Ax - r*x, r = x'Ax / x'x, and for split-merge
-       g = A^2x - c*Ax, from whose sums it sets ``coeffs``. Pass 2 also
-       writes over w the updates that need no pass-2 sum: power's Ax/||Ax||,
-       gd's (1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax) and momentum's
-       y = Ax - beta*prev. So for these three methods Ax is spent after
-       this call.
-    2. ``update(x, w, z)``: the rest of the update, written over w and
-       returned as the next iterate. Pass 3 forms momentum's rescale by
-       1/||y|| or split-merge's zeta*Ax + omega*A^2x; power and gd need no
-       pass 3. It raises where the step is undefined. ``measure`` raises
-       only for split-merge at x'Ax <= 0; a nan x'Ax passes both calls, for
-       the driver to report.
+    1. ``measure(x, w, z)``: pass 1 (x'Ax, x'x, ||Ax||^2, u1'x) and pass 2:
+       the residual Ax - r*x, r = x'Ax / x'x, the method's own sums (split-
+       merge sets ``coeffs`` from g = A^2x - c*Ax, or None where x'Ax <= 0
+       leaves c undefined) and, over w, every update that needs no pass-2
+       sum: power's and gd's whole step and momentum's y = Ax - beta*prev.
+       For these three methods Ax is spent after it.
+    2. ``update(x, w, z)``: the rest of the update (pass 3: momentum's
+       rescale by 1/||y|| or split-merge's zeta*Ax + omega*A^2x), returned
+       as the next iterate. It raises where the step is undefined. A driver
+       reports an x'Ax <= 0 or nan after ``measure``, as ``solve`` does.
 
-    The update goes over Ax, the operator's fresh output: a block already
-    in cache, so the write reads no cold destination, and no buffer is
-    swapped between iterations. Ax and A^2x must not be used after it.
+    The method's block bodies (``_PASSES``) are bound at build time as
+    ``_reductions``, ``_vectors`` and ``_finish``; scripts/kernel_parts.py
+    times them and the block-boundary tests check their sums.
 
-    Each pass walks the vectors in blocks of ``BLOCK`` elements, so a
-    block's operands stay in L2 across the pass's numpy calls, and sums its
-    dot products block by block in block order. At n <= BLOCK each pass is
-    its block function called once on the whole vectors: the numpy calls of
-    a whole-vector computation, so bit-identical to it, with no wrapper
-    cost at small n, where the loop costs more than its arithmetic. Above
-    BLOCK trajectories move at round-off.
+    Updates go over Ax, the operator's fresh output, already in cache, so
+    no buffer is swapped between iterations; Ax and A^2x are spent after.
 
-    BLOCK = 32768 elements is 256 KiB per operand, so a pass's up to five
-    operands fit the 2 MiB L2 of the machine it was measured on; smaller
-    blocks pay more Python per element, larger ones spill L2. Ms per
-    iteration at n = 1e6 (CSR tridiagonal, one BLAS thread, 2-core Xeon VM,
-    medians of 8 interleaved rounds; "whole" is one block of n; 32768 also
-    beat 65536 in 14 more rounds; BENCH_kernel_blocks.json)::
-
-        block            8192   16384   32768   65536  131072   whole
-        power  [ms]      7.77    7.29    7.06    7.05    7.49    8.46
-        split-merge     14.36   13.38   13.00   13.23   14.56   16.90
+    Each pass walks the vectors in blocks of ``BLOCK`` elements and sums its
+    dot products block by block in block order. BLOCK = 32768 elements is
+    256 KiB per operand, so a pass's up to five operands stay in the 2 MiB
+    L2 of the machine it was measured on across the pass's numpy calls; at
+    n = 1e6 it beat blocks of 8192 to 131072 elements and one whole-vector
+    block (BENCH_kernel_blocks.json). At n <= BLOCK each pass is its body
+    called once on the whole vectors, so bit-identical to a whole-vector
+    computation, with no wrapper cost at small n, where the loop costs more
+    than its arithmetic; above BLOCK trajectories move at round-off.
 
     Throwaway vectors (the residual, g, a step's second term) go into one
-    scratch buffer, block-sized above BLOCK so that it stays in cache, so
-    the operator's outputs are the only vectors an iteration allocates.
+    scratch buffer, block-sized above BLOCK so that it stays in cache.
     Every call takes numpy's cheapest path, with the same bits: ``a.dot(b)``
     for a 1-D reduction and a ufunc's output passed positionally, never
     ``a @ b`` or ``out=`` (BENCH_small_loop.json).
@@ -360,9 +368,10 @@ class IterationKernel:
             blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
             buffer = np.empty(BLOCK)    # the scratch of every block, so it stays in cache
             self._scratch = [buffer[: b.stop - b.start] for b in blocks]
+        vectors, finish = _PASSES[method]
         self._reductions = _blockwise(_reductions, blocks)
-        self._vectors = _blockwise(_vectors, blocks)
-        self._finish = _blockwise(_finish, blocks)
+        self._vectors = _blockwise(vectors, blocks)
+        self._finish = _blockwise(finish, blocks) if finish else None
 
     def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""
@@ -373,19 +382,19 @@ class IterationKernel:
         r = quad / xtx if xtx else 0.0    # x'x = 0 only at x = 0, whose residual is 0 for any r
         if method == "power":
             self._norm = norm = math.sqrt(wtw)
-            (rr,) = vectors(x, w, None, self._scratch, method, r, norm, 0.0)
+            (rr,) = vectors(x, w, self._scratch, r, norm)
         elif method == "gd_difference":    # update raises where x'Ax <= 0 leaves no step
             alpha = self.param
             step = alpha / math.sqrt(quad) if quad > 0.0 else 0.0
-            (rr,) = vectors(x, w, None, self._scratch, method, r, 1.0 - 2.0 * alpha, step)
+            (rr,) = vectors(x, w, self._scratch, r, 1.0 - 2.0 * alpha, step)
         elif method == "power_momentum":
-            rr, yy = vectors(x, w, self.prev, self._scratch, method, r, self.param, 0.0)
+            rr, yy = vectors(x, w, self._scratch, r, self.prev, self.param)
             self._norm = math.sqrt(yy)
-        else:
-            if quad <= 0.0:
-                raise NonDifferentiablePointError(f"split-merge needs x'Ax > 0, got {quad:.3e}")
-            rr, num, den, zz = vectors(x, w, z, self._scratch, method, r, wtw / quad, 0.0)
-            self.coeffs = coefficients_from_sums(quad, wtw, num, den, zz, self.param)
+        else:    # x'Ax <= 0 leaves c undefined: pass 2 with c = 0, and no coeffs
+            undefined = quad <= 0.0
+            rr, num, den, zz = vectors(x, w, self._scratch, r, z, 0.0 if undefined else wtw / quad)
+            self.coeffs = None if undefined else coefficients_from_sums(
+                quad, wtw, num, den, zz, self.param)
         return quad, xtx, r, u1x, rr
 
     def update(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
@@ -397,15 +406,14 @@ class IterationKernel:
         elif method == "gd_difference":
             if self._quad <= 0.0:
                 raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
-        elif method == "power_momentum":   # y/||y|| over w = y, and prev = x/||y||
+        elif method == "power_momentum":
             if self._norm < BREAKDOWN_NORM:
                 raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
-            self._finish(x, w, self.prev, self._scratch, method, self._norm, 0.0)
+            self._finish(x, w, self.prev, self._norm)
         else:
             coeffs = self.coeffs            # A^2x is unused when degenerate
             z = None if coeffs.degenerate else z
-            sums = self._finish(x, w, z, self._scratch, method, coeffs.zeta, coeffs.omega)
-            norm = math.sqrt(sums[0])
+            norm = math.sqrt(self._finish(w, z, self._scratch, coeffs.zeta, coeffs.omega)[0])
             if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
                 raise OverflowGuardError(f"iterate norm {norm:.3e} outside {NORM_GUARD}")
         return w
@@ -500,7 +508,9 @@ def split_merge_coeffs(
     w = op.apply(x)
     z = op.apply(w)
     kernel = IterationKernel(op.n, "split_merge", rho_policy)
-    kernel.measure(x, w, z)
+    quad = kernel.measure(x, w, z)[0]
+    if kernel.coeffs is None:
+        raise NonDifferentiablePointError(f"split-merge coefficients need x'Ax > 0, got {quad:.3e}")
     kernel.coeffs.w, kernel.coeffs.z = w, z
     return kernel.coeffs
 
@@ -563,7 +573,6 @@ def solve(
     kernel = IterationKernel(op.n, config.method, param, u1)
     oracle = config.stop_mode == "oracle"
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
-    safeguards = fallbacks = 0
 
     # the trace columns' appends and the loop's functions, bound once: lookups count at small n
     columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.lambda_of_x,
@@ -572,8 +581,6 @@ def solve(
     clock, sqrt, inf, nan = time.perf_counter, math.sqrt, math.inf, math.nan
     mv0 = op.matvec_count
     t0 = clock()
-    converged = False
-    iterations = 0
 
     for k in range(config.max_iter + 1):
         w = op.apply(x)
@@ -592,11 +599,7 @@ def solve(
         s = sqrt(quad)
 
         if is_sm:
-            coeffs = kernel.coeffs
-            trace.coeffs.append(coeffs)
-            safeguards += coeffs.rho > 1.0
-            fallbacks += coeffs.degenerate
-
+            trace.coeffs.append(kernel.coeffs)
         add_sin(sin_t)
         add_f(xtx - s)
         add_r(r)
@@ -605,28 +608,25 @@ def solve(
         add_mv(op.matvec_count - mv0)
         add_s(clock() - t0)
 
-        iterations = k
         if oracle:
-            stop = sin_t <= config.eps
+            converged = sin_t <= config.eps
         else:
-            stop = resid / r <= config.residual_tol
-        if stop:
-            converged = True
-            break
-        if k == config.max_iter:
+            converged = resid / r <= config.residual_tol
+        if converged or k == config.max_iter:
             break
 
         x = kernel.update(x, w, z)
 
     norm_x = float(np.linalg.norm(x))
+    coeffs = trace.coeffs or ()
     return SolveResult(
         x=x,
         x_unit=x / norm_x,
         lambda_estimate=trace.lambda_of_x[-1],
         rayleigh_estimate=trace.rayleigh[-1],
-        iterations=iterations,
+        iterations=k,
         converged=converged,
         trace=trace,
-        safeguard_activations=safeguards,
-        degenerate_fallbacks=fallbacks,
+        safeguard_activations=sum(c.rho > 1.0 for c in coeffs),
+        degenerate_fallbacks=sum(c.degenerate for c in coeffs),
     )

@@ -168,6 +168,10 @@ class TestSplitMergeCoeffs:
         assert c.zeta == pytest.approx(SM2X2["zeta"], abs=1e-14)
         assert c.omega == pytest.approx(SM2X2["omega"], abs=1e-14)
 
+    def test_zero_quadratic_form_not_differentiable(self):
+        with pytest.raises(NonDifferentiablePointError):
+            split_merge_coeffs(DenseOperator(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
+
     def test_eigenvector_degenerates_to_dca(self, diag21):
         c = split_merge_coeffs(diag21, np.array([1.0, 0.0]))
         assert c.degenerate
@@ -425,6 +429,13 @@ class TestSolve:
         with pytest.raises(NonDifferentiablePointError, match="at iteration 0"):
             solve(diag21, SolverConfig(method), ground_truth=truth, x0=np.array([math.nan, 1.0]))
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_quadratic_form_names_the_iteration(self, method):
+        # every method, split-merge included, reports the iterate, not the kernel's pass
+        op = DenseOperator(np.diag([1.0, -1.0]))
+        with pytest.raises(NonDifferentiablePointError, match="x'Ax = 0.000e\\+00 at iteration 0"):
+            solve(op, SolverConfig(method, stop_mode="residual"), x0=np.array([1.0, 1.0]))
+
     def test_trace_lengths_consistent(self):
         op, truth = generate(SyntheticSpec(n=8, gap=0.4, seed=3))
         res = solve(op, SolverConfig("split_merge"), ground_truth=truth)
@@ -551,14 +562,20 @@ def _tridiagonal(n, seed):
 
 
 def _kernel_scalars(x, w, z, u1):
-    """What a split-merge kernel's first call measures at x, and a power kernel's update."""
+    """Every sum split-merge's passes 1 and 2 form at x, and the power update power's pass 2 writes.
+
+    The passes are the kernel's bound block functions, blockwise above BLOCK.
+    """
     kernel = IterationKernel(len(x), "split_merge", "fixed_one_with_safeguard", u1)
-    got = dict(zip(("quad", "xtx", "r", "u1x", "rr"), kernel.measure(x, w, z)))
-    got["coeffs"] = kernel.coeffs
+    quad, xtx, wtw, u1x = kernel._reductions(x, w, u1, True)
+    r = quad / xtx
+    rr, num, den, zz = kernel._vectors(x, w, kernel._scratch, r, z, wtw / quad)
     power = IterationKernel(len(x), "power")
-    out = w.copy()     # pass 2 writes the power update over its Ax
-    power.measure(x, out)
-    return got, power.update(x, out)
+    out = w.copy()     # power's pass 2 writes its update over its Ax
+    power._vectors(x, out, power._scratch, r, math.sqrt(wtw))
+    scalars = {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": zz, "u1x": u1x, "rr": rr,
+               "num": num, "den": den}
+    return scalars, out
 
 
 def _whole_vector_scalars(x, w, z, u1):
@@ -566,8 +583,8 @@ def _whole_vector_scalars(x, w, z, u1):
     quad, xtx, wtw = x.dot(w), x.dot(x), w.dot(w)
     res = np.subtract(w, np.multiply(x, quad / xtx))
     g = np.subtract(z, np.multiply(w, wtw / quad))
-    return {"quad": quad, "xtx": xtx, "r": quad / xtx, "wtw": wtw, "zz": z.dot(z),
-            "u1x": u1.dot(x), "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
+    return {"quad": quad, "xtx": xtx, "wtw": wtw, "zz": z.dot(z), "u1x": u1.dot(x),
+            "rr": res.dot(res), "num": g.dot(g), "den": g.dot(w)}
 
 
 def _relative(got, ref):
@@ -585,10 +602,14 @@ class TestBlockBoundaries:
         z = op.apply(w)
         got, power_update = _kernel_scalars(x, w, z, u1)
         ref = _whole_vector_scalars(x, w, z, u1)
-        sums = [ref[name] for name in ("quad", "wtw", "num", "den", "zz")]
-        assert got.pop("coeffs") == coefficients_from_sums(*sums, "fixed_one_with_safeguard")
-        assert got == {name: ref[name] for name in got}
+        assert got == ref
         np.testing.assert_array_equal(power_update, np.divide(w, math.sqrt(w.dot(w))))
+        # the first call returns these sums and sets the coefficients they give
+        kernel = IterationKernel(n, "split_merge", "fixed_one_with_safeguard", u1)
+        r = ref["quad"] / ref["xtx"]
+        assert kernel.measure(x, w, z) == (ref["quad"], ref["xtx"], r, ref["u1x"], ref["rr"])
+        sums = [ref[name] for name in ("quad", "wtw", "num", "den", "zz")]
+        assert kernel.coeffs == coefficients_from_sums(*sums, "fixed_one_with_safeguard")
 
     @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 17], ids=["one_element_tail", "ragged_tail"])
     def test_blocked_passes_match_whole_vectors(self, rng, n):
@@ -599,8 +620,8 @@ class TestBlockBoundaries:
         z = op.apply(w)
         got, power_update = _kernel_scalars(x, w, z, u1)
         ref = _whole_vector_scalars(x, w, z, u1)
-        for name in ("quad", "xtx", "r", "u1x", "rr"):
-            assert abs(got[name] - ref[name]) <= 1e-13 * abs(ref[name]), name
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= 1e-13 * abs(value), name
 
         power = w / np.linalg.norm(w)
         assert _relative(power_update, power) <= 1e-13
