@@ -5,11 +5,20 @@ solver loop this file was written against. Any later rewrite of the
 iteration kernel must reproduce them to 1e-12 relative, with identical
 iteration and matvec counts. The ``csr_blocked`` case is longer than
 ``solvers.BLOCK``, so its passes run block by block; its final iterate is
-not stored, to keep the file small. Regenerate (only when a trajectory
-change is intended) with ``PYTHONPATH=src python tests/test_golden.py``.
+not stored, to keep the file small.
+
+The cases run in a new interpreter started with one BLAS thread, as the
+benchmark runs: a threaded ddot sums a 32768-element block in another
+order, which moves split-merge's ``csr_blocked`` values by ~2e-12
+relative. Regenerate (only when a trajectory change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``, which writes the file from
+the same one-thread interpreter.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +28,9 @@ import scipy.sparse as sp
 from splitmerge import CsrOperator, DenseOperator, SolverConfig, solve
 from splitmerge.solvers import BLOCK
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).with_name("data") / "golden.npz"
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 MAX_ITER = 100
 RTOL = 1e-12
 
@@ -76,18 +87,41 @@ def _run(case, method):
     return columns
 
 
+def _save_in_one_thread_child(path):
+    """Run every case in a new interpreter with one BLAS thread; it saves the columns to path."""
+    env = dict(os.environ, **ONE_BLAS_THREAD)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(path)],
+        env=env, timeout=300, check=True,
+    )
+
+
+def _load(path):
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
 @pytest.fixture(scope="module")
 def golden():
-    with np.load(DATA) as data:
-        return {key: data[key] for key in data.files}
+    return _load(DATA)
+
+
+@pytest.fixture(scope="module")
+def computed(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "computed.npz"
+    _save_in_one_thread_child(path)
+    return _load(path)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("method", METHODS)
-def test_trajectory_matches_golden(golden, case, method):
-    got = _run(case, method)
+def test_trajectory_matches_golden(golden, computed, case, method):
+    prefix = f"{case}/{method}/"
+    got = {key[len(prefix):]: value for key, value in computed.items() if key.startswith(prefix)}
+    assert got
     for column, value in got.items():
-        ref = golden[f"{case}/{method}/{column}"]
+        ref = golden[prefix + column]
         if column in ("iterations", "matvecs"):
             np.testing.assert_array_equal(value, ref, err_msg=column)
         else:
@@ -96,12 +130,15 @@ def test_trajectory_matches_golden(golden, case, method):
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    arrays = {
-        f"{case}/{method}/{column}": value
-        for case in CASES
-        for method in METHODS
-        for column, value in _run(case, method).items()
-    }
-    np.savez_compressed(DATA, **arrays)
-    print(f"wrote {len(arrays)} arrays to {DATA}")
+    if sys.argv[1:2] == ["--child"]:
+        arrays = {
+            f"{case}/{method}/{column}": value
+            for case in CASES
+            for method in METHODS
+            for column, value in _run(case, method).items()
+        }
+        np.savez_compressed(sys.argv[2], **arrays)
+    else:
+        DATA.parent.mkdir(exist_ok=True)
+        _save_in_one_thread_child(DATA)
+        print(f"wrote {len(_load(DATA))} arrays to {DATA}")
