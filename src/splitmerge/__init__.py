@@ -13,7 +13,6 @@ from .linop import (
     CsrOperator,
     DenseOperator,
     LinearOperator,
-    ShiftedOperator,
     gershgorin_shift,
     load_matrix_market,
     save_matrix_market,
@@ -55,7 +54,6 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "CsrOperator",
-    "ShiftedOperator",
     "gershgorin_shift",
     "load_matrix_market",
     "save_matrix_market",

@@ -1,8 +1,9 @@
 """Matrix-free symmetric PSD linear operators.
 
 Dense and sparse-CSR backends behind one ``apply`` interface with exact
-matvec accounting, Matrix Market ingestion, and a Gershgorin-based shift
-that makes an indefinite symmetric operator PSD. ``scipy.io.mmread`` parses
+matvec accounting, Matrix Market ingestion, and a Gershgorin shift that
+returns an indefinite symmetric operator's A + eta*I, PSD, as an operator of
+the same storage (CSR stays CSR). ``scipy.io.mmread`` parses
 Matrix Market files on scipy's own thread pool, sized to the CPU count and
 separate from BLAS; it runs while a file loads, never inside a timed solve.
 It rejects % lines between entries and ignores text after an entry's value.
@@ -34,10 +35,10 @@ from .errors import (
 class LinearOperator:
     """Symmetric linear operator exposing ``y = A @ x`` and a matvec counter.
 
-    Subclasses implement ``_apply`` plus the entry-level queries needed by
-    the Gershgorin shift. Operators are immutable after construction; the
-    matvec counter is the only mutable state. It is not thread-safe:
-    concurrent callers each take their own counter via :meth:`share`.
+    Subclasses implement ``_apply``, ``to_dense`` and ``frobenius_norm``.
+    Operators are immutable after construction; the matvec counter is the
+    only mutable state. It is not thread-safe: concurrent callers each take
+    their own counter via :meth:`share`.
     """
 
     def __init__(self, n: int):
@@ -52,13 +53,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def diagonal(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def abs_row_sums(self) -> np.ndarray:
-        """Row sums of |a_ij|, diagonal included."""
+        """A new n x n array, which the caller may modify."""
         raise NotImplementedError
 
     @property
@@ -155,12 +150,6 @@ class DenseOperator(LinearOperator):
     def to_dense(self):
         return self._a.copy()
 
-    def diagonal(self):
-        return np.diag(self._a).copy()
-
-    def abs_row_sums(self):
-        return np.abs(self._a).sum(axis=1)
-
     @property
     def frobenius_norm(self):
         return self._fro
@@ -184,57 +173,35 @@ class CsrOperator(LinearOperator):
     def to_dense(self):
         return self._a.toarray()
 
-    def diagonal(self):
-        return self._a.diagonal()
-
-    def abs_row_sums(self):
-        return np.asarray(abs(self._a).sum(axis=1)).ravel()
-
     @property
     def frobenius_norm(self):
         return self._fro
 
 
-class ShiftedOperator(LinearOperator):
-    """A + eta * I, PSD for a sufficiently large eta (see :func:`gershgorin_shift`)."""
-
-    def __init__(self, base: LinearOperator, eta: float):
-        super().__init__(base.n)
-        self.base = base
-        self.eta = float(eta)
-
-    def _apply(self, x):
-        return self.base._apply(x) + self.eta * x
-
-    def to_dense(self):
-        return self.base.to_dense() + self.eta * np.eye(self.n)
-
-    def diagonal(self):
-        return self.base.diagonal() + self.eta
-
-    def abs_row_sums(self):
-        off = self.base.abs_row_sums() - np.abs(self.base.diagonal())
-        return off + np.abs(self.diagonal())
-
-    @property
-    def frobenius_norm(self):
-        # sqrt(||A||_F^2 + 2*eta*tr(A) + n*eta^2), exact for A + eta*I
-        base_fro = self.base.frobenius_norm
-        trace = float(self.base.diagonal().sum())
-        val = base_fro**2 + 2.0 * self.eta * trace + self.n * self.eta**2
-        return float(np.sqrt(max(val, 0.0)))
+def _storage(op: LinearOperator):
+    """The operator's matrix: sparse over CSR storage, a dense copy otherwise."""
+    if isinstance(op, CsrOperator):
+        return op._a
+    return op.to_dense()
 
 
-def gershgorin_shift(op: LinearOperator) -> ShiftedOperator:
-    """Shift A to A + eta*I with eta = max(0, -min_i(a_ii - sum_{j!=i}|a_ij|)).
+def gershgorin_shift(op: LinearOperator) -> tuple[LinearOperator, float]:
+    """Return (A + eta*I, eta) with eta = max(0, -min_i(a_ii - sum_{j!=i}|a_ij|)).
 
     Gershgorin discs bound every eigenvalue below by that minimum, so the
-    shifted operator is PSD.
+    shifted operator is PSD, and lambda_1(A) = lambda_1(A + eta*I) - eta.
+    A CSR input gives a CsrOperator of the sparse sum and is never
+    densified; any other input gives a DenseOperator that holds its own
+    n x n copy, so the shifted operator keeps no reference to A.
     """
-    diag = op.diagonal()
-    off = op.abs_row_sums() - np.abs(diag)
+    m = _storage(op)
+    diag = m.diagonal()
+    off = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(diag)
     eta = max(0.0, -float(np.min(diag - off)))
-    return ShiftedOperator(op, eta)
+    if sp.issparse(m):
+        return CsrOperator(m + eta * sp.identity(op.n, format="csr")), eta
+    m[np.diag_indices(op.n)] += eta
+    return DenseOperator(m), eta
 
 
 # -- Matrix Market ingestion -----------------------------------------------
@@ -347,22 +314,12 @@ def _symmetrized(mat, path):
     return (mat + mat.T) * 0.5
 
 
-def _storage(op: LinearOperator):
-    """The operator's matrix: sparse over CSR storage, a dense array otherwise."""
-    if isinstance(op, CsrOperator):
-        return op._a
-    if isinstance(op, ShiftedOperator) and isinstance(op.base, CsrOperator):
-        # the same sums a_ii + eta and a_ij + 0.0 that to_dense forms
-        return op.base._a + op.eta * sp.identity(op.n, format="csr")
-    return op.to_dense()
-
-
 def save_matrix_market(op: LinearOperator, path) -> None:
     """Write an operator as 'coordinate real symmetric' (lower triangle).
 
     Nonzero entries are written in row-major order with 17 significant
-    digits. A CSR operator, shifted or not, is written from its sparse lower
-    triangle, never densified.
+    digits. A CSR operator is written from its sparse lower triangle, never
+    densified.
     """
     lower = sp.tril(_storage(op), format="csr")
     lower.eliminate_zeros()

@@ -137,36 +137,78 @@ class TestSymv:
 class TestGershgorin:
     def test_offdiagonal_2x2(self):
         op = DenseOperator(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        shifted = gershgorin_shift(op)
-        assert shifted.eta == pytest.approx(2.0)
+        shifted, eta = gershgorin_shift(op)
+        assert eta == pytest.approx(2.0)
         spec = dense_eigendecomposition(shifted)
         # closed form: base eigenvalues are +-2, shifted to {4, 0}
         np.testing.assert_allclose(spec.eigenvalues, [4.0, 0.0], atol=1e-12)
 
     def test_already_psd_unchanged(self):
         op = DenseOperator(np.diag([1.0, 3.0]))
-        shifted = gershgorin_shift(op)
-        assert shifted.eta == 0.0
+        shifted, eta = gershgorin_shift(op)
+        assert eta == 0.0
         x = np.array([0.3, -0.7])
         np.testing.assert_allclose(shifted.apply(x), op.apply(x))
 
     def test_negative_diagonal(self):
         op = DenseOperator(np.diag([-1.0, -2.0]))
-        shifted = gershgorin_shift(op)
-        assert shifted.eta == pytest.approx(2.0)
+        shifted, eta = gershgorin_shift(op)
+        assert eta == pytest.approx(2.0)
         np.testing.assert_allclose(np.diag(shifted.to_dense()), [1.0, 0.0], atol=1e-15)
 
     def test_psd_probe_on_random_symmetric(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 33))
             op = DenseOperator(random_symmetric(rng, n))
-            assert_symmetric_psd(gershgorin_shift(op))
+            assert_symmetric_psd(gershgorin_shift(op)[0])
 
     def test_shifted_frobenius_matches_dense(self, rng):
         base = DenseOperator(random_symmetric(rng, 9))
-        shifted = gershgorin_shift(base)
+        shifted, _ = gershgorin_shift(base)
         assert shifted.frobenius_norm == pytest.approx(
             np.linalg.norm(shifted.to_dense()), rel=1e-12
+        )
+
+    def test_frobenius_of_near_cancelling_shift(self):
+        # ||A||^2 + 2 eta tr(A) + n eta^2 cancels to round-off here; the norm is 1e-9
+        shifted, eta = gershgorin_shift(DenseOperator(np.diag([-1.0, -1.0 + 1e-9])))
+        assert eta == 1.0
+        assert shifted.frobenius_norm == pytest.approx(
+            np.linalg.norm(shifted.to_dense()), rel=1e-12
+        )
+
+    def test_eta_is_the_disc_bound(self, rng):
+        a = random_symmetric(rng, 7)
+        lower = min(a[i, i] - sum(abs(a[i, j]) for j in range(7) if j != i) for i in range(7))
+        assert lower < 0.0
+        for op in (DenseOperator(a), CsrOperator(sp.csr_matrix(a))):
+            assert gershgorin_shift(op)[1] == pytest.approx(-lower, rel=1e-14)
+
+    def test_csr_stays_sparse(self, monkeypatch, rng):
+        n = 1000
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        matrix = sp.diags([off, rng.uniform(-1.0, 1.0, n), off], [-1, 0, 1], format="csr")
+
+        def no_dense(self):
+            raise AssertionError("to_dense called on a CSR operator")
+
+        monkeypatch.setattr(CsrOperator, "to_dense", no_dense)
+        shifted, eta = gershgorin_shift(CsrOperator(matrix))
+        assert isinstance(shifted, CsrOperator) and eta > 0.0
+        x = rng.standard_normal(n)
+        expected = (matrix + eta * sp.identity(n, format="csr")) @ x
+        assert shifted.apply(x).tobytes() == expected.tobytes()
+
+    def test_dense_from_symv_threshold(self, rng):
+        a = random_symmetric(rng, SYMV_MIN_N)
+        op = DenseOperator(a)
+        shifted, eta = gershgorin_shift(op)   # dsymv needs the sum exactly symmetric
+        assert isinstance(shifted, DenseOperator) and eta > 0.0
+        np.testing.assert_array_equal(op.to_dense(), a)   # the input is not shifted in place
+        x = rng.standard_normal(SYMV_MIN_N)
+        expected = (a + eta * np.eye(SYMV_MIN_N)) @ x
+        np.testing.assert_allclose(
+            shifted.apply(x), expected, rtol=0.0, atol=1e-12 * np.linalg.norm(expected)
         )
 
 
@@ -384,17 +426,19 @@ class TestMatrixMarket:
 
         # a Gershgorin-shifted CSR operator is written from sparse storage too
         indefinite = matrix - sp.identity(n, format="csr")
-        shifted = gershgorin_shift(CsrOperator(indefinite))
-        assert shifted.eta > 0.0
+        shifted, eta = gershgorin_shift(CsrOperator(indefinite))
+        assert eta > 0.0
         save_matrix_market(shifted, path)
-        expected = indefinite + shifted.eta * sp.identity(n, format="csr")
+        expected = indefinite + eta * sp.identity(n, format="csr")
         assert (scipy.io.mmread(path) != expected).nnz == 0
 
     def test_save_shifted_csr_as_shifted_dense(self, tmp_path, rng):
         dense = random_symmetric(rng, 6)
         dense[np.abs(dense) < 0.5] = 0.0
-        save_matrix_market(gershgorin_shift(CsrOperator(sp.csr_matrix(dense))), tmp_path / "csr.mtx")
-        save_matrix_market(gershgorin_shift(DenseOperator(dense)), tmp_path / "dense.mtx")
+        shifted_csr, _ = gershgorin_shift(CsrOperator(sp.csr_matrix(dense)))
+        shifted_dense, _ = gershgorin_shift(DenseOperator(dense))
+        save_matrix_market(shifted_csr, tmp_path / "csr.mtx")
+        save_matrix_market(shifted_dense, tmp_path / "dense.mtx")
         assert (tmp_path / "csr.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
 
     def test_save_csr_drops_explicit_zeros(self, tmp_path, rng):

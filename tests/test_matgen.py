@@ -53,7 +53,7 @@ class TestGenerate:
         assert_symmetric_psd(op)
         # the disc bound is conservative on dense matrices: eta > 0 is fine,
         # the shifted operator must simply stay PSD
-        assert_symmetric_psd(gershgorin_shift(op))
+        assert_symmetric_psd(gershgorin_shift(op)[0])
 
     def test_spectrum_strictly_decreasing_with_exact_gap(self):
         _, spec = generate(SyntheticSpec(n=40, gap=0.25, seed=11))
