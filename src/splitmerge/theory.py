@@ -58,10 +58,6 @@ class Spectrum:
     def u1(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
 
-    @property
-    def gap(self) -> float:
-        return float(self.eigenvalues[0] - self.eigenvalues[1])
-
 
 @dataclass
 class DominantReference:
@@ -208,15 +204,16 @@ def theorem51_bounds(
                         * (lambda2/lambda1)^{2k} * delta^{2k}
 
     with delta the max of the per-step ratios over the coefficients that
-    actually produced iterates. delta > 1 only flags the bounds as not
-    applicable; it is not an error.
+    actually produced iterates, and lambda2/lambda1 = 0 for a spectrum of
+    one eigenvalue. delta > 1 only flags the bounds as not applicable; it
+    is not an error.
     """
     lam = spectrum.eigenvalues
     coeffs = trace.applied_coeffs()
     deltas = np.array([compute_delta(spectrum, c.zeta, c.omega) for c in coeffs])
     delta = float(deltas.max()) if deltas.size else 0.0
     ks = np.asarray(trace.k, dtype=float)
-    ratio = (lam[1] / lam[0]) * delta
+    ratio = (lam[1] / lam[0] if lam.size > 1 else 0.0) * delta
     tan0 = theta0.tan_theta
     with np.errstate(over="ignore"):  # delta > 1 envelopes blow up to inf, harmlessly
         bound_sin = tan0 * ratio**ks

@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitmerge import (
+    AngleError,
     CsrOperator,
     DenseOperator,
+    IterationTrace,
     SolverConfig,
     Spectrum,
+    SplitMergeCoefficients,
     SquareRootFactor,
     SyntheticSpec,
     compute_delta,
@@ -30,6 +33,12 @@ from splitmerge.errors import OracleConvergenceError, UndefinedRatioError
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
 from conftest import random_psd_operator, random_symmetric
+
+
+def _coeffs(zeta, omega):
+    return SplitMergeCoefficients(
+        mu=1.0, gamma=0.0, sigma=1.0, zeta=zeta, omega=omega, rho=1.0, degenerate=False
+    )
 
 
 class TestJacobiOracle:
@@ -234,9 +243,34 @@ class TestTheorem51Bounds:
         assert bounds.bound_sin[0] == pytest.approx(theta0.tan_theta)
 
     def test_formula_evaluation(self):
-        # lambda2/lambda1 = 0.9, delta = 1, tan(theta0) = 1: bound at k=10 is 0.9^10
-        ratio = 0.9
-        assert ratio**10 == pytest.approx(0.34867844010000015)
+        spectrum = Spectrum(np.array([2.0, 1.0, 0.5]), np.eye(3))
+        # per-step ratios max_j |zeta + omega*lambda_j| / (zeta + omega*lambda_1):
+        # 1/2 and 2/3; the final record's coefficients (ratio 99/98) were never applied
+        trace = IterationTrace(
+            method="split_merge", matvecs=[2, 4, 6],
+            coeffs=[_coeffs(0.0, 1.0), _coeffs(1.0, 1.0), _coeffs(100.0, -1.0)],
+        )
+        bounds = theorem51_bounds(spectrum, trace, AngleError(sin_theta=0.6, cos_theta=0.8))
+        assert bounds.delta == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert bounds.applicable
+        np.testing.assert_allclose(bounds.delta_per_iteration, [0.5, 2.0 / 3.0], rtol=1e-15)
+        k = np.arange(3)
+        ratio = (1.0 / 2.0) * (2.0 / 3.0)
+        np.testing.assert_allclose(bounds.bound_sin, 0.75 * ratio**k, rtol=1e-14)
+        np.testing.assert_allclose(
+            bounds.bound_rayleigh, (2.0 - 0.5) * 0.75**2 * ratio ** (2 * k), rtol=1e-14
+        )
+
+    def test_one_eigenvalue_spectrum(self):
+        # no lambda2: the ratio lambda2/lambda1 counts as 0, as in compute_delta
+        op = DenseOperator(np.array([[2.0]]))
+        truth = dense_eigendecomposition(op)
+        res = solve(op, SolverConfig("split_merge"), ground_truth=truth)
+        theta0 = AngleError(sin_theta=0.6, cos_theta=0.8)
+        bounds = theorem51_bounds(truth, res.trace, theta0)
+        assert bounds.applicable and bounds.delta == 0.0
+        np.testing.assert_array_equal(bounds.bound_sin, [theta0.tan_theta])
+        np.testing.assert_array_equal(bounds.bound_rayleigh, [0.0])
 
     def test_bounds_hold_on_guaranteed_run(self):
         for seed in range(5):
