@@ -2,8 +2,8 @@
 
 Dense and sparse-CSR backends behind one ``apply`` interface with exact
 matvec accounting, Matrix Market ingestion, and a Gershgorin shift that
-returns an indefinite symmetric operator's A + eta*I, PSD, as an operator of
-the same storage (CSR stays CSR). ``scipy.io.mmread`` parses
+makes an indefinite symmetric A PSD as a plain operator of A + eta*I (CSR
+stays CSR, anything else becomes dense). ``scipy.io.mmread`` parses
 Matrix Market files on scipy's own thread pool, sized to the CPU count and
 separate from BLAS; it runs while a file loads, never inside a timed solve.
 It rejects % lines between entries and ignores text after an entry's value.

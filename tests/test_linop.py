@@ -163,19 +163,13 @@ class TestGershgorin:
             assert_symmetric_psd(gershgorin_shift(op)[0])
 
     def test_shifted_frobenius_matches_dense(self, rng):
-        base = DenseOperator(random_symmetric(rng, 9))
-        shifted, _ = gershgorin_shift(base)
-        assert shifted.frobenius_norm == pytest.approx(
-            np.linalg.norm(shifted.to_dense()), rel=1e-12
-        )
-
-    def test_frobenius_of_near_cancelling_shift(self):
-        # ||A||^2 + 2 eta tr(A) + n eta^2 cancels to round-off here; the norm is 1e-9
-        shifted, eta = gershgorin_shift(DenseOperator(np.diag([-1.0, -1.0 + 1e-9])))
-        assert eta == 1.0
-        assert shifted.frobenius_norm == pytest.approx(
-            np.linalg.norm(shifted.to_dense()), rel=1e-12
-        )
+        # on diag(-1, -1 + 1e-9) the shifted norm is 1e-9, to which
+        # sqrt(||A||^2 + 2 eta tr(A) + n eta^2) cancels only to round-off
+        for base in (random_symmetric(rng, 9), np.diag([-1.0, -1.0 + 1e-9])):
+            shifted, _ = gershgorin_shift(DenseOperator(base))
+            assert shifted.frobenius_norm == pytest.approx(
+                np.linalg.norm(shifted.to_dense()), rel=1e-12
+            )
 
     def test_eta_is_the_disc_bound(self, rng):
         a = random_symmetric(rng, 7)
