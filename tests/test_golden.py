@@ -30,7 +30,7 @@ from splitmerge.solvers import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).with_name("data") / "golden.npz"
-ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 MAX_ITER = 100
 RTOL = 1e-12
 
