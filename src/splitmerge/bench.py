@@ -25,11 +25,13 @@ Config files are plain ``key = value`` text with ``#`` comments::
     out = bench_out
     dense_limit = 4096
 
-Each solver entry may set its method's one parameter in parentheses:
+Solver entries are separated by commas. Each may set its method's one
+parameter as a single ``key=value`` in parentheses, and no more than one:
 alpha for gd_difference, beta (a number or ``auto`` = ideal lambda2^2/4)
 for power_momentum, rho_policy (a named policy or a finite positive
 constant) for split_merge; power takes none. Every solver setting is
-checked before any matrix is loaded.
+checked before any matrix is loaded; ``beta=auto`` on a file above
+``dense_limit`` is refused once the file is loaded, before its ground truth.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .errors import ConfigError, SplitMergeError
 from .linop import LinearOperator, load_matrix_market
 from .matgen import SyntheticSpec, generate
 from .solvers import METHOD_PARAMS, SolveResult, SolverConfig, init_vector, solve
-from .theory import Spectrum, dense_eigendecomposition, reference_dominant_eigenpair
+from .theory import DENSE_LIMIT_DEFAULT, Spectrum
+from .theory import dense_eigendecomposition, reference_dominant_eigenpair
 
 
 @dataclass
@@ -84,32 +87,34 @@ class ExperimentConfig:
     stop_mode: str = SolverConfig.stop_mode
     residual_tol: float = SolverConfig.residual_tol
     workers: int = 1                         # must be 1; perfbench still passes it
-    dense_limit: int = 4096
+    dense_limit: int = DENSE_LIMIT_DEFAULT
 
     def validate(self) -> None:
         if self.source not in ("synthetic", "matrix_market"):
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "matrix_market" and not self.matrix_path:
             raise ConfigError("matrix_market source needs a matrix path")
-        if self.source == "synthetic" and self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.source == "synthetic" and not 0.0 < self.gap < 1.0:
-            raise ConfigError(f"gap must lie in (0,1), got {self.gap}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.source == "synthetic":
+            try:
+                SyntheticSpec(n=self.n, gap=self.gap)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         if self.workers != 1:
             raise ConfigError(f"trials run serially; workers must be 1, got {self.workers}")
         if self.dense_limit < 1:
             raise ConfigError("dense_limit must be >= 1")
-        for setting in self.solvers:   # beta=auto waits for the spectrum; 0.0 stands in
-            _solver_config(setting, self, auto_beta=0.0)
+        # beta=auto waits for the spectrum, and 0.0 stands in; a file in residual mode gets none
+        no_spectrum = self.source == "matrix_market" and self.stop_mode != "oracle"
+        for setting in self.solvers:
+            _solver_config(setting, self, auto_beta=None if no_spectrum else 0.0)
         labels = [s.label for s in self.solvers]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate solver entries: {labels}")
-        if self.baseline not in labels + [s.method for s in self.solvers]:
-            raise ConfigError(f"baseline {self.baseline!r} is not among the solvers")
+        _baseline_label(self)
 
 
 @dataclass
@@ -171,6 +176,8 @@ def _ground_truth_for(config: ExperimentConfig, op: LinearOperator):
         return None
     if op.n <= config.dense_limit:
         return dense_eigendecomposition(op, dense_limit=config.dense_limit)
+    for setting in config.solvers:   # the ARPACK pair has no lambda2 for beta=auto
+        _solver_config(setting, config, auto_beta=None)
     return reference_dominant_eigenpair(op)
 
 
@@ -182,7 +189,8 @@ def _solver_config(setting: SolverSetting, config: ExperimentConfig, auto_beta) 
         raise ConfigError(f"{setting.label}: unknown parameters {sorted(unknown)}")
     if params.get("beta") == "auto":
         if auto_beta is None:
-            raise ConfigError("beta=auto needs a full ground-truth spectrum")
+            raise ConfigError(f"{setting.label}: beta=auto needs the full spectrum, which a "
+                              "file gets only in oracle mode with 2 <= n <= dense_limit")
         params["beta"] = auto_beta
     try:
         return SolverConfig(
@@ -244,9 +252,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute all (solver x trial) runs, write traces and the report."""
     config.validate()
     out_dir = Path(config.out_dir)
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-
     shared = None
     if config.source == "matrix_market":
         op = load_matrix_market(config.matrix_path)
@@ -255,10 +260,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     records = [rec for t in range(config.trials) for rec in _run_trial(config, t, shared)]
     records.sort(key=lambda r: (r.solver, r.trial))
 
-    trace_paths = emit_traces(records, trace_dir)
-    stats = _aggregate(config, records)
+    trace_paths = emit_traces(records, out_dir / "traces")   # makes out_dir too
+    baseline = _baseline_label(config)
     report = RunReport(
-        baseline=_baseline_label(config), stats=stats, records=records,
+        baseline=baseline, stats=_aggregate(config, records, baseline), records=records,
         trace_paths=[str(p) for p in trace_paths],
     )
     with open(out_dir / "report.json", "w", encoding="ascii") as fh:
@@ -267,14 +272,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
 
 def _baseline_label(config: ExperimentConfig) -> str:
+    """The label of the entry that ``baseline`` names by label or by method."""
     for s in config.solvers:
-        if s.label == config.baseline or s.method == config.baseline:
+        if config.baseline in (s.label, s.method):
             return s.label
-    return config.solvers[0].label
+    raise ConfigError(f"baseline {config.baseline!r} is not among the solvers")
 
 
-def _aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> list[SolverStats]:
-    baseline = _baseline_label(config)
+def _aggregate(
+    config: ExperimentConfig, records: list[TrialRecord], baseline: str
+) -> list[SolverStats]:
     by_solver: dict[str, list[TrialRecord]] = {}
     for rec in records:
         by_solver.setdefault(rec.solver, []).append(rec)
@@ -366,52 +373,29 @@ def _slug(label: str) -> str:
 
 # -- config file parsing -------------------------------------------------------
 
-_SOLVER_RE = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
+# a method name, then optionally one "key=value" in parentheses; "power()" is "power"
+_SOLVER_RE = re.compile(r"([a-z_]+)(?:\(\s*(?:(\w+)\s*=\s*([^\s(),=]+)\s*)?\))?")
 
 
 def parse_solver_list(text: str) -> list[SolverSetting]:
     """Parse 'power, split_merge, gd_difference(alpha=0.9)' into settings."""
     settings = []
-    for chunk in _split_solvers(text):
-        match = _SOLVER_RE.match(chunk.strip())
+    for chunk in filter(None, (c.strip() for c in text.split(","))):
+        match = _SOLVER_RE.fullmatch(chunk)
         if not match:
-            raise ConfigError(f"cannot parse solver entry {chunk!r}")
-        name, argtext = match.group(1), match.group(2)
-        params = {}
-        if argtext:
-            for pair in argtext.split(","):
-                if "=" not in pair:
-                    raise ConfigError(f"solver parameter needs key=value: {pair!r}")
-                key, value = (t.strip() for t in pair.split("=", 1))
-                params[key] = _coerce(value)
+            raise ConfigError(f"cannot parse solver entry {chunk!r} (at most one key=value)")
+        name, key, value = match.groups()
+        params = {} if key is None else {key: _coerce(value)}
         settings.append(SolverSetting(method=name, params=params))
     return settings
 
 
-def _split_solvers(text: str) -> list[str]:
-    # split on commas that are not inside parentheses
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p for p in (s.strip() for s in parts) if p]
-
-
 def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
     return value
 
 

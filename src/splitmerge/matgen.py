@@ -34,7 +34,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.gap < self.lambda1:
             raise ValueError(f"gap must lie in (0, lambda1), got {self.gap}")
 

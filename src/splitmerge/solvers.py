@@ -87,10 +87,10 @@ class SolverConfig:
         # tolerance would stop any start as converged at iteration 0
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0.0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
 

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .linop import LinearOperator
-from .objective import hessian_vec
+from .objective import _require_differentiable, hessian_vec
 from .solvers import IterationTrace, split_merge_coeffs, split_merge_step
 
 DENSE_LIMIT_DEFAULT = 4096
@@ -147,9 +147,9 @@ class SquareRootFactor:
     factor: np.ndarray  # (r, n)
 
     @staticmethod
-    def from_spectrum(spectrum: Spectrum, rank_tol: float = RANK_TOL) -> "SquareRootFactor":
+    def from_spectrum(spectrum: Spectrum) -> "SquareRootFactor":
         lam = spectrum.eigenvalues
-        keep = lam > rank_tol * max(lam[0], 0.0) if lam[0] > 0 else lam > 0
+        keep = lam > RANK_TOL * max(lam[0], 0.0) if lam[0] > 0 else lam > 0
         f = np.sqrt(lam[keep])[:, None] * spectrum.eigenvectors[:, keep].T
         return SquareRootFactor(factor=f)
 
@@ -162,12 +162,16 @@ class SquareRootFactor:
 
 
 def sin_theta(x: np.ndarray, u1: np.ndarray) -> AngleError:
-    """Angle between x and the unit dominant eigenvector u1."""
+    """Angle between x and the dominant eigenvector u1, normalized here as solve does."""
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ValueError("angle undefined for the zero vector")
-    cos = abs(float(np.asarray(u1, dtype=float) @ x)) / norm
+    u1 = np.asarray(u1, dtype=float)
+    norm_u1 = float(np.linalg.norm(u1))
+    if not 0.0 < norm_u1 < math.inf:
+        raise ValueError(f"u1 must be finite and nonzero, got norm {norm_u1}")
+    cos = abs(float((u1 / norm_u1) @ x)) / norm
     cos = min(cos, 1.0)
     return AngleError(sin_theta=math.sqrt(max(0.0, 1.0 - cos * cos)), cos_theta=cos)
 
@@ -233,14 +237,12 @@ def theorem51_bounds(
 def _factor_and_products(op: LinearOperator, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     w = op.apply(x)
+    _require_differentiable(op, x, w)
     quad = float(x @ w)
-    if quad <= 0.0 or float(np.linalg.norm(w)) <= 1e-14 * op.frobenius_norm * float(
-        np.linalg.norm(x)
-    ):
-        raise NonDifferentiablePointError("surrogate checks need x with Ax != 0")
-    spectrum = dense_eigendecomposition(op)
-    factor = SquareRootFactor.from_spectrum(spectrum)
-    return factor, spectrum, w, quad
+    if quad <= 0.0:
+        raise NonDifferentiablePointError("surrogate checks need x with x'Ax > 0")
+    factor = SquareRootFactor.from_spectrum(dense_eigendecomposition(op))
+    return factor, w, quad
 
 
 def project_direction(v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -252,24 +254,10 @@ def project_direction(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def surrogate_quadratic_form(
-    factor: SquareRootFactor, quad: float, w: np.ndarray, u: np.ndarray, v: np.ndarray,
-    d: np.ndarray,
-) -> float:
-    """d' H d for H = 2I - F'(uu' + vv')F / s + (Ax)(Ax)' / s^3, s = sqrt(x'Ax)."""
-    s = math.sqrt(quad)
-    fd = factor @ d
-    return (
-        2.0 * float(d @ d)
-        - (float(u @ fd) ** 2 + float(v @ fd) ** 2) / s
-        + float(w @ d) ** 2 / s**3
-    )
-
-
 def surrogate_matrix(
     factor: SquareRootFactor, quad: float, w: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Dense H for small-n verification."""
+    """Dense H = 2I - F'(uu' + vv')F / s + (Ax)(Ax)' / s^3, s = sqrt(x'Ax)."""
     s = math.sqrt(quad)
     n = factor.factor.shape[1]
     fu = factor.factor.T @ u
@@ -296,15 +284,16 @@ def verify_surrogate_dominance(
     u is fixed to Fx/||Fx||; v is projected orthogonal to u and rescaled into
     the unit ball before the check, matching the surrogate's admissible set.
     """
-    factor, _, w, quad = _factor_and_products(op, x)
+    factor, w, quad = _factor_and_products(op, x)
     fx = factor @ x
     u = fx / np.linalg.norm(fx)
     v = project_direction(np.asarray(v, dtype=float), u)
+    h = surrogate_matrix(factor, quad, w, u, v)
     rng = np.random.default_rng(rng)
     for _ in range(samples):
         d = rng.standard_normal(op.n)
         d /= np.linalg.norm(d)
-        quad_h = surrogate_quadratic_form(factor, quad, w, u, v, d)
+        quad_h = float(d @ h @ d)
         quad_hess = float(d @ hessian_vec(op, x, d))
         if quad_h < quad_hess - 1e-9:
             return False
@@ -331,7 +320,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     x - H^{-1} grad f (explicit rank-1 inverse) with the two-matvec merged
     step. Degenerate x (no orthogonal component) is skipped, not failed.
     """
-    factor, _, w, quad = _factor_and_products(op, x)
+    factor, w, quad = _factor_and_products(op, x)
     x = np.asarray(x, dtype=float)
     fx = factor @ x
     z = op.apply(w)
@@ -344,9 +333,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
 
     vhat = g_split / (math.sqrt(rho) * norm_g)
     s = math.sqrt(quad)
-    if abs(float(vhat @ fx)) > 1e-10:
-        return VhatCheck(passed=False, skipped=False, vhat=vhat)
-    if abs(float(vhat @ vhat) - 1.0 / rho) > 1e-10:
+    if abs(float(vhat @ fx)) > 1e-10 or abs(float(vhat @ vhat) - 1.0 / rho) > 1e-10:
         return VhatCheck(passed=False, skipped=False, vhat=vhat)
 
     # explicit update: Ax/(2s) + ((F'v)'Ax / (4*sigma*quad)) * F'v

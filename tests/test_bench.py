@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from splitmerge import (
+    DenseOperator,
     DominantReference,
     ExperimentConfig,
     load_config,
@@ -232,6 +233,8 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(_config(tmp_path, trials=0))
         with pytest.raises(ConfigError):
+            run_experiment(_config(tmp_path, trials=2.5))
+        with pytest.raises(ConfigError):
             run_experiment(_config(tmp_path, solvers=[]))
         with pytest.raises(ConfigError):
             run_experiment(_config(tmp_path, baseline="nope"))
@@ -259,6 +262,38 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=r"gd_difference\(alpha=2.0\)"):
             run_experiment(config)
 
+    def test_auto_beta_in_residual_mode_fails_before_loading(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        def no_load(path):
+            pytest.fail("the matrix was loaded although beta=auto cannot be resolved")
+
+        monkeypatch.setattr(harness, "load_matrix_market", no_load)
+        config = _config(
+            tmp_path, source="matrix_market", matrix_path=str(tmp_path / "m.mtx"),
+            stop_mode="residual", solvers=parse_solver_list("power, power_momentum(beta=auto)"),
+        )
+        with pytest.raises(ConfigError, match="beta=auto"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_auto_beta_above_dense_limit_fails_before_reference(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        def no_reference(op):
+            pytest.fail("the ARPACK reference was computed although beta=auto cannot use it")
+
+        op = DenseOperator(np.diag(np.arange(8.0, 0.0, -1.0)))
+        monkeypatch.setattr(harness, "load_matrix_market", lambda path: op)
+        monkeypatch.setattr(harness, "reference_dominant_eigenpair", no_reference)
+        config = _config(
+            tmp_path, source="matrix_market", matrix_path=str(tmp_path / "m.mtx"),
+            dense_limit=4, solvers=parse_solver_list("power, power_momentum(beta=auto)"),
+        )
+        with pytest.raises(ConfigError, match="beta=auto"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigParsing:
     def test_solver_list_grammar(self):
@@ -266,14 +301,20 @@ class TestConfigParsing:
         assert [s.method for s in settings] == ["power", "split_merge", "gd_difference"]
         assert settings[2].params == {"alpha": 0.9}
         assert settings[2].label == "gd_difference(alpha=0.9)"
+        # empty parentheses are accepted and mean no parameter
+        assert [s.label for s in parse_solver_list("power(), split_merge( )")] == [
+            "power", "split_merge",
+        ]
 
     def test_solver_list_multiple_params(self):
         (setting,) = parse_solver_list("power_momentum(beta=auto)")
         assert setting.params == {"beta": "auto"}
 
     def test_bad_solver_entry(self):
-        with pytest.raises(ConfigError):
-            parse_solver_list("gd_difference(alpha)")
+        # an entry sets at most one key=value
+        for text in ("gd_difference(alpha)", "gd_difference(alpha=0.9, beta=0.1)"):
+            with pytest.raises(ConfigError):
+                parse_solver_list(text)
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

@@ -285,7 +285,7 @@ class TestSplitMergeStep:
             mu=c.mu, gamma=c.gamma, sigma=c.sigma, zeta=1e200, omega=1e200,
             rho=c.rho, degenerate=False, w=c.w, z=c.z,
         )
-        with pytest.raises(OverflowGuardError):
+        with pytest.raises(OverflowGuardError), pytest.warns(RuntimeWarning, match="overflow"):
             split_merge_step(diag21, x, huge)
 
 
@@ -333,6 +333,8 @@ class TestSolverConfig:
             {"method": "split_merge", "rho_policy": -1.0},
             {"method": "split_merge", "rho_policy": math.inf},
             {"method": "split_merge", "rho_policy": math.nan},
+            {"method": "power_momentum", "beta": math.inf},
+            {"method": "power", "max_iter": 2.5},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -142,6 +142,13 @@ class TestSinTheta:
         with pytest.raises(ValueError):
             sin_theta(np.zeros(2), np.array([1.0, 0.0]))
 
+    def test_u1_is_normalized(self):
+        err = sin_theta(np.array([1.0, 1.0]) / math.sqrt(2), np.array([2.0, 0.0]))
+        assert err.sin_theta == pytest.approx(1.0 / math.sqrt(2))
+        for bad in ([0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="u1"):
+                sin_theta(np.ones(2), np.array(bad))
+
     @given(st.integers(0, 2**32 - 1))
     def test_pythagorean_identity(self, seed):
         rng = np.random.default_rng(seed)
