@@ -99,14 +99,14 @@ class ExperimentConfig:
                 SyntheticSpec(n=self.n, gap=self.gap)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        for name, low in (("seed", 0), ("trials", 1), ("dense_limit", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         if self.workers != 1:
             raise ConfigError(f"trials run serially; workers must be 1, got {self.workers}")
-        if self.dense_limit < 1:
-            raise ConfigError("dense_limit must be >= 1")
         # beta=auto waits for the spectrum, and 0.0 stands in; a file in residual mode gets none
         no_spectrum = self.source == "matrix_market" and self.stop_mode != "oracle"
         for setting in self.solvers:

@@ -33,8 +33,12 @@ class SyntheticSpec:
     lambda1: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.gap < self.lambda1:
             raise ValueError(f"gap must lie in (0, lambda1), got {self.gap}")
 

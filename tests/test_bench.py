@@ -248,6 +248,21 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="beta"):
             run_experiment(_config(tmp_path, solvers=parse_solver_list("split_merge(beta=0.1)")))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(n=2.5), "n must be an integer, got 2.5"),
+        (dict(seed=0.5), "seed must be an integer >= 0, got 0.5"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(dense_limit=2.5), "dense_limit must be an integer >= 1, got 2.5"),
+        # a file's seed only seeds the start vectors, and is checked all the same
+        (dict(source="matrix_market", matrix_path="m.mtx", seed=-1),
+         "seed must be an integer >= 0, got -1"),
+    ])
+    def test_integer_fields_are_config_errors(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(_config(tmp_path, **overrides))
+        assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_bad_solver_setting_fails_before_loading(self, tmp_path, monkeypatch):
         import splitmerge.bench as harness
 
@@ -382,6 +397,14 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["run", "--n", "1", "--trials", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: n must be >= 2, got 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / ("m.mtx" if command == "gen" else "o")
+        args = ["--n", "8", "--gap", "0.2"] if command == "gen" else ["--n", "8", "--trials", "1"]
+        assert cli_main([command, *args, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_unknown_flag_exit_code(self):

@@ -16,6 +16,19 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, gap=gap)
 
+    def test_rejects_non_integer_dimension(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            SyntheticSpec(n=2.5, gap=0.1)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, 1.0])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            SyntheticSpec(n=4, gap=0.1, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        spec = SyntheticSpec(n=np.int64(4), gap=0.1, seed=np.int64(3))
+        assert (spec.n, spec.seed) == (4, 3)
+
 
 class TestGenerate:
     def test_two_by_two_exact_spectrum(self):

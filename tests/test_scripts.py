@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from splitmerge import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +75,21 @@ def test_kernel_parts_prints_each_part():
                      "whole_iteration"):
             assert parts[name] > 0.0, name
         assert ("scalars" in parts) == (method == "split_merge")
+
+
+def test_reference_sweep_prints_each_cell_and_the_library_call():
+    from splitmerge import theory
+
+    lines = _run_script("reference_sweep.py", "--n", "2000", "--seed", "3", "--tols", "0,1e-11",
+                        "--ncvs", "4,8")
+    rows = [json.loads(line) for line in lines]
+    assert [(r["tol"], r["ncv"]) for r in rows[:4]] == [(0.0, 4), (0.0, 8), (1e-11, 4), (1e-11, 8)]
+    assert rows[4]["call"] == "reference_dominant_eigenpair"
+    assert (rows[4]["tol"], rows[4]["ncv"]) == (theory.REFERENCE_TOL, theory.REFERENCE_NCV)
+    for row in rows:
+        assert (row["n"], row["seed"]) == (2000, 3)
+        assert row["seconds"] > 0.0 and row["matvecs"] > 0
+        assert row["rel_residual"] <= theory.REFERENCE_CERTIFY
+        assert row["lambda1"] == pytest.approx(rows[0]["lambda1"], rel=1e-12)
+    # the library's call is the (REFERENCE_TOL, REFERENCE_NCV) cell plus one residual matvec
+    assert rows[4]["matvecs"] == rows[3]["matvecs"] + 1

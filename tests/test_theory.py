@@ -504,3 +504,50 @@ class TestDominantReference:
         with pytest.raises(OracleConvergenceError):
             reference_dominant_eigenpair(op)
         assert len(calls) <= 100
+
+    def test_uncertified_pair_is_refused(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        from splitmerge import theory
+
+        n = 200
+        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
+                     [-1, 0, 1]).tocsr()
+        eigs, vecs = np.linalg.eigh(m.toarray())
+        u = vecs[:, -1] + 1e-6 * vecs[:, 0]
+        u /= np.linalg.norm(u)
+        seen = {}
+
+        def perturbed_eigsh(*args, **kwargs):
+            seen.update(kwargs)
+            return np.array([eigs[-1]]), u[:, None].copy()
+
+        monkeypatch.setattr(spla, "eigsh", perturbed_eigsh)
+        resid = float(np.linalg.norm(m @ u - eigs[-1] * u))
+        assert resid > 1e-10 * eigs[-1]
+        with pytest.raises(OracleConvergenceError, match=f"residual {resid:.3e} not certified"):
+            reference_dominant_eigenpair(CsrOperator(m))
+        assert seen["tol"] == theory.REFERENCE_TOL == theory.REFERENCE_CERTIFY / 10
+
+    def test_near_degenerate_top_pair(self):
+        # lambda1 = 1 and lambda2 = 1 - 1e-6 sit at two rows with the same
+        # neighbourhood, so the couplings move both alike and the gap stays ~1e-6
+        n = 2000
+        rng = np.random.default_rng(5)
+        diag = rng.uniform(0.05, 0.9, n)
+        off = rng.uniform(0.001, 0.02, n - 1)
+        for row, value in ((500, 1.0), (1500, 1.0 - 1e-6)):
+            diag[row - 1:row + 2] = (0.5, value, 0.5)
+            off[row - 2:row + 2] = 0.001
+        m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        eigs, vecs = np.linalg.eigh(m.toarray())
+        gap = eigs[-1] - eigs[-2]
+        assert gap == pytest.approx(1e-6, rel=1e-3)
+
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert ref.residual <= 1e-10 * ref.lambda1
+        assert ref.lambda1 == pytest.approx(eigs[-1], rel=1e-12)
+        # Davis-Kahan: sin(u, u1) <= residual / gap, plus eigh's own ~eps ||A|| / gap
+        u1 = vecs[:, -1]
+        sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
+        assert sin <= ref.residual / gap + 1e-9
