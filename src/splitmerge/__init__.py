@@ -29,7 +29,6 @@ from .solvers import (
     power_momentum_step,
     power_step,
     solve,
-    split_merge_coeffs,
     split_merge_step,
 )
 from .theory import (
@@ -69,7 +68,6 @@ __all__ = [
     "power_step",
     "gd_step",
     "power_momentum_step",
-    "split_merge_coeffs",
     "split_merge_step",
     "solve",
     "Spectrum",

@@ -5,6 +5,7 @@ index) or reuses the one Matrix Market operator; all solvers in a trial
 start from the same x0; ground truth is the generator's exact spectrum for
 synthetic sources and, for files, the LAPACK dense oracle up to
 ``dense_limit`` or a residual-certified ARPACK dominant pair above it.
+A synthetic n above ``dense_limit`` is refused: its matrix is built dense.
 Timing wraps the solver loop only. Trials run one after another in this
 process, and records are reported in (solver, trial) order.
 
@@ -103,6 +104,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.source == "synthetic" and self.n > self.dense_limit:
+            raise ConfigError(f"n = {self.n} is above dense_limit = {self.dense_limit}: "
+                              "a synthetic matrix is built dense")
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         if self.workers != 1:
@@ -422,7 +426,10 @@ KEY_TO_FIELD = {"matrix": "matrix_path", "out": "out_dir"}
 def load_config(path) -> ExperimentConfig:
     """Read the key=value config format documented in the module docstring."""
     config = ExperimentConfig()
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: a config file must be ASCII: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

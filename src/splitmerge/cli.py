@@ -3,7 +3,7 @@
 Subcommands::
 
     bench run --config cfg.txt [overrides...]
-    bench gen --n 256 --gap 0.01 --seed 0 --out matrix.mtx
+    bench gen --n 256 --gap 0.01 --seed 0 --out matrix.mtx    # n <= 4096
 
 Exit codes: 0 on completion, 1 on configuration errors (including bad
 flags), 2 on I/O errors (unreadable files, malformed Matrix Market input,
@@ -22,6 +22,7 @@ from .errors import ConfigError, MatrixMarketError, SplitMergeError
 from .linop import save_matrix_market
 from .matgen import SyntheticSpec, generate
 from .solvers import STOP_MODES
+from .theory import DENSE_LIMIT_DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +96,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         spec = SyntheticSpec(n=args.n, gap=args.gap, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.n > DENSE_LIMIT_DEFAULT:
+        raise ConfigError(f"n = {args.n} is above {DENSE_LIMIT_DEFAULT}: the matrix is built dense")
     op, _ = generate(spec)
     save_matrix_market(op, args.out)
     print(f"wrote {args.out} (n={args.n}, gap={args.gap}, seed={args.seed})")

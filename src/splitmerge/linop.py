@@ -235,20 +235,29 @@ def _parse_header(line: str, path) -> tuple[str, str]:
 
 
 class _BannerStream:
-    """Binary reader yielding ``banner``, then what is left of ``fh``.
+    """Binary reader yielding ``banner``, then what is left of ``fh``, then a
+    ``\\n`` if the file does not end with one.
 
     scipy spells "%%MatrixMarket" case-sensitively, so it reads the body
     behind a canonical banner, without the file being re-read or copied.
+    Its parser crashes the interpreter on a last value with trailing text
+    (``1.0x``) and no final newline.
     """
 
     def __init__(self, banner: bytes, fh):
         self._banner = banner
         self._fh = fh
+        self._last = b""
 
     def read(self, size=-1):
         head = self._banner if size < 0 else self._banner[:size]
         self._banner = self._banner[len(head):]
-        return head + self._fh.read(-1 if size < 0 else size - len(head))
+        data = head + self._fh.read(-1 if size < 0 else size - len(head))
+        if data:
+            self._last = data[-1:]
+        elif size and self._last != b"\n":    # end of file
+            self._last = data = b"\n"
+        return data
 
 
 def load_matrix_market(path) -> LinearOperator:

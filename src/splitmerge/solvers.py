@@ -107,11 +107,8 @@ def _check_rho_policy(rho_policy) -> None:
 class SplitMergeCoefficients:
     """Per-iteration scalars of the split-merge update.
 
-    Only the public :func:`split_merge_coeffs` sets ``w`` and ``z``, the Ax
-    and A^2x it computed, so that :func:`split_merge_step` costs no matvec;
-    the entries of ``trace.coeffs`` carry scalars only. ``degenerate`` marks
-    an iterate that is numerically an eigenvector, in which case the
-    coefficients describe the pure DCA step (omega = 0).
+    ``degenerate`` marks an iterate that is numerically an eigenvector, in
+    which case the coefficients describe the pure DCA step (omega = 0).
     """
 
     mu: float
@@ -121,8 +118,6 @@ class SplitMergeCoefficients:
     omega: float
     rho: float
     degenerate: bool
-    w: np.ndarray | None = None
-    z: np.ndarray | None = None
 
     @property
     def neg_zeta_over_omega(self) -> float:
@@ -412,6 +407,8 @@ class IterationKernel:
             self._finish(x, w, self.prev, self._norm)
         else:
             coeffs = self.coeffs            # A^2x is unused when degenerate
+            if coeffs is None:
+                raise NonDifferentiablePointError("split-merge step at a point with x'Ax <= 0")
             z = None if coeffs.degenerate else z
             norm = math.sqrt(self._finish(w, z, self._scratch, coeffs.zeta, coeffs.omega)[0])
             if not NORM_GUARD[0] <= norm <= NORM_GUARD[1]:
@@ -468,11 +465,12 @@ def _vector(v, n: int, name: str) -> np.ndarray:
 
 
 def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
-    """One iteration of ``kernel``'s method from x. One matvec."""
+    """One iteration of ``kernel``'s method from x. One matvec, two for split_merge."""
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
     w = op.apply(x)
-    kernel.measure(x, w)
-    return kernel.update(x, w)
+    z = op.apply(w) if kernel.method == "split_merge" else None
+    kernel.measure(x, w, z)
+    return kernel.update(x, w, z)
 
 
 def power_step(op: LinearOperator, x: np.ndarray) -> np.ndarray:
@@ -499,35 +497,13 @@ def power_momentum_step(
     return _step(kernel, op, x_curr), kernel.prev
 
 
-def split_merge_coeffs(
-    op: LinearOperator, x: np.ndarray, rho_policy: str | float = "fixed_one_with_safeguard"
-) -> SplitMergeCoefficients:
-    """Split-merge scalars at x. Two matvecs; products cached on the result."""
-    _check_rho_policy(rho_policy)
-    x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
-    w = op.apply(x)
-    z = op.apply(w)
-    kernel = IterationKernel(op.n, "split_merge", rho_policy)
-    quad = kernel.measure(x, w, z)[0]
-    if kernel.coeffs is None:
-        raise NonDifferentiablePointError(f"split-merge coefficients need x'Ax > 0, got {quad:.3e}")
-    kernel.coeffs.w, kernel.coeffs.z = w, z
-    return kernel.coeffs
-
-
 def split_merge_step(
-    op: LinearOperator, x: np.ndarray, coeffs: SplitMergeCoefficients
-) -> np.ndarray:
-    """zeta*Ax + omega*A^2x using the products cached in ``coeffs``. No matvecs."""
-    if coeffs.w is None or (coeffs.z is None and not coeffs.degenerate):
-        raise ValueError("coefficients carry no cached products; compute them at this x")
-    x = _vector(x, op.n, "x")
-    w = _vector(coeffs.w, op.n, "cached Ax")
-    z = None if coeffs.z is None else _vector(coeffs.z, op.n, "cached A^2x")
-    kernel = IterationKernel(op.n, "split_merge")
-    kernel.coeffs = coeffs
-    # the update is written over its Ax: leave the cached product as it is
-    return kernel.update(x, w.copy(), z)
+    op: LinearOperator, x: np.ndarray, rho_policy: str | float = "fixed_one_with_safeguard"
+) -> tuple[np.ndarray, SplitMergeCoefficients]:
+    """zeta*Ax + omega*A^2x; returns (it, the coefficients applied). Two matvecs."""
+    _check_rho_policy(rho_policy)    # also where x is an eigenvector and rho goes unread
+    kernel = IterationKernel(op.n, "split_merge", rho_policy)
+    return _step(kernel, op, x), kernel.coeffs
 
 
 # -- driver -------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linop import LinearOperator
 from .objective import _require_differentiable, hessian_vec
-from .solvers import IterationTrace, split_merge_coeffs, split_merge_step
+from .solvers import IterationTrace, split_merge_step
 
 DENSE_LIMIT_DEFAULT = 4096
 REFERENCE_CERTIFY = 1e-10
@@ -353,7 +353,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     sigma = 1.0 - float(fv @ fv) / (2.0 * s)
     explicit = w / (2.0 * s) + (float(fv @ w) / (4.0 * sigma * quad)) * fv
 
-    merged = split_merge_step(op, x, split_merge_coeffs(op, x, rho))
+    merged = split_merge_step(op, x, rho)[0]
     rel = float(np.linalg.norm(explicit - merged)) / float(np.linalg.norm(merged))
     return VhatCheck(
         passed=rel <= 1e-8,

@@ -25,7 +25,6 @@ from splitmerge import (
     power_step,
     sin_theta,
     solve,
-    split_merge_coeffs,
     split_merge_step,
     theorem51_bounds,
     verify_surrogate_dominance,
@@ -186,7 +185,7 @@ def test_criterion_6_split_merge_cross_validation():
         n = int(rng.integers(3, 17))
         op = random_psd_operator(rng, n)
         x = rng.standard_normal(n)
-        probe = split_merge_coeffs(op.share(), x)
+        probe = split_merge_step(op.share(), x)[1]
         if probe.degenerate:
             continue
         rho = max(1.0, probe.gamma / probe.mu * float(rng.uniform(1.05, 2.0)))
@@ -220,9 +219,8 @@ def test_criterion_7_power_method_equivalences():
         op = DenseOperator(np.diag(diag))
         x = np.zeros(n)
         x[int(rng.integers(0, n))] = float(2.0 ** rng.integers(-3, 4))
-        coeffs = split_merge_coeffs(op, x)
+        got, coeffs = split_merge_step(op, x)
         assert coeffs.degenerate
-        got = split_merge_step(op, x, coeffs)
         w = op.to_dense() @ x
         dca = w / (2.0 * math.sqrt(float(x @ w)))
         worst_dca = max(worst_dca, float(np.linalg.norm(got - dca) / np.linalg.norm(dca)))

@@ -263,6 +263,11 @@ class TestRunExperiment:
         assert str(info.value) == message
         assert not (tmp_path / "out").exists()
 
+    def test_synthetic_n_above_dense_limit_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="n = 65 is above dense_limit = 64"):
+            _config(tmp_path, n=65, dense_limit=64).validate()
+        _config(tmp_path, n=64, dense_limit=64).validate()
+
     def test_bad_solver_setting_fails_before_loading(self, tmp_path, monkeypatch):
         import splitmerge.bench as harness
 
@@ -409,6 +414,24 @@ class TestCli:
 
     def test_unknown_flag_exit_code(self):
         assert cli_main(["run", "--bogus", "3"]) == 1
+
+    def test_non_ascii_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_bytes("n = 16   # café\n".encode())
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and err.count("\n") == 1
+
+    def test_gen_above_dense_limit_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import splitmerge.cli as cli
+        from splitmerge.theory import DENSE_LIMIT_DEFAULT
+
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("the matrix was generated"))
+        out = tmp_path / "m.mtx"
+        n = DENSE_LIMIT_DEFAULT + 1
+        assert cli_main(["gen", "--n", str(n), "--gap", "0.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: n = {n} is above ")
+        assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2

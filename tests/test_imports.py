@@ -54,3 +54,19 @@ def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):
         "run_experiment(ExperimentConfig(n=SYMV_MIN_N, gap=0.2, trials=1, out_dir='out'))"
     )
     assert _loaded_after(body, tmp_path) == {"scipy.linalg"}
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    """A name deleted from the API cannot linger in ``__all__`` or in the imports."""
+    import ast
+
+    import splitmerge
+
+    tree = ast.parse((ROOT / "src" / "splitmerge" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = [name for name in imported if not name.startswith("_")]
+    assert sorted(splitmerge.__all__) == sorted(public)

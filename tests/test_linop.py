@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
@@ -498,6 +504,45 @@ def test_malformed_coordinate_entry_rejected(tmp_path, entry):
     )
     with pytest.raises(MatrixMarketError):
         load_matrix_market(path)
+
+
+_LOAD_EACH = """
+import json, sys
+from splitmerge import load_matrix_market
+loaded = []
+for path in sys.argv[1:]:
+    try:
+        loaded.append(load_matrix_market(path).to_dense().ravel().tolist())
+    except Exception as exc:
+        loaded.append(type(exc).__name__)
+print(json.dumps(loaded))
+"""
+
+
+def test_last_value_with_trailing_text_and_no_final_newline(tmp_path):
+    # scipy's parser crashed the interpreter on these files, so they load in
+    # one child interpreter, where a crash fails the test instead of pytest
+    bodies = {
+        "coordinate": "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 2 ",
+        "array": "%%MatrixMarket matrix array real general\n2 2\n2.0\n0.0\n0.0\n",
+    }
+    last = {"1.0x": 1.0, "1.5x": 1.5, "1.e": 1.0, "1e": 1.0, "1.5": 1.5, "nanx": None}
+    paths, expected = [], []
+    for fmt, body in bodies.items():
+        for i, (value, a22) in enumerate(last.items()):
+            path = tmp_path / f"{fmt}{i}.mtx"
+            path.write_bytes((body + value).encode())
+            paths.append(str(path))
+            expected.append("MatrixMarketError" if a22 is None else [2.0, 0.0, 0.0, a22])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD_EACH, *paths], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected
 
 
 def test_empty_coordinate_body(tmp_path):

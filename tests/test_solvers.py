@@ -18,7 +18,6 @@ from splitmerge import (
     power_momentum_step,
     power_step,
     solve,
-    split_merge_coeffs,
     split_merge_step,
 )
 from splitmerge.errors import (
@@ -159,7 +158,7 @@ class TestPowerMomentumStep:
 class TestSplitMergeCoeffs:
     def test_two_by_two_reference_values(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x, "fixed_one_with_safeguard")
+        c = split_merge_step(diag21, x, "fixed_one_with_safeguard")[1]
         assert not c.degenerate
         assert c.rho == 1.0
         assert c.mu == pytest.approx(SM2X2["mu"], abs=1e-14)
@@ -170,10 +169,10 @@ class TestSplitMergeCoeffs:
 
     def test_zero_quadratic_form_not_differentiable(self):
         with pytest.raises(NonDifferentiablePointError):
-            split_merge_coeffs(DenseOperator(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
+            split_merge_step(DenseOperator(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
 
     def test_eigenvector_degenerates_to_dca(self, diag21):
-        c = split_merge_coeffs(diag21, np.array([1.0, 0.0]))
+        c = split_merge_step(diag21, np.array([1.0, 0.0]))[1]
         assert c.degenerate
         assert c.omega == 0.0
         assert c.mu == pytest.approx(2.0 * math.sqrt(2.0))
@@ -181,30 +180,30 @@ class TestSplitMergeCoeffs:
 
     def test_convergence_guaranteed_rho(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x, "convergence_guaranteed")
+        c = split_merge_step(diag21, x, "convergence_guaranteed")[1]
         assert c.rho == pytest.approx(SM2X2["rho_cg"], abs=1e-13)
         assert c.zeta >= 0.0
 
     def test_constant_rho_sigma_violation(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        healthy = split_merge_coeffs(diag21, x, 1.0)
+        healthy = split_merge_step(diag21, x, 1.0)[1]
         bad_rho = 0.5 * healthy.gamma / healthy.mu
         with pytest.raises(SigmaNotPositiveError):
-            split_merge_coeffs(diag21, x, bad_rho)
+            split_merge_step(diag21, x, bad_rho)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
     def test_constant_rho_must_be_finite_and_positive(self, diag21, rho):
         with pytest.raises(ValueError, match="finite and positive"):
-            split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho)
+            split_merge_step(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho)
 
     @pytest.mark.parametrize("rho", ["bogus", 0.0])
     def test_bad_policy_rejected_at_an_eigenvector(self, diag21, rho):
         with pytest.raises(ValueError):
-            split_merge_coeffs(diag21, np.array([1.0, 0.0]), rho)
+            split_merge_step(diag21, np.array([1.0, 0.0]), rho)
 
     def test_two_matvecs(self, diag21):
         before = diag21.matvec_count
-        split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
+        split_merge_step(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
         assert diag21.matvec_count == before + 2
 
     def test_safeguard_keeps_sigma_positive(self, rng):
@@ -215,7 +214,7 @@ class TestSplitMergeCoeffs:
             n = int(rng.integers(3, 12))
             op = random_psd_operator(rng, n)
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2)
-            c = split_merge_coeffs(op, x, "fixed_one_with_safeguard")
+            c = split_merge_step(op, x, "fixed_one_with_safeguard")[1]
             assert c.degenerate or c.sigma > 0.0
             if not c.degenerate and c.rho != 1.0:
                 hits += 1
@@ -226,29 +225,12 @@ class TestSplitMergeCoeffs:
 class TestSplitMergeStep:
     def test_two_by_two_reference_iterate(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x)
-        x1 = split_merge_step(diag21, x, c)
+        x1 = split_merge_step(diag21, x)[0]
         np.testing.assert_allclose(x1, SM2X2["x1"], atol=1e-14)
         sin1 = math.sqrt(1.0 - (x1[0] / np.linalg.norm(x1)) ** 2)
         assert sin1 == pytest.approx(SM2X2["sin1"], abs=1e-13)
         # one step beats the power step's 1/sqrt(5) from the same start
         assert sin1 < 1.0 / math.sqrt(5.0)
-
-    def test_no_extra_matvecs(self, diag21):
-        x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x)
-        before = diag21.matvec_count
-        split_merge_step(diag21, x, c)
-        assert diag21.matvec_count == before
-
-    def test_cached_products_left_as_they_are(self, diag21):
-        x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x)
-        w, z = c.w.copy(), c.z.copy()
-        first = split_merge_step(diag21, x, c)
-        np.testing.assert_array_equal(split_merge_step(diag21, x, c), first)
-        np.testing.assert_array_equal(c.w, w)
-        np.testing.assert_array_equal(c.z, z)
 
     def test_degenerate_step_is_dca_iterate(self, rng):
         # eigenvectors with exactly-representable arithmetic (entries k/64,
@@ -260,33 +242,29 @@ class TestSplitMergeStep:
             i = int(rng.integers(0, n))
             x = np.zeros(n)
             x[i] = float(2.0 ** rng.integers(-3, 4))
-            c = split_merge_coeffs(op, x)
+            got, c = split_merge_step(op, x)
             assert c.degenerate
-            got = split_merge_step(op, x, c)
             w = op.to_dense() @ x
             dca = w / (2.0 * math.sqrt(float(x @ w)))
             assert np.linalg.norm(got - dca) <= 1e-12 * np.linalg.norm(dca)
 
     def test_x_of_wrong_length_rejected(self, diag21):
-        c = split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
         with pytest.raises(DimensionMismatchError):
-            split_merge_step(diag21, np.ones(3), c)
-
-    def test_coefficients_of_another_operator_rejected(self, diag21):
-        c = split_merge_coeffs(diag21, np.array([1.0, 1.0]) / math.sqrt(2))
-        op3 = DenseOperator(np.diag([3.0, 2.0, 1.0]))
-        with pytest.raises(DimensionMismatchError):
-            split_merge_step(op3, np.ones(3), c)
+            split_merge_step(diag21, np.ones(3))
 
     def test_overflow_guard(self, diag21):
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        c = split_merge_coeffs(diag21, x)
-        huge = SplitMergeCoefficients(
+        kernel = IterationKernel(2, "split_merge", "fixed_one_with_safeguard")
+        w = diag21.apply(x)
+        z = diag21.apply(w)
+        kernel.measure(x, w, z)
+        c = kernel.coeffs
+        kernel.coeffs = SplitMergeCoefficients(
             mu=c.mu, gamma=c.gamma, sigma=c.sigma, zeta=1e200, omega=1e200,
-            rho=c.rho, degenerate=False, w=c.w, z=c.z,
+            rho=c.rho, degenerate=False,
         )
         with pytest.raises(OverflowGuardError), pytest.warns(RuntimeWarning, match="overflow"):
-            split_merge_step(diag21, x, huge)
+            kernel.update(x, w, z)
 
 
 @pytest.mark.parametrize("n", [128, 1000])
@@ -302,10 +280,9 @@ def test_steps_ignore_memory_layout(rng, n):
     ref = power_momentum_step(op, x.copy(), x_prev.copy(), 0.2)
     same(got[0], ref[0])
     same(got[1], ref[1])
-    got, ref = split_merge_coeffs(op, x), split_merge_coeffs(op, x.copy())
-    for name in ("mu", "gamma", "sigma", "zeta", "omega", "rho", "degenerate"):
-        assert getattr(got, name) == getattr(ref, name), name
-    same(split_merge_step(op, x, got), split_merge_step(op, x.copy(), ref))
+    got, ref = split_merge_step(op, x), split_merge_step(op, x.copy())
+    same(got[0], ref[0])
+    assert got[1] == ref[1]
 
 
 class TestSolverConfig:
@@ -553,7 +530,6 @@ class TestSolveObservability:
             x0=np.array([1.0, 0.0]),
         )
         assert res.degenerate_fallbacks == len(res.trace.coeffs) >= 1
-        assert all(c.w is None and c.z is None for c in res.trace.coeffs)
 
 
 def _tridiagonal(n, seed):
@@ -636,7 +612,7 @@ class TestBlockBoundaries:
         assert _relative(nxt, y / np.linalg.norm(y)) <= 1e-13
         assert _relative(prev, x / np.linalg.norm(y)) <= 1e-13
 
-        coeffs = split_merge_coeffs(op, x, "fixed_one_with_safeguard")
+        merged, coeffs = split_merge_step(op, x, "fixed_one_with_safeguard")
         assert not coeffs.degenerate
         mu = 2.0 * math.sqrt(quad)
         gamma = ref["num"] / ref["den"]
@@ -647,5 +623,27 @@ class TestBlockBoundaries:
         expected = {"mu": mu, "gamma": gamma, "rho": rho, "sigma": sigma, "zeta": zeta, "omega": omega}
         for name, value in expected.items():
             assert abs(getattr(coeffs, name) - value) <= 1e-13 * abs(value), name
-        merged = split_merge_step(op, x, coeffs)
         assert _relative(merged, zeta * w + omega * z) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [128, BLOCK + 17])
+@pytest.mark.parametrize("method", METHODS)
+def test_public_step_is_the_drivers_first_step(n, method):
+    """Each public step from x0 gives the bits of solve's first update from x0."""
+    op = _tridiagonal(n, 2)
+    x0 = init_vector(n, 3, op)
+    alpha, beta, rho = 0.3, 0.2, "convergence_guaranteed"    # each method reads its own
+    config = SolverConfig(method, alpha=alpha, beta=beta, rho_policy=rho, stop_mode="residual",
+                          residual_tol=1e-300, max_iter=1)
+    res = solve(op, config, x0=x0)
+    assert res.iterations == 1 and not res.converged
+    if method == "power":
+        step = power_step(op, x0)
+    elif method == "gd_difference":
+        step = gd_step(op, x0, alpha)
+    elif method == "power_momentum":
+        step = power_momentum_step(op, x0, np.zeros(n), beta)[0]
+    else:
+        step, coeffs = split_merge_step(op, x0, rho)
+        assert res.trace.coeffs[0] == coeffs
+    np.testing.assert_array_equal(res.x, step)

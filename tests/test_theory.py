@@ -23,7 +23,6 @@ from splitmerge import (
     reference_dominant_eigenpair,
     sin_theta,
     solve,
-    split_merge_coeffs,
     split_merge_step,
     theorem51_bounds,
     verify_surrogate_dominance,
@@ -370,7 +369,7 @@ class TestVhatFormula:
             n = int(rng.integers(3, 17))
             op = random_psd_operator(rng, n)
             x = rng.standard_normal(n)
-            coeffs = split_merge_coeffs(op.share(), x, "fixed_one_with_safeguard")
+            coeffs = split_merge_step(op.share(), x, "fixed_one_with_safeguard")[1]
             if coeffs.degenerate:
                 continue
             rho = max(1.0, coeffs.gamma / coeffs.mu * float(rng.uniform(1.05, 2.0)))
