@@ -9,6 +9,17 @@ A synthetic n above ``dense_limit`` is refused: its matrix is built dense.
 Timing wraps the solver loop only. Trials run one after another in this
 process, and records are reported in (solver, trial) order.
 
+Results stream to ``out`` as the experiment runs. ``<out>/traces`` and
+``<out>/progress.jsonl`` are made before the matrix is loaded or generated,
+so an unwritable ``out`` fails before any work. As each trial's solvers
+finish, their trace CSVs are written and each record's ``result`` is
+dropped, so at most one trial's traces are held at a time. One flushed JSON
+line per event goes to ``progress.jsonl``: each set-up stage
+(``generate``, ``load_matrix_market``, ``dense_eigendecomposition``,
+``reference_dominant_eigenpair``) with its trial or null, seconds and
+matvecs, and each (solver, trial) run with its outcome and trace path.
+``report.json`` is written once the last trial ends.
+
 Config files are plain ``key = value`` text with ``#`` comments::
 
     source = synthetic            # synthetic | matrix_market
@@ -174,15 +185,47 @@ class RunReport:
         }
 
 
-def _ground_truth_for(config: ExperimentConfig, op: LinearOperator):
+PROGRESS = "progress.jsonl"
+
+
+class _Progress:
+    """Writer of ``progress.jsonl``: one JSON object per line, flushed as written."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def line(self, **fields) -> None:
+        self._fh.write(json.dumps(fields) + "\n")
+        self._fh.flush()
+
+    def stage(self, name: str, trial: int | None, call, *args, **kwargs):
+        """``call(*args, **kwargs)``, logged as set-up stage ``name``."""
+        start = time.perf_counter()
+        value = call(*args, **kwargs)
+        # only the ARPACK reference makes matvecs, on its own counter
+        self.line(stage=name, trial=trial, seconds=time.perf_counter() - start,
+                  matvecs=getattr(value, "matvecs", 0))
+        return value
+
+    def run(self, rec: "TrialRecord", trace: str | None) -> None:
+        self.line(solver=rec.solver, trial=rec.trial, seconds=rec.seconds, matvecs=rec.matvecs,
+                  iterations=rec.iterations, converged=rec.converged,
+                  stop_reason=rec.stop_reason, error=rec.error, trace=trace)
+
+
+def _ground_truth_for(config: ExperimentConfig, op: LinearOperator, progress: _Progress):
     """Oracle ground truth for a Matrix Market operator, or None in residual mode."""
     if config.stop_mode != "oracle":
         return None
     if op.n <= config.dense_limit:
-        return dense_eigendecomposition(op, dense_limit=config.dense_limit)
+        spectrum = progress.stage("dense_eigendecomposition", None, dense_eigendecomposition, op,
+                                  dense_limit=config.dense_limit)
+        for setting in config.solvers:   # n = 1 has no lambda2 for beta=auto
+            _solver_config(setting, config, _auto_beta(spectrum))
+        return spectrum
     for setting in config.solvers:   # the ARPACK pair has no lambda2 for beta=auto
         _solver_config(setting, config, auto_beta=None)
-    return reference_dominant_eigenpair(op)
+    return progress.stage("reference_dominant_eigenpair", None, reference_dominant_eigenpair, op)
 
 
 def _solver_config(setting: SolverSetting, config: ExperimentConfig, auto_beta) -> SolverConfig:
@@ -212,9 +255,12 @@ def _auto_beta(ground_truth) -> float | None:
     return None
 
 
-def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord]:
+def _run_trial(
+    config: ExperimentConfig, trial: int, shared, progress: _Progress
+) -> list[TrialRecord]:
     if config.source == "synthetic":
-        op, truth = generate(SyntheticSpec(n=config.n, gap=config.gap, seed=config.seed + trial))
+        spec = SyntheticSpec(n=config.n, gap=config.gap, seed=config.seed + trial)
+        op, truth = progress.stage("generate", trial, generate, spec)
     else:
         op, truth = shared
 
@@ -253,22 +299,46 @@ def _run_trial(config: ExperimentConfig, trial: int, shared) -> list[TrialRecord
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Execute all (solver x trial) runs, write traces and the report."""
+    """Execute all (solver x trial) runs, streaming traces and progress; then the report.
+
+    Each record's ``result`` is None on return: its trace is on disk.
+    """
     config.validate()
     out_dir = Path(config.out_dir)
-    shared = None
-    if config.source == "matrix_market":
-        op = load_matrix_market(config.matrix_path)
-        shared = (op, _ground_truth_for(config, op))
+    fresh = not out_dir.exists()
+    traces_dir = out_dir / "traces"
+    traces_dir.mkdir(parents=True, exist_ok=True)
+    records, paths = [], {}
+    with open(out_dir / PROGRESS, "w", encoding="ascii") as fh:
+        progress = _Progress(fh)
+        shared = None
+        if config.source == "matrix_market":
+            op = progress.stage("load_matrix_market", None, load_matrix_market, config.matrix_path)
+            try:
+                shared = (op, _ground_truth_for(config, op, progress))
+            except ConfigError:
+                if fresh:    # a config error leaves no output, as one found before the load does
+                    fh.close()
+                    (out_dir / PROGRESS).unlink()
+                    traces_dir.rmdir()
+                    out_dir.rmdir()
+                raise
 
-    records = [rec for t in range(config.trials) for rec in _run_trial(config, t, shared)]
+        for trial in range(config.trials):
+            trial_records = _run_trial(config, trial, shared, progress)
+            solved = [rec for rec in trial_records if rec.result is not None]
+            for rec, path in zip(solved, emit_traces(solved, traces_dir)):
+                paths[rec.solver, rec.trial] = str(path)
+                rec.result = None
+            for rec in trial_records:
+                progress.run(rec, paths.get((rec.solver, rec.trial)))
+            records += trial_records
+
     records.sort(key=lambda r: (r.solver, r.trial))
-
-    trace_paths = emit_traces(records, out_dir / "traces")   # makes out_dir too
     baseline = _baseline_label(config)
     report = RunReport(
         baseline=baseline, stats=_aggregate(config, records, baseline), records=records,
-        trace_paths=[str(p) for p in trace_paths],
+        trace_paths=[paths[key] for key in sorted(paths)],
     )
     with open(out_dir / "report.json", "w", encoding="ascii") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -336,6 +406,8 @@ TRACE_HEADER = "k,sin_theta,f_minus_fstar,rayleigh,residual,matvecs,seconds,neg_
 # One row of the trace CSV (csv-module line ending). NaN prints as "nan" and
 # is then blanked, so unavailable values are empty cells.
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g\r\n"
+# Rows formatted at a time: the temporaries stay ~1 MB however long the trace.
+TRACE_BLOCK = 4096
 
 
 def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
@@ -347,28 +419,33 @@ def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
         if rec.result is None:
             continue
         path = out_dir / f"{_slug(rec.solver)}__trial{rec.trial:03d}.csv"
-        trace = rec.result.trace
-        rows = len(trace.matvecs)
-        if trace.coeffs:
-            nzo = [c.neg_zeta_over_omega for c in trace.coeffs]
-        else:
-            nzo = np.full(rows, math.nan)
-        table = np.column_stack([
-            np.arange(rows),
-            trace.sin_theta,
-            np.asarray(trace.f_value) - rec.f_star,
-            trace.rayleigh,
-            trace.residual,
-            trace.matvecs,
-            trace.seconds,
-            nzo,
-        ])
-        body = (_TRACE_ROW * rows) % tuple(table.ravel().tolist())
         with open(path, "w", newline="", encoding="ascii") as fh:
             fh.write(TRACE_HEADER + "\r\n")
-            fh.write(body.replace(",nan", ","))
+            _write_rows(fh, rec.result.trace, rec.f_star)
         paths.append(path)
     return paths
+
+
+def _write_rows(fh, trace, f_star: float) -> None:
+    rows = len(trace.matvecs)
+    for start in range(0, rows, TRACE_BLOCK):
+        block = slice(start, min(start + TRACE_BLOCK, rows))
+        size = block.stop - start
+        if trace.coeffs:
+            nzo = [c.neg_zeta_over_omega for c in trace.coeffs[block]]
+        else:
+            nzo = np.full(size, math.nan)
+        table = np.column_stack([
+            np.arange(start, block.stop),
+            trace.sin_theta[block],
+            np.asarray(trace.f_value[block]) - f_star,
+            trace.rayleigh[block],
+            trace.residual[block],
+            trace.matvecs[block],
+            trace.seconds[block],
+            nzo,
+        ])
+        fh.write(((_TRACE_ROW * size) % tuple(table.ravel().tolist())).replace(",nan", ","))
 
 
 def _slug(label: str) -> str:

@@ -467,6 +467,8 @@ def _vector(v, n: int, name: str) -> np.ndarray:
 def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
     """One iteration of ``kernel``'s method from x. One matvec, two for split_merge."""
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
+    if not np.isfinite(x).all():    # x'Ax is then not finite, as solve refuses too
+        raise NonDifferentiablePointError("step from an x with a nan or inf entry")
     w = op.apply(x)
     z = op.apply(w) if kernel.method == "split_merge" else None
     kernel.measure(x, w, z)

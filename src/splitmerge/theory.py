@@ -71,6 +71,7 @@ class DominantReference:
     lambda1: float
     u1: np.ndarray
     residual: float
+    matvecs: int        # products on the reference's own counter, the certificate's included
 
 
 @dataclass
@@ -149,7 +150,7 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
             f"ARPACK reference residual {resid:.3e} not certified below "
             f"{REFERENCE_CERTIFY:.0e}*lambda (lambda = {r:.6g})"
         )
-    return DominantReference(lambda1=r, u1=x, residual=resid)
+    return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=view.matvec_count)
 
 
 @dataclass

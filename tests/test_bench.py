@@ -30,6 +30,22 @@ def _config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+def _solve_results(monkeypatch):
+    """The list that every SolveResult bench.solve returns is appended to, in call order."""
+    import splitmerge.bench as harness
+
+    results = []
+    real_solve = harness.solve
+
+    def spy(op, config, ground_truth=None, x0=None):
+        result = real_solve(op, config, ground_truth=ground_truth, x0=x0)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "solve", spy)
+    return results
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -79,11 +95,15 @@ class TestRunExperiment:
         assert {s["solver"] for s in payload["solvers"]} == {"power", "split_merge"}
         assert len(payload["trials"]) == 6
 
-    def test_matvec_totals_exact(self, tmp_path):
+    def test_matvec_totals_exact(self, tmp_path, monkeypatch):
+        results = _solve_results(monkeypatch)
         report = run_experiment(_config(tmp_path, trials=2))
+        # solves run trial by trial, solvers in config order
+        by_key = dict(zip([(s, t) for t in range(2) for s in ("power", "split_merge")], results))
         for rec in report.records:
-            assert rec.result is not None
-            assert rec.matvecs == rec.result.trace.matvecs[-1]
+            assert rec.result is None    # its trace is on disk
+            result = by_key[rec.solver, rec.trial]
+            assert rec.matvecs == result.trace.matvecs[-1]
             per_iter = 2 if rec.solver == "split_merge" else 1
             assert rec.matvecs == per_iter * (rec.iterations + 1)
 
@@ -178,6 +198,12 @@ class TestRunExperiment:
             assert isinstance(truth, DominantReference)
             resid = np.linalg.norm(dense @ truth.u1 - truth.lambda1 * truth.u1)
             assert resid <= 1e-10 * truth.lambda1
+        # the reference's own counter, not the shared operator's, gives its stage line
+        stages = [line for line in _progress(config) if "stage" in line]
+        assert [line["stage"] for line in stages] == [
+            "load_matrix_market", "reference_dominant_eigenpair",
+        ]
+        assert stages[1]["matvecs"] == truths[0].matvecs > 0
 
     def test_seconds_column_round_trips_report(self, tmp_path):
         from splitmerge.bench import _slug
@@ -313,6 +339,121 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="beta=auto"):
             run_experiment(config)
         assert not (tmp_path / "out").exists()
+
+
+class TestStreaming:
+    def test_progress_lines_in_event_order(self, tmp_path):
+        config = _config(tmp_path, trials=2)
+        report = run_experiment(config)
+        lines = _progress(config)
+        assert [(line.get("stage"), line.get("solver"), line["trial"]) for line in lines] == [
+            ("generate", None, 0), (None, "power", 0), (None, "split_merge", 0),
+            ("generate", None, 1), (None, "power", 1), (None, "split_merge", 1),
+        ]
+        assert set(lines[0]) == {"stage", "trial", "seconds", "matvecs"}
+        assert lines[0]["matvecs"] == 0 and lines[0]["seconds"] > 0.0
+        records = {(r.solver, r.trial): r for r in report.records}
+        for line in lines:
+            if "solver" not in line:
+                continue
+            rec = records[line["solver"], line["trial"]]
+            assert line == {
+                "solver": rec.solver, "trial": rec.trial, "seconds": rec.seconds,
+                "matvecs": rec.matvecs, "iterations": rec.iterations,
+                "converged": rec.converged, "stop_reason": rec.stop_reason, "error": rec.error,
+                "trace": line["trace"],
+            }
+            assert line["trace"] in report.trace_paths
+        assert report.trace_paths == sorted(report.trace_paths)
+
+    def test_dense_oracle_stage_and_failed_run_lines(self, tmp_path):
+        mtx = tmp_path / "m.mtx"
+        cli_main(["gen", "--n", "10", "--gap", "0.3", "--seed", "1", "--out", str(mtx)])
+        config = _config(tmp_path, source="matrix_market", matrix_path=str(mtx), trials=1,
+                         solvers=[SolverSetting("power"),
+                                  SolverSetting("split_merge", {"rho_policy": 1e-9})])
+        run_experiment(config)
+        lines = _progress(config)
+        assert [line.get("stage") for line in lines[:2]] == [
+            "load_matrix_market", "dense_eigendecomposition",
+        ]
+        assert all(line["trial"] is None and line["matvecs"] == 0 for line in lines[:2])
+        failed = lines[3]
+        assert failed["error"].startswith("SigmaNotPositiveError")
+        assert failed["trace"] is None and failed["stop_reason"] == "error"
+
+    def test_interrupted_run_keeps_finished_trials(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        k = 2
+        real_solve = harness.solve
+        calls = []
+
+        def interrupt(op, config, ground_truth=None, x0=None):
+            calls.append(config.method)
+            if len(calls) == 2 * k + 1:     # trial k's first solve
+                raise KeyboardInterrupt
+            return real_solve(op, config, ground_truth=ground_truth, x0=x0)
+
+        monkeypatch.setattr(harness, "solve", interrupt)
+        config = _config(tmp_path, trials=k + 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+        out = Path(config.out_dir)
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [
+            f"{solver}__trial{t:03d}.csv" for solver in ("power", "split_merge") for t in range(k)
+        ]
+        lines = _progress(config)
+        runs = [(line["solver"], line["trial"]) for line in lines if "solver" in line]
+        assert runs == [(solver, t) for t in range(k) for solver in ("power", "split_merge")]
+        assert [line["trial"] for line in lines if "stage" in line] == list(range(k + 1))
+        assert not (out / "report.json").exists()
+
+    def test_rerun_truncates_progress(self, tmp_path):
+        config = _config(tmp_path, trials=2)
+        run_experiment(config)
+        config.trials = 1
+        run_experiment(config)
+        assert len(_progress(config)) == 3
+
+    def test_trace_longer_than_one_block_matches_one_shot_format(self, tmp_path):
+        from splitmerge.bench import _TRACE_ROW, TRACE_BLOCK, emit_traces
+        from splitmerge.solvers import IterationTrace
+
+        rows = 2 * TRACE_BLOCK + 3
+        rng = np.random.default_rng(5)
+        columns = rng.standard_normal((5, rows))
+        columns[0, ::7] = math.nan                 # sin theta missing on some rows
+        trace = IterationTrace(
+            method="split_merge", sin_theta=list(columns[0]), f_value=list(columns[1]),
+            rayleigh=list(columns[2]), lambda_of_x=[1.0] * rows, residual=list(columns[3]),
+            matvecs=list(range(2, 2 * rows + 2, 2)), seconds=list(np.abs(columns[4])),
+            coeffs=[_coeffs(z, 0.0 if i % 5 == 0 else 0.3) for i, z in enumerate(columns[4])],
+        )
+        (path,) = emit_traces([_record("split_merge", 0, trace, f_star=-0.25)], tmp_path)
+        nzo = [c.neg_zeta_over_omega for c in trace.coeffs]
+        table = np.column_stack([
+            np.arange(rows), trace.sin_theta, np.asarray(trace.f_value) + 0.25, trace.rayleigh,
+            trace.residual, trace.matvecs, trace.seconds, nzo,
+        ])
+        one_shot = (_TRACE_ROW * rows) % tuple(table.ravel().tolist())
+        expected = TRACE_HEADER + "\r\n" + one_shot.replace(",nan", ",")
+        assert path.read_bytes() == expected.encode()
+
+
+def _progress(config):
+    text = (Path(config.out_dir) / "progress.jsonl").read_text()
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def test_auto_beta_on_a_one_by_one_file_leaves_no_output(tmp_path):
+    mtx = tmp_path / "one.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2.0\n")
+    config = _config(tmp_path, source="matrix_market", matrix_path=str(mtx),
+                     solvers=parse_solver_list("power, power_momentum(beta=auto)"))
+    with pytest.raises(ConfigError, match="beta=auto"):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigParsing:
@@ -475,6 +616,17 @@ class TestCli:
     def test_gen_bad_gap_exit_code(self, tmp_path):
         assert cli_main(["gen", "--n", "8", "--gap", "2.0", "--out", str(tmp_path / "x.mtx")]) == 1
 
+    def test_run_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import splitmerge.bench as harness
+
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("generate was called"))
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("solve was called"))
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        assert cli_main(["run", "--n", "8", "--trials", "2", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
     def test_gen_unwritable_out_exit_code(self, tmp_path):
         target = tmp_path / "no_dir" / "x.mtx"
         assert cli_main(["gen", "--n", "4", "--gap", "0.5", "--out", str(target)]) == 2
@@ -541,14 +693,17 @@ def test_trace_csv_exact_bytes(tmp_path):
     )
 
 
-def test_report_carries_stop_reason_counters_and_failure_time(tmp_path):
+def test_report_carries_stop_reason_counters_and_failure_time(tmp_path, monkeypatch):
     # a constant rho far below gamma/mu makes sigma <= 0 at the first step
+    results = _solve_results(monkeypatch)
     config = _config(
         tmp_path, trials=2,
         solvers=[SolverSetting("power"), SolverSetting("split_merge"),
                  SolverSetting("split_merge", {"rho_policy": 1e-9})],
     )
     report = run_experiment(config)
+    # the failing entry raises, so per trial the spy sees power, then split_merge
+    by_key = dict(zip([(s, t) for t in range(2) for s in ("power", "split_merge")], results))
     payload = json.loads((Path(config.out_dir) / "report.json").read_text())
     for rec, entry in zip(report.records, payload["trials"]):
         assert entry["stop_reason"] == rec.stop_reason
@@ -557,7 +712,7 @@ def test_report_carries_stop_reason_counters_and_failure_time(tmp_path):
         assert type(entry["matvecs"]) is int and type(entry["seconds"]) is float
         if rec.error is None:
             assert rec.stop_reason == "converged"
-            coeffs = rec.result.trace.coeffs or []
+            coeffs = by_key[rec.solver, rec.trial].trace.coeffs or []
             assert rec.safeguard_activations == sum(c.rho > 1.0 for c in coeffs)
             assert rec.degenerate_fallbacks == sum(c.degenerate for c in coeffs)
         else:

@@ -1,11 +1,13 @@
-"""A solve retains O(n) plus a few scalars per iteration, not O(n) per iteration."""
+"""A solve retains O(n) plus a few scalars per iteration, not O(n) per iteration,
+and an experiment holds one trial's traces at a time, not every trial's."""
 
 import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
 
-from splitmerge import CsrOperator, SolverConfig, solve
+from splitmerge import CsrOperator, ExperimentConfig, SolverConfig, run_experiment, solve
+from splitmerge.bench import SolverSetting
 
 N = 100_000
 ITERATIONS = 300
@@ -36,3 +38,30 @@ def test_split_merge_run_retains_o_n_plus_o_k_scalars():
     assert retained <= 2 * vector + 1024 * (ITERATIONS + 1), retained
     # the iterate, the products, the kernel's buffers and x0: a bounded number of vectors
     assert peak <= 12 * vector, peak
+
+
+def _experiment_peak(tmp_path, trials):
+    # a residual stop no iterate meets: every trace runs to max_iter, 1001 records
+    config = ExperimentConfig(
+        n=24, gap=1e-3, trials=trials, seed=0, out_dir=str(tmp_path / f"t{trials}"),
+        solvers=[SolverSetting("power"), SolverSetting("split_merge")],
+        stop_mode="residual", residual_tol=1e-300, max_iter=1000,
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        report = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rec.stop_reason == "max_iter" for rec in report.records)
+    return peak - before
+
+
+def test_experiment_peak_does_not_grow_with_trials(tmp_path):
+    _experiment_peak(tmp_path, 1)    # first-call set-up, outside the comparison
+    two = _experiment_peak(tmp_path, 2)
+    eight = _experiment_peak(tmp_path, 8)
+    # six more trials add their records and paths, ~1 KiB each; holding their
+    # traces adds ~380 KiB each
+    assert eight <= two + 64 * 1024, (two, eight)

@@ -93,3 +93,33 @@ def test_reference_sweep_prints_each_cell_and_the_library_call():
         assert row["lambda1"] == pytest.approx(rows[0]["lambda1"], rel=1e-12)
     # the library's call is the (REFERENCE_TOL, REFERENCE_NCV) cell plus one residual matvec
     assert rows[4]["matvecs"] == rows[3]["matvecs"] + 1
+
+
+def test_stream_memory_reports_both_trees(tmp_path):
+    out = tmp_path / "bench.json"
+    lines = _run_script("stream_memory.py", "--parent", str(ROOT), "--out", str(out),
+                        "--trials", "1", "--pairs", "0")
+    payload = json.loads(out.read_text())
+    assert json.loads("\n".join(lines)) == payload
+    (row,) = payload["standalone"]
+    assert row["trials"] == 1
+    for side in ("parent", "change"):
+        assert 0.0 < row[side]["before_mib"] <= row[side]["peak_mib"]
+    assert payload["pairs"] == {} and payload["summary"] == {}
+
+
+def test_stream_memory_summary_counts_wins_by_direction():
+    import importlib.util
+
+    path = ROOT / "scripts" / "stream_memory.py"
+    spec = importlib.util.spec_from_file_location("stream_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pairs = [{"parent": {"rss": p, "speedup": p}, "change": {"rss": c, "speedup": c}}
+             for p, c in ((100.0, 80.0), (90.0, 90.0), (95.0, 99.0))]
+    metrics = [{"name": "rss", "better": "lower"}, {"name": "speedup", "better": "higher"}]
+    summary = module.summarize(pairs, metrics)
+    assert summary["rss"]["change_won"] == "1 of 3"        # the tie counts for neither
+    assert summary["speedup"]["change_won"] == "1 of 3"
+    assert summary["rss"]["parent_q1_median_q3"] == [92.5, 95.0, 97.5]
+    assert summary["rss"]["change_q1_median_q3"] == [85.0, 90.0, 94.5]

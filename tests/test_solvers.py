@@ -97,6 +97,20 @@ class TestPowerStep:
         np.testing.assert_array_equal(got, np.array([1.0, -1.0]) / math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("start", [(math.nan, 1.0), (math.inf, 1.0)], ids=["nan", "inf"])
+@pytest.mark.parametrize("step", [
+    power_step,
+    lambda op, x: gd_step(op, x, 0.9),
+    lambda op, x: power_momentum_step(op, x, np.zeros(2), 0.1),
+    split_merge_step,
+], ids=["power", "gd_difference", "power_momentum", "split_merge"])
+def test_non_finite_start_is_not_differentiable(diag21, step, start):
+    # as solve refuses it, and before a matvec could warn on the inf
+    with pytest.raises(NonDifferentiablePointError, match="nan or inf"):
+        step(diag21, np.array(start))
+    assert diag21.matvec_count == 0
+
+
 class TestGdStep:
     def test_fixed_point_at_minimizer_scale(self):
         op = DenseOperator(np.diag([4.0, 1.0]))
