@@ -11,9 +11,11 @@ process, and records are reported in (solver, trial) order.
 
 Results stream to ``out`` as the experiment runs. ``<out>/traces`` and
 ``<out>/progress.jsonl`` are made before the matrix is loaded or generated,
-so an unwritable ``out`` fails before any work. As each trial's solvers
-finish, their trace CSVs are written and each record's ``result`` is
-dropped, so at most one trial's traces are held at a time. One flushed JSON
+so an unwritable ``out`` fails before any work; if a file source's set-up
+(load or ground truth) then fails, the directories this run made are
+removed again. As each trial's solvers finish, their trace CSVs are written
+and each record's ``result`` is dropped, so at most one trial's traces are
+held at a time. One flushed JSON
 line per event goes to ``progress.jsonl``: each set-up stage
 (``generate``, ``load_matrix_market``, ``dense_eigendecomposition``,
 ``reference_dominant_eigenpair``) with its trial or null, seconds and
@@ -305,7 +307,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """
     config.validate()
     out_dir = Path(config.out_dir)
-    fresh = not out_dir.exists()
+    made = _missing_dirs(out_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     records, paths = [], {}
@@ -313,15 +315,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         progress = _Progress(fh)
         shared = None
         if config.source == "matrix_market":
-            op = progress.stage("load_matrix_market", None, load_matrix_market, config.matrix_path)
             try:
+                op = progress.stage("load_matrix_market", None, load_matrix_market,
+                                    config.matrix_path)
                 shared = (op, _ground_truth_for(config, op, progress))
-            except ConfigError:
-                if fresh:    # a config error leaves no output, as one found before the load does
+            except Exception:
+                if made:    # a failed set-up leaves no output, as a config error before it does
                     fh.close()
                     (out_dir / PROGRESS).unlink()
-                    traces_dir.rmdir()
-                    out_dir.rmdir()
+                    for path in [traces_dir, *made]:
+                        path.rmdir()
                 raise
 
         for trial in range(config.trials):
@@ -343,6 +346,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     with open(out_dir / "report.json", "w", encoding="ascii") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     return report
+
+
+def _missing_dirs(path: Path) -> list[Path]:
+    """``path`` and those of its ancestors that do not exist yet, deepest first."""
+    missing = []
+    while not path.exists():
+        missing.append(path)
+        path = path.parent
+    return missing
 
 
 def _baseline_label(config: ExperimentConfig) -> str:

@@ -456,6 +456,31 @@ def test_auto_beta_on_a_one_by_one_file_leaves_no_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_unreadable_matrix_leaves_no_output(tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    config = _config(tmp_path, source="matrix_market", matrix_path=str(tmp_path / "none.mtx"),
+                     out_dir=str(out))
+    with pytest.raises(OSError):
+        run_experiment(config)
+    assert list(tmp_path.iterdir()) == []       # the parents made for out are gone too
+
+
+def test_failed_set_up_keeps_an_existing_output_directory(tmp_path, monkeypatch):
+    import splitmerge.bench as harness
+    from splitmerge.errors import OracleConvergenceError
+
+    def no_oracle(op, dense_limit):
+        raise OracleConvergenceError("no convergence")
+
+    monkeypatch.setattr(harness, "load_matrix_market", lambda path: DenseOperator(np.eye(3)))
+    monkeypatch.setattr(harness, "dense_eigendecomposition", no_oracle)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OracleConvergenceError):
+        run_experiment(_config(tmp_path, source="matrix_market", matrix_path="m.mtx"))
+    assert (out / "traces").is_dir()
+
+
 class TestConfigParsing:
     def test_solver_list_grammar(self):
         settings = parse_solver_list("power, split_merge, gd_difference(alpha=0.9)")

@@ -95,26 +95,31 @@ def test_reference_sweep_prints_each_cell_and_the_library_call():
     assert rows[4]["matvecs"] == rows[3]["matvecs"] + 1
 
 
-def test_stream_memory_reports_both_trees(tmp_path):
-    out = tmp_path / "bench.json"
-    lines = _run_script("stream_memory.py", "--parent", str(ROOT), "--out", str(out),
-                        "--trials", "1", "--pairs", "0")
-    payload = json.loads(out.read_text())
-    assert json.loads("\n".join(lines)) == payload
-    (row,) = payload["standalone"]
-    assert row["trials"] == 1
-    for side in ("parent", "change"):
-        assert 0.0 < row[side]["before_mib"] <= row[side]["peak_mib"]
-    assert payload["pairs"] == {} and payload["summary"] == {}
+def _script_module(name):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stream_memory_measures_a_tree(tmp_path):
+    module = _script_module("stream_memory")
+    row = module.standalone(ROOT, 1, 0, tmp_path)
+    assert 0.0 < row["before_mib"] <= row["peak_mib"]
+    emitted = module.emit(ROOT, 2, 5, tmp_path)
+    assert emitted["seconds"] > 0.0 and emitted["peak_mb"] > 0.0
+
+
+def test_stream_memory_identity_of_a_tree_with_itself(tmp_path):
+    same = _script_module("stream_memory").identity(ROOT, ROOT, 1, 0, tmp_path)
+    assert same["differing"] == []
+    assert same["parent_files"] == 6        # four trace CSVs, progress.jsonl and report.json
 
 
 def test_stream_memory_summary_counts_wins_by_direction():
-    import importlib.util
-
-    path = ROOT / "scripts" / "stream_memory.py"
-    spec = importlib.util.spec_from_file_location("stream_memory", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _script_module("stream_memory")
     pairs = [{"parent": {"rss": p, "speedup": p}, "change": {"rss": c, "speedup": c}}
              for p, c in ((100.0, 80.0), (90.0, 90.0), (95.0, 99.0))]
     metrics = [{"name": "rss", "better": "lower"}, {"name": "speedup", "better": "higher"}]
