@@ -30,12 +30,20 @@ this one, each in fresh interpreters, with one BLAS thread:
 
 Both trees run this tree's ``perfbench/workloads.py`` for ``standalone`` and
 ``identity``. The JSON goes to ``--out`` and to standard output.
+
+This process stays small, and records its own peak as ``script_peak_mib``:
+on Linux a child's ``ru_maxrss`` starts at the peak its parent had reached
+when the child was spawned, so a script that once held ~100 MiB would floor
+every ``peak_rss_mb`` and ``peak_mib`` it measures there.
 """
 
 import argparse
+import hashlib
+import importlib.metadata
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -142,7 +150,7 @@ def identity(parent: Path, change: Path, trials: int, seed: int, tmp: Path) -> d
     out, written = tmp / "out", {}
     for side, tree in (("parent", parent), ("change", change)):
         _child(_TICKS, tree / "src", ROOT / "perfbench", trials, seed, tmp / "cache", out)
-        written[side] = {str(p.relative_to(out)): p.read_bytes()
+        written[side] = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).digest()
                          for p in sorted(out.rglob("*")) if p.is_file()}
         out.rename(tmp / side)
     differing = [name for name, data in written["parent"].items()
@@ -214,9 +222,6 @@ def _revision(tree: Path) -> str:
 
 
 def _host() -> dict:
-    import numpy
-    import scipy
-
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -225,7 +230,8 @@ def _host() -> dict:
     except OSError:
         pass
     return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__, "blas_threads": 1}
+            "numpy": importlib.metadata.version("numpy"),
+            "scipy": importlib.metadata.version("scipy"), "blas_threads": 1}
 
 
 def main(argv=None) -> int:
@@ -272,6 +278,7 @@ def main(argv=None) -> int:
     payload["verdict"] = verdict(pairs["small_file"])
     payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
     payload["pairs"] = pairs
+    payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)
     args.out.write_text(text + "\n")
