@@ -50,11 +50,15 @@ checked before any matrix is loaded; ``beta=auto`` on a file above
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import re
+import signal
 import statistics
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -327,15 +331,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                         path.rmdir()
                 raise
 
-        for trial in range(config.trials):
-            trial_records = _run_trial(config, trial, shared, progress)
-            solved = [rec for rec in trial_records if rec.result is not None]
-            for rec, path in zip(solved, emit_traces(solved, traces_dir)):
-                paths[rec.solver, rec.trial] = str(path)
-                rec.result = None
-            for rec in trial_records:
-                progress.run(rec, paths.get((rec.solver, rec.trial)))
-            records += trial_records
+        with _TraceWriter(traces_dir) as writer:
+            for trial in range(config.trials):
+                trial_records = _run_trial(config, trial, shared, progress)
+                solved = [rec for rec in trial_records if rec.result is not None]
+                for rec, path in zip(solved, writer.write(solved, trial + 1 < config.trials)):
+                    paths[rec.solver, rec.trial] = str(path)
+                    rec.result = None
+                for rec in trial_records:
+                    progress.run(rec, paths.get((rec.solver, rec.trial)))
+                records += trial_records
 
     records.sort(key=lambda r: (r.solver, r.trial))
     baseline = _baseline_label(config)
@@ -430,34 +435,142 @@ def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
     for rec in records:
         if rec.result is None:
             continue
-        path = out_dir / f"{_slug(rec.solver)}__trial{rec.trial:03d}.csv"
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            fh.write(TRACE_HEADER + "\r\n")
-            _write_rows(fh, rec.result.trace, rec.f_star)
+        path = _trace_path(out_dir, rec)
+        _write_trace(path, rec.f_star, _trace_columns(rec.result.trace))
         paths.append(path)
     return paths
 
 
-def _write_rows(fh, trace, f_star: float) -> None:
-    rows = len(trace.matvecs)
+def _trace_path(out_dir: Path, rec: TrialRecord) -> Path:
+    return out_dir / f"{_slug(rec.solver)}__trial{rec.trial:03d}.csv"
+
+
+def _trace_columns(trace) -> tuple:
+    """What a trace CSV is formatted from: six trace columns, then -zeta/omega or None."""
+    nzo = array("d", [c.neg_zeta_over_omega for c in trace.coeffs]) if trace.coeffs else None
+    return (trace.sin_theta, trace.f_value, trace.rayleigh, trace.residual, trace.matvecs,
+            trace.seconds, nzo)
+
+
+def _write_trace(path: Path, f_star: float, columns: tuple) -> None:
+    """The CSV written as ``<path>.tmp`` and renamed into place, so no reader sees part of it."""
+    tmp = path.with_name(path.name + ".tmp")
+    fh = open(tmp, "w", newline="", encoding="ascii")
+    try:
+        with fh:
+            fh.write(TRACE_HEADER + "\r\n")
+            _write_rows(fh, columns, f_star)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_traces(jobs: list) -> None:
+    """The helper process's task: ``_write_trace`` on each (path, f_star, columns)."""
+    for job in jobs:
+        _write_trace(*job)
+
+
+def _write_rows(fh, columns: tuple, f_star: float) -> None:
+    sin_theta, f_value, rayleigh, residual, matvecs, seconds, nzo = columns
+    rows = len(matvecs)
     for start in range(0, rows, TRACE_BLOCK):
         block = slice(start, min(start + TRACE_BLOCK, rows))
         size = block.stop - start
-        if trace.coeffs:
-            nzo = [c.neg_zeta_over_omega for c in trace.coeffs[block]]
-        else:
-            nzo = np.full(size, math.nan)
         table = np.column_stack([
             np.arange(start, block.stop),
-            trace.sin_theta[block],
-            np.asarray(trace.f_value[block]) - f_star,
-            trace.rayleigh[block],
-            trace.residual[block],
-            trace.matvecs[block],
-            trace.seconds[block],
-            nzo,
+            sin_theta[block],
+            np.asarray(f_value[block]) - f_star,
+            rayleigh[block],
+            residual[block],
+            matvecs[block],
+            seconds[block],
+            np.full(size, math.nan) if nzo is None else nzo[block],
         ])
         fh.write(((_TRACE_ROW * size) % tuple(table.ravel().tolist())).replace(",nan", ","))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # not on every platform
+        return os.cpu_count() or 1
+
+
+def _ignore_sigint() -> None:
+    # Ctrl-C reaches the whole process group; the parent waits for the write in flight
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+class _TraceWriter:
+    """Writes each trial's trace CSVs, in a helper process while the next trial solves.
+
+    A trial goes to the helper when a later trial exists, the process may
+    run on two or more CPUs and ``fork`` is available (spawn would re-import
+    the caller's ``__main__``; the helper only formats and writes, and never
+    calls BLAS). Otherwise, and always for the last trial, ``emit_traces``
+    writes it in this process. ``write`` first waits for the trial before,
+    so at most one trial is in the helper at a time, and re-raises the
+    helper's error there. The helper gets the trace columns only, never an
+    iterate. Leaving the ``with`` block waits for the write in flight, also
+    on an interrupt, and shuts the helper down.
+    """
+
+    def __init__(self, out_dir: Path):
+        self._dir = out_dir
+        self._pool = None
+        self._helper: bool | None = None    # decided at the first trial with a later one
+        self._pending = None
+
+    def __enter__(self) -> "_TraceWriter":
+        return self
+
+    def __exit__(self, kind, value, tb) -> None:
+        try:
+            if kind is None:
+                self.wait()
+            else:    # the exception already leaving wins over a failed write
+                with contextlib.suppress(Exception):
+                    self.wait()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+
+    def write(self, records: list[TrialRecord], later: bool) -> list[Path]:
+        """The CSV paths of ``records``' traces: written, or being written by the helper."""
+        self.wait()
+        if not (later and self._use_helper()):
+            return emit_traces(records, self._dir)
+        jobs = [(_trace_path(self._dir, rec), rec.f_star, _trace_columns(rec.result.trace))
+                for rec in records if rec.result is not None]
+        self._pending = self._pool.submit(_write_traces, jobs)
+        return [path for path, _, _ in jobs]
+
+    def wait(self) -> None:
+        """Wait for the write in flight, if any; its error is raised here."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            pending.result()
+        except BrokenProcessPool as exc:
+            raise OSError(f"the trace writer process died: {exc}") from exc
+
+    def _use_helper(self) -> bool:
+        if self._helper is None:
+            import multiprocessing
+
+            self._helper = _cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
+            if self._helper:
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(max_workers=1,
+                                                 mp_context=multiprocessing.get_context("fork"),
+                                                 initializer=_ignore_sigint)
+        return self._helper
 
 
 def _slug(label: str) -> str:

@@ -9,7 +9,8 @@ Exit codes: 0 on completion, 1 on configuration errors (including bad
 flags), 2 on I/O errors (unreadable files, malformed Matrix Market input,
 unwritable output), 3 on any other library error (a ``SplitMergeError``
 such as no usable starting vector or a failed ground-truth eigensolve),
-printed as ``error: <type>: <message>``.
+printed as ``error: <type>: <message>``, and on a failed allocation,
+printed as ``error: MemoryError: <message>``.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def main(argv=None) -> int:
         return 2
     except SplitMergeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:    # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

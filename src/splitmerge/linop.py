@@ -320,7 +320,7 @@ def _symmetrized(mat, path):
         raise AsymmetricMatrixError(
             f"{path}: 'general' matrix is asymmetric (max |a_ij - a_ji| = {asym:.3e})"
         )
-    return (mat + mat.T) * 0.5
+    return mat * 0.5 + mat.T * 0.5    # (A + A')/2 would overflow at entries near 1.8e308
 
 
 def save_matrix_market(op: LinearOperator, path) -> None:

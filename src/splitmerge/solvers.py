@@ -221,8 +221,18 @@ def _reductions(x, w, u1, with_wtw):
     )
 
 
+def _update_sums(x, w, with_quad, with_wtw):
+    """A step's pass 1: only the x'Ax and ||Ax||^2 its update reads, in ``_reductions``' order."""
+    return (float(x.dot(w)) if with_quad else 0.0, 0.0, float(w.dot(w)) if with_wtw else 0.0, 0.0)
+
+
 def _residual(x, w, scratch, r):
-    """||Ax - r*x||^2, the residual formed in scratch: the sum every pass 2 starts with."""
+    """||Ax - r*x||^2, the residual formed in scratch: the sum every pass 2 starts with.
+
+    A step's kernel passes r = None: it skips the residual, and this is 0.0.
+    """
+    if r is None:
+        return 0.0
     res = np.multiply(x, r, scratch)
     np.subtract(w, res, res)
     return float(res.dot(res))
@@ -329,6 +339,12 @@ class IterationKernel:
     ``_reductions``, ``_vectors`` and ``_finish``; scripts/kernel_parts.py
     times them and the block-boundary tests check their sums.
 
+    A kernel built with ``diagnostics=False`` serves one public step: pass 1
+    forms only the x'Ax and ||Ax||^2 its update reads (``_update_sums``;
+    none for momentum), pass 2 skips the residual, and ``measure`` returns
+    0.0 for x'x, u1'x and the residual and None for r. The update's bits
+    are the same either way.
+
     Updates go over Ax, the operator's fresh output, already in cache, so
     no buffer is swapped between iterations; Ax and A^2x are spent after.
 
@@ -349,12 +365,18 @@ class IterationKernel:
     ``a @ b`` or ``out=`` (BENCH_small_loop.json).
     """
 
-    def __init__(self, n: int, method: str, param=None, u1: np.ndarray | None = None):
+    def __init__(self, n: int, method: str, param=None, u1: np.ndarray | None = None,
+                 diagnostics: bool = True):
         self.method, self.param, self.u1 = method, param, u1
         # power_momentum: the previous iterate, scaled with the current
         self.prev = np.zeros(n) if method == "power_momentum" else None
         self.coeffs: SplitMergeCoefficients | None = None    # split_merge: what update applies
-        self._with_wtw = method in ("power", "split_merge")   # ||Ax||^2: power's norm, c
+        with_wtw = method in ("power", "split_merge")    # ||Ax||^2: power's norm, c
+        if diagnostics:
+            self._pass1 = (u1, with_wtw)
+        else:    # x'Ax: gd's step size and split-merge's scalars
+            self._pass1 = (method in ("gd_difference", "split_merge"), with_wtw)
+        self._diagnostics = diagnostics
         self._quad = self._norm = 0.0    # gd's x'Ax and the power or momentum norm, for update
         if n <= BLOCK:
             blocks = None
@@ -364,7 +386,7 @@ class IterationKernel:
             buffer = np.empty(BLOCK)    # the scratch of every block, so it stays in cache
             self._scratch = [buffer[: b.stop - b.start] for b in blocks]
         vectors, finish = _PASSES[method]
-        self._reductions = _blockwise(_reductions, blocks)
+        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks)
         self._vectors = _blockwise(vectors, blocks)
         self._finish = _blockwise(finish, blocks) if finish else None
 
@@ -372,9 +394,10 @@ class IterationKernel:
         """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""
         # a local function call specializes, an instance attribute's does not
         method, reductions, vectors = self.method, self._reductions, self._vectors
-        quad, xtx, wtw, u1x = reductions(x, w, self.u1, self._with_wtw)
+        quad, xtx, wtw, u1x = reductions(x, w, *self._pass1)
         self._quad = quad
-        r = quad / xtx if xtx else 0.0    # x'x = 0 only at x = 0, whose residual is 0 for any r
+        # x'x = 0 at x = 0, whose residual is 0 for any r, and in a step, which skips it
+        r = quad / xtx if xtx else (0.0 if self._diagnostics else None)
         if method == "power":
             self._norm = norm = math.sqrt(wtw)
             (rr,) = vectors(x, w, self._scratch, r, norm)
@@ -477,12 +500,12 @@ def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
 
 def power_step(op: LinearOperator, x: np.ndarray) -> np.ndarray:
     """Ax / ||Ax||. One matvec."""
-    return _step(IterationKernel(op.n, "power"), op, x)
+    return _step(IterationKernel(op.n, "power", diagnostics=False), op, x)
 
 
 def gd_step(op: LinearOperator, x: np.ndarray, alpha: float) -> np.ndarray:
     """(1 - 2*alpha)*x + alpha*Ax/sqrt(x'Ax), unnormalized. One matvec."""
-    return _step(IterationKernel(op.n, "gd_difference", alpha), op, x)
+    return _step(IterationKernel(op.n, "gd_difference", alpha, diagnostics=False), op, x)
 
 
 def power_momentum_step(
@@ -494,7 +517,7 @@ def power_momentum_step(
     recursion equivalent to the unnormalized scheme, so beta retains its
     meaning across iterations.
     """
-    kernel = IterationKernel(op.n, "power_momentum", beta)
+    kernel = IterationKernel(op.n, "power_momentum", beta, diagnostics=False)
     kernel.prev[:] = _vector(x_prev, op.n, "x_prev")
     return _step(kernel, op, x_curr), kernel.prev
 
@@ -504,7 +527,7 @@ def split_merge_step(
 ) -> tuple[np.ndarray, SplitMergeCoefficients]:
     """zeta*Ax + omega*A^2x; returns (it, the coefficients applied). Two matvecs."""
     _check_rho_policy(rho_policy)    # also where x is an eigenvector and rho goes unread
-    kernel = IterationKernel(op.n, "split_merge", rho_policy)
+    kernel = IterationKernel(op.n, "split_merge", rho_policy, diagnostics=False)
     return _step(kernel, op, x), kernel.coeffs
 
 

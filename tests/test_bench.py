@@ -441,6 +441,147 @@ class TestStreaming:
         assert path.read_bytes() == expected.encode()
 
 
+
+def _counting_executor(monkeypatch):
+    """The list every task handed to the trace writer's helper is appended to."""
+    import concurrent.futures
+
+    submitted = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return submitted
+
+
+def _no_executor(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the trace writer built a helper process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+class TestTraceWriter:
+    """Every trial but the last is written by one helper process while the next trial solves."""
+
+    def test_helper_csvs_are_the_inline_bytes(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        import splitmerge.bench as harness
+        from splitmerge.bench import TrialRecord, emit_traces
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)     # the helper even on one CPU
+        submitted = _counting_executor(monkeypatch)
+        results = _solve_results(monkeypatch)
+        report = run_experiment(_config(tmp_path, trials=4))
+        assert len(submitted) == 3 and multiprocessing.active_children() == []
+        # solves run trial by trial, solvers in config order; records are in (solver, trial) order
+        by_key = dict(zip([(s, t) for t in range(4) for s in ("power", "split_merge")], results))
+        inline = [TrialRecord(rec.solver, rec.trial, rec.converged, rec.iterations, rec.matvecs,
+                              rec.seconds, result=by_key[rec.solver, rec.trial], f_star=rec.f_star)
+                  for rec in report.records]
+        expected = emit_traces(inline, tmp_path / "inline")
+        assert [Path(p).name for p in report.trace_paths] == [p.name for p in expected]
+        for got, want in zip(report.trace_paths, expected):
+            assert Path(got).read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_failure_is_an_io_error(self, tmp_path, monkeypatch, capsys, cpus):
+        import shutil
+
+        import splitmerge.bench as harness
+
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        real_solve = harness.solve
+        calls = []
+
+        def break_traces(op, config, ground_truth=None, x0=None):
+            calls.append(config.method)
+            if len(calls) == 2:      # trial 0's last solve: traces/ becomes a file
+                shutil.rmtree(out / "traces")
+                (out / "traces").write_text("")
+            return real_solve(op, config, ground_truth=ground_truth, x0=x0)
+
+        monkeypatch.setattr(harness, "solve", break_traces)
+        with pytest.raises(OSError):
+            run_experiment(_config(tmp_path, trials=3))
+        calls.clear()
+        shutil.rmtree(out)
+        assert cli_main(["run", "--n", "24", "--trials", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["one_cpu", "one_trial"])
+    def test_no_helper_where_it_cannot_pay(self, tmp_path, monkeypatch, case):
+        import os
+
+        _no_executor(monkeypatch)
+        trials = 1 if case == "one_trial" else 3
+        if case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        report = run_experiment(_config(tmp_path, trials=trials))
+        traces = Path(report.trace_paths[0]).parent
+        assert sorted(p.name for p in traces.iterdir()) == [
+            f"{solver}__trial{t:03d}.csv" for solver in ("power", "split_merge")
+            for t in range(trials)
+        ]
+        for rec in report.records:
+            _, rows = _read_csv(traces / f"{rec.solver}__trial{rec.trial:03d}.csv")
+            assert len(rows) == rec.iterations + 1
+
+    def test_no_partial_csv_after_an_interrupted_write(self, tmp_path, monkeypatch):
+        import splitmerge.bench as harness
+
+        real_rows = harness._write_rows
+
+        def interrupt(fh, columns, f_star):
+            real_rows(fh, columns, f_star)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_write_rows", interrupt)
+        config = _config(tmp_path, trials=1)    # one trial: written in this process
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+        assert list((Path(config.out_dir) / "traces").iterdir()) == []
+
+    def test_no_tmp_file_or_process_left(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        import splitmerge.bench as harness
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        config = _config(tmp_path, trials=3)
+        run_experiment(config)
+        traces = Path(config.out_dir) / "traces"
+        assert len(list(traces.glob("*.csv"))) == 6 and list(traces.glob("*.tmp")) == []
+
+        real_solve = harness.solve
+        calls = []
+
+        def interrupt(op, config, ground_truth=None, x0=None):
+            calls.append(config.method)
+            if len(calls) == 5:     # trial 2's first solve, with trial 1 in the helper
+                raise KeyboardInterrupt
+            return real_solve(op, config, ground_truth=ground_truth, x0=x0)
+
+        monkeypatch.setattr(harness, "solve", interrupt)
+        config = _config(tmp_path / "interrupted", trials=4)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+        traces = Path(config.out_dir) / "traces"
+        assert sorted(p.name for p in traces.iterdir()) == [
+            f"{solver}__trial{t:03d}.csv" for solver in ("power", "split_merge") for t in range(2)
+        ]
+        assert multiprocessing.active_children() == []
+
+
 def _progress(config):
     text = (Path(config.out_dir) / "progress.jsonl").read_text()
     return [json.loads(line) for line in text.splitlines()]
@@ -628,6 +769,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: InitializationError: ")
         assert "Traceback" not in err
+
+    def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        import splitmerge.bench as harness
+
+        def too_big(spec):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(harness, "generate", too_big)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"n = 100000\ndense_limit = 100000\nout = {tmp_path / 'o'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
 
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"

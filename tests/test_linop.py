@@ -302,6 +302,15 @@ class TestMatrixMarket:
         assert isinstance(op, DenseOperator)
         np.testing.assert_allclose(op.to_dense(), [[2.0, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("variant", ["array real general", "coordinate real general"])
+    def test_symmetrizing_keeps_large_entries_finite(self, tmp_path, variant):
+        body = "2 2\n1e308\n-1.0\n-1.0\n1.5e308\n" if variant.startswith("array") else (
+            "2 2 4\n1 1 1e308\n1 2 -1.0\n2 1 -1.0\n2 2 1.5e308\n")
+        path = _write(tmp_path, "big.mtx", f"%%MatrixMarket matrix {variant}\n{body}")
+        with np.errstate(over="ignore"):    # the Frobenius norm of such entries is not checked here
+            op = load_matrix_market(path)
+        np.testing.assert_array_equal(op.to_dense(), [[1e308, -1.0], [-1.0, 1.5e308]])
+
     @pytest.mark.parametrize("off", ["nan", "inf", "abc"])
     def test_array_bad_value_rejected(self, tmp_path, off):
         # a NaN off-diagonal would also pass the symmetry check

@@ -128,3 +128,40 @@ def test_stream_memory_summary_counts_wins_by_direction():
     assert summary["speedup"]["change_won"] == "1 of 3"
     assert summary["rss"]["parent_q1_median_q3"] == [92.5, 95.0, 97.5]
     assert summary["rss"]["change_q1_median_q3"] == [85.0, 90.0, 94.5]
+
+
+def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):
+    module = _script_module("trace_writer_pairs")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def fake_perfbench(tree, workload, seed):
+        runs.append((tree, workload, seed))
+        wall = 9.0 if tree == ROOT.parent else 7.0      # the "parent" tree is slower
+        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0), "wall_s": wall + seed % 2}
+
+    monkeypatch.setattr(module, "perfbench", fake_perfbench)
+    monkeypatch.setattr(module, "identity", lambda *args: {"differing": []})
+    monkeypatch.setattr(module, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(ROOT.parent), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [(tree == ROOT, seed) for tree, workload, seed in runs[:4]] == [
+        (False, 51), (True, 51), (True, 52), (False, 52),
+    ]
+    assert [w for _, w, _ in runs[::4]] == list(module.WORKLOADS)
+    assert payload["verdict"]["metric"] == "small_file wall_s"
+    assert payload["verdict"]["change_lower"] == "2 of 2"
+    assert payload["summary"]["small_file"]["wall_s"]["change_won"] == "2 of 2"
+    for pair in payload["pairs"]["sparse_file"]:
+        assert pair["change"]["leftovers"]["tmp_files"] == 0
+
+
+def test_trace_writer_pairs_verdict_needs_a_drop_beyond_the_parent_spread():
+    module = _script_module("trace_writer_pairs")
+    pairs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}}
+             for p, c in zip([10.0, 9.0, 11.0, 10.0], [9.5, 8.5, 10.5, 9.5])]
+    result = module.verdict(pairs, "wall_s")
+    assert result["change_lower"] == "4 of 4"
+    assert result["median_drop"] == 0.5 and result["parent_iqr"] == 0.5
+    assert not result["met"]

@@ -661,3 +661,25 @@ def test_public_step_is_the_drivers_first_step(n, method):
         step, coeffs = split_merge_step(op, x0, rho)
         assert res.trace.coeffs[0] == coeffs
     np.testing.assert_array_equal(res.x, step)
+
+
+@pytest.mark.parametrize("n", [128, BLOCK + 17])
+@pytest.mark.parametrize("method", METHODS)
+def test_step_kernel_forms_only_what_its_update_reads(n, method):
+    """Without diagnostics, pass 1 forms x'Ax and ||Ax||^2 only where the update reads them,
+    pass 2 forms no residual, and the update keeps its bits."""
+    op = _tridiagonal(n, 4)
+    x = init_vector(n, 5, op)
+    param = {"gd_difference": 0.3, "power_momentum": 0.2, "split_merge": "fixed_one_with_safeguard"}
+    kernels = [IterationKernel(n, method, param.get(method), diagnostics=d) for d in (True, False)]
+    outputs = []
+    for kernel in kernels:
+        w = op.apply(x)
+        z = op.apply(w) if method == "split_merge" else None
+        outputs.append((kernel.measure(x, w, z), kernel.update(x, w, z), kernel.coeffs))
+    (full, full_next, full_coeffs), (step, step_next, step_coeffs) = outputs
+    quad = full[0] if method in ("gd_difference", "split_merge") else 0.0
+    assert step == (quad, 0.0, None, 0.0, 0.0)
+    assert full[1] > 0.0 and full[4] > 0.0
+    np.testing.assert_array_equal(step_next, full_next)
+    assert step_coeffs == full_coeffs
