@@ -15,7 +15,11 @@ so an unwritable ``out`` fails before any work; if a file source's set-up
 (load or ground truth) then fails, the directories this run made are
 removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
-held at a time. One flushed JSON
+held at a time. Where the process may run on two or more CPUs and ``fork``
+is available, one helper process writes every trial's CSVs but the last
+while the next trial solves (``_TraceWriter``); so a run line may name a
+CSV still being written. Each CSV is written under a ``.tmp`` name and
+renamed into place, so it appears complete. One flushed JSON
 line per event goes to ``progress.jsonl``: each set-up stage
 (``generate``, ``load_matrix_market``, ``dense_eigendecomposition``,
 ``reference_dominant_eigenpair``) with its trial or null, seconds and
@@ -257,7 +261,10 @@ def _solver_config(setting: SolverSetting, config: ExperimentConfig, auto_beta) 
 def _auto_beta(ground_truth) -> float | None:
     """The ideal momentum lambda2^2/4, or None without a full spectrum."""
     if isinstance(ground_truth, Spectrum) and ground_truth.eigenvalues.size > 1:
-        return float(ground_truth.eigenvalues[1]) ** 2 / 4.0
+        try:
+            return float(ground_truth.eigenvalues[1]) ** 2 / 4.0
+        except OverflowError:    # lambda2 above ~1e154; SolverConfig refuses an infinite beta
+            return math.inf
     return None
 
 

@@ -441,7 +441,6 @@ class TestStreaming:
         assert path.read_bytes() == expected.encode()
 
 
-
 def _counting_executor(monkeypatch):
     """The list every task handed to the trace writer's helper is appended to."""
     import concurrent.futures
@@ -782,6 +781,19 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err == "error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the Frobenius norm overflows
+    def test_huge_entries_exit_with_one_line(self, tmp_path, capsys):
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix array real general\n2 2\n1e200\n-1.0\n-1.0\n1.5e200\n")
+        out = str(tmp_path / "o")
+        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", out]) == 3
+        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", out,
+                         "--solvers", "power,power_momentum(beta=auto)"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: InitializationError: ")
+        assert err[1].startswith("config error: power_momentum(beta=auto): beta must be finite")
+        assert len(err) == 2
 
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"

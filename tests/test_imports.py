@@ -1,7 +1,8 @@
 """The heavy scipy submodules load only on the paths that need them.
 
 ``scipy.linalg`` comes in with the first dense operator of order
-``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``.
+``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``. The trace
+writer's process pool comes in with the first trial that has a later one.
 
 A fresh interpreter per case, since the test session itself imports them.
 """
@@ -16,13 +17,13 @@ ROOT = Path(__file__).resolve().parents[1]
 WATCHED = ("scipy.io", "scipy.sparse.linalg", "scipy.linalg")
 
 
-def _loaded_after(body: str, tmp_path) -> set[str]:
-    """The WATCHED modules loaded after running ``body`` in a new interpreter."""
+def _loaded_after(body: str, tmp_path, watched=WATCHED) -> set[str]:
+    """The ``watched`` modules loaded after running ``body`` in a new interpreter."""
     script = (
         "import json, sys\n"
         "from splitmerge import ExperimentConfig, run_experiment\n"
         f"{body}\n"
-        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -54,6 +55,12 @@ def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):
         "run_experiment(ExperimentConfig(n=SYMV_MIN_N, gap=0.2, trials=1, out_dir='out'))"
     )
     assert _loaded_after(body, tmp_path) == {"scipy.linalg"}
+
+
+def test_one_trial_run_loads_no_process_pool(tmp_path):
+    pool = ("multiprocessing", "concurrent.futures.process")
+    body = "run_experiment(ExperimentConfig(n=16, gap=0.2, trials=1, out_dir='out'))"
+    assert _loaded_after(body, tmp_path, pool) == set()
 
 
 def test_all_lists_exactly_the_imported_public_names():

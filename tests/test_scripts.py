@@ -108,7 +108,7 @@ def test_stream_memory_measures_a_tree(tmp_path):
     module = _script_module("stream_memory")
     row = module.standalone(ROOT, 1, 0, tmp_path)
     assert 0.0 < row["before_mib"] <= row["peak_mib"]
-    emitted = module.emit(ROOT, 2, 5, tmp_path)
+    emitted = module.emit(ROOT, 2, 2000, tmp_path)     # ~10 ms: its seconds are rounded to 1 ms
     assert emitted["seconds"] > 0.0 and emitted["peak_mb"] > 0.0
 
 
