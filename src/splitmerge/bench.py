@@ -54,7 +54,6 @@ checked before any matrix is loaded; ``beta=auto`` on a file above
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -522,7 +521,7 @@ class _TraceWriter:
     so at most one trial is in the helper at a time, and re-raises the
     helper's error there. The helper gets the trace columns only, never an
     iterate. Leaving the ``with`` block waits for the write in flight, also
-    on an interrupt, and shuts the helper down.
+    on an interrupt, and shuts the helper down; the helper ignores SIGINT.
     """
 
     def __init__(self, out_dir: Path):
@@ -534,16 +533,11 @@ class _TraceWriter:
     def __enter__(self) -> "_TraceWriter":
         return self
 
-    def __exit__(self, kind, value, tb) -> None:
-        try:
-            if kind is None:
-                self.wait()
-            else:    # the exception already leaving wins over a failed write
-                with contextlib.suppress(Exception):
-                    self.wait()
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown()
+    def __exit__(self, *exc) -> None:
+        # the last trial's write waited for the helper; after an exception (an
+        # interrupt, say) shutdown waits for the write in flight and drops its error
+        if self._pool is not None:
+            self._pool.shutdown()
 
     def write(self, records: list[TrialRecord], later: bool) -> list[Path]:
         """The CSV paths of ``records``' traces: written, or being written by the helper."""

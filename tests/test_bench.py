@@ -441,16 +441,28 @@ class TestStreaming:
         assert path.read_bytes() == expected.encode()
 
 
+class _Waited:
+    """A future that records whether its result was waited for."""
+
+    def __init__(self, future):
+        self.future, self.waited = future, False
+
+    def result(self, timeout=None):
+        self.waited = True
+        return self.future.result(timeout)
+
+
 def _counting_executor(monkeypatch):
-    """The list every task handed to the trace writer's helper is appended to."""
+    """The list of the trace writer's hand-offs; one made before the last was waited for fails."""
     import concurrent.futures
 
     submitted = []
 
     class Counting(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(fn, *args, **kwargs)
+            assert all(f.waited for f in submitted), "a second write in flight"
+            submitted.append(_Waited(super().submit(fn, *args, **kwargs)))
+            return submitted[-1]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
     return submitted
@@ -478,7 +490,8 @@ class TestTraceWriter:
         submitted = _counting_executor(monkeypatch)
         results = _solve_results(monkeypatch)
         report = run_experiment(_config(tmp_path, trials=4))
-        assert len(submitted) == 3 and multiprocessing.active_children() == []
+        assert len(submitted) == 3 and all(f.waited for f in submitted)
+        assert multiprocessing.active_children() == []
         # solves run trial by trial, solvers in config order; records are in (solver, trial) order
         by_key = dict(zip([(s, t) for t in range(4) for s in ("power", "split_merge")], results))
         inline = [TrialRecord(rec.solver, rec.trial, rec.converged, rec.iterations, rec.matvecs,
@@ -488,6 +501,17 @@ class TestTraceWriter:
         assert [Path(p).name for p in report.trace_paths] == [p.name for p in expected]
         for got, want in zip(report.trace_paths, expected):
             assert Path(got).read_bytes() == want.read_bytes()
+
+    def test_helper_ignores_sigint(self, tmp_path, monkeypatch):
+        import signal
+
+        import splitmerge.bench as harness
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        with harness._TraceWriter(tmp_path) as writer:
+            assert writer._use_helper()
+            handler = writer._pool.submit(signal.getsignal, signal.SIGINT).result(timeout=60)
+        assert handler == signal.SIG_IGN
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_write_failure_is_an_io_error(self, tmp_path, monkeypatch, capsys, cpus):
@@ -539,15 +563,18 @@ class TestTraceWriter:
         import splitmerge.bench as harness
 
         real_rows = harness._write_rows
+        written = []
 
         def interrupt(fh, columns, f_star):
             real_rows(fh, columns, f_star)
+            written.append(sorted(p.name for p in Path(fh.name).parent.iterdir()))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(harness, "_write_rows", interrupt)
         config = _config(tmp_path, trials=1)    # one trial: written in this process
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config)
+        assert written == [["power__trial000.csv.tmp"]]     # only the temporary name, while written
         assert list((Path(config.out_dir) / "traces").iterdir()) == []
 
     def test_no_tmp_file_or_process_left(self, tmp_path, monkeypatch):
