@@ -165,3 +165,12 @@ def test_trace_writer_pairs_verdict_needs_a_drop_beyond_the_parent_spread():
     assert result["change_lower"] == "4 of 4"
     assert result["median_drop"] == 0.5 and result["parent_iqr"] == 0.5
     assert not result["met"]
+
+
+def test_step_pairs_times_each_public_step():
+    module = _script_module("step_pairs")
+    timed = module.time_steps(ROOT, n=1000, repeat=2)
+    assert sorted(timed) == sorted(module.STEPS)
+    assert all(ms > 0.0 for ms in timed.values())
+    summary = module.summarize({"parent": [timed, timed], "change": [timed, timed]})
+    assert all(entry["change_over_parent"] == 1.0 for entry in summary.values())
