@@ -495,6 +495,8 @@ def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
     w = op.apply(x)
     z = op.apply(w) if kernel.method == "split_merge" else None
     kernel.measure(x, w, z)
+    if kernel.prev is not None:    # momentum read the caller's x_prev; x/||y|| goes elsewhere
+        kernel.prev = np.empty_like(x)
     return kernel.update(x, w, z)
 
 
@@ -518,7 +520,7 @@ def power_momentum_step(
     meaning across iterations.
     """
     kernel = IterationKernel(op.n, "power_momentum", beta, diagnostics=False)
-    kernel.prev[:] = _vector(x_prev, op.n, "x_prev")
+    kernel.prev = _vector(x_prev, op.n, "x_prev")    # only read, never written
     return _step(kernel, op, x_curr), kernel.prev
 
 

@@ -157,6 +157,15 @@ class TestPowerMomentumStep:
             prev, [0.52522573143889023, 0.52522573143889023], atol=1e-15
         )
 
+    def test_inputs_are_not_written(self, rng):
+        op = random_psd_operator(rng, 6)
+        x, x_prev = rng.standard_normal(6), rng.standard_normal(6)
+        before = x.copy(), x_prev.copy()
+        nxt, prev = power_momentum_step(op, x, x_prev, 0.3)
+        np.testing.assert_array_equal(x, before[0])
+        np.testing.assert_array_equal(x_prev, before[1])
+        assert not np.shares_memory(prev, x_prev) and not np.shares_memory(nxt, x)
+
     def test_exact_cancellation_breaks_down(self, diag21):
         x = np.array([1.0, 1.0])
         beta = 0.25
