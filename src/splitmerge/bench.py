@@ -505,9 +505,10 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ignore_sigint() -> None:
+def _start_helper() -> None:
     # Ctrl-C reaches the whole process group; the parent waits for the write in flight
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.nice(19)    # where it shares a CPU with the timed solves, they go first
 
 
 class _TraceWriter:
@@ -521,7 +522,8 @@ class _TraceWriter:
     so at most one trial is in the helper at a time, and re-raises the
     helper's error there. The helper gets the trace columns only, never an
     iterate. Leaving the ``with`` block waits for the write in flight, also
-    on an interrupt, and shuts the helper down; the helper ignores SIGINT.
+    on an interrupt, and shuts the helper down. The helper ignores SIGINT
+    and runs at the lowest priority.
     """
 
     def __init__(self, out_dir: Path):
@@ -570,7 +572,7 @@ class _TraceWriter:
 
                 self._pool = ProcessPoolExecutor(max_workers=1,
                                                  mp_context=multiprocessing.get_context("fork"),
-                                                 initializer=_ignore_sigint)
+                                                 initializer=_start_helper)
         return self._helper
 
 

@@ -502,7 +502,8 @@ class TestTraceWriter:
         for got, want in zip(report.trace_paths, expected):
             assert Path(got).read_bytes() == want.read_bytes()
 
-    def test_helper_ignores_sigint(self, tmp_path, monkeypatch):
+    def test_helper_ignores_sigint_at_the_lowest_priority(self, tmp_path, monkeypatch):
+        import os
         import signal
 
         import splitmerge.bench as harness
@@ -511,7 +512,8 @@ class TestTraceWriter:
         with harness._TraceWriter(tmp_path) as writer:
             assert writer._use_helper()
             handler = writer._pool.submit(signal.getsignal, signal.SIGINT).result(timeout=60)
-        assert handler == signal.SIG_IGN
+            niceness = writer._pool.submit(os.nice, 0).result(timeout=60)
+        assert handler == signal.SIG_IGN and niceness == 19
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_write_failure_is_an_io_error(self, tmp_path, monkeypatch, capsys, cpus):
