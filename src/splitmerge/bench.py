@@ -17,7 +17,8 @@ removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
 held at a time. Where the process may run on two or more CPUs and ``fork``
 is available, one helper process writes every trial's CSVs but the last
-while the next trial solves (``_TraceWriter``); so a run line may name a
+while the next trial solves, if they hold ``TRACE_BLOCK`` rows or more
+(``_TraceWriter``); so a run line may name a
 CSV still being written. Each CSV is written under a ``.tmp`` name and
 renamed into place, so it appears complete. One flushed JSON
 line per event goes to ``progress.jsonl``: each set-up stage
@@ -514,11 +515,15 @@ def _start_helper() -> None:
 class _TraceWriter:
     """Writes each trial's trace CSVs, in a helper process while the next trial solves.
 
-    A trial goes to the helper when a later trial exists, the process may
-    run on two or more CPUs and ``fork`` is available (spawn would re-import
-    the caller's ``__main__``; the helper only formats and writes, and never
-    calls BLAS). Otherwise, and always for the last trial, ``emit_traces``
-    writes it in this process. ``write`` first waits for the trial before,
+    A trial goes to the helper when a later trial exists, its traces hold at
+    least ``TRACE_BLOCK`` rows, the process may run on two or more CPUs and
+    ``fork`` is available (spawn would re-import the caller's ``__main__``;
+    the helper only formats and writes, and never calls BLAS). Otherwise,
+    and always for the last trial, ``emit_traces`` writes it in this
+    process. Fewer rows take milliseconds to write, and a fork costs more
+    where the process is large: on the 1e6-row sparse benchmark, whose
+    trials hold a few hundred rows, a helper made the later set-up and
+    solves a few percent slower. ``write`` first waits for the trial before,
     so at most one trial is in the helper at a time, and re-raises the
     helper's error there. The helper gets the trace columns only, never an
     iterate. Leaving the ``with`` block waits for the write in flight, also
@@ -544,7 +549,8 @@ class _TraceWriter:
     def write(self, records: list[TrialRecord], later: bool) -> list[Path]:
         """The CSV paths of ``records``' traces: written, or being written by the helper."""
         self.wait()
-        if not (later and self._use_helper()):
+        rows = sum(len(rec.result.trace.matvecs) for rec in records if rec.result is not None)
+        if not (later and rows >= TRACE_BLOCK and self._use_helper()):
             return emit_traces(records, self._dir)
         jobs = [(_trace_path(self._dir, rec), rec.f_star, _trace_columns(rec.result.trace))
                 for rec in records if rec.result is not None]

@@ -477,6 +477,14 @@ def _no_executor(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
+def _long_config(tmp_path, **overrides):
+    """Runs to max_iter: each trial's two traces hold just over TRACE_BLOCK rows together."""
+    from splitmerge.bench import TRACE_BLOCK
+
+    return _config(tmp_path, gap=1e-3, stop_mode="residual", residual_tol=1e-300,
+                   max_iter=TRACE_BLOCK // 2 + 50, **overrides)
+
+
 class TestTraceWriter:
     """Every trial but the last is written by one helper process while the next trial solves."""
 
@@ -489,7 +497,7 @@ class TestTraceWriter:
         monkeypatch.setattr(harness, "_cpus", lambda: 2)     # the helper even on one CPU
         submitted = _counting_executor(monkeypatch)
         results = _solve_results(monkeypatch)
-        report = run_experiment(_config(tmp_path, trials=4))
+        report = run_experiment(_long_config(tmp_path, trials=4))
         assert len(submitted) == 3 and all(f.waited for f in submitted)
         assert multiprocessing.active_children() == []
         # solves run trial by trial, solvers in config order; records are in (solver, trial) order
@@ -534,24 +542,33 @@ class TestTraceWriter:
             return real_solve(op, config, ground_truth=ground_truth, x0=x0)
 
         monkeypatch.setattr(harness, "solve", break_traces)
+        config = _long_config(tmp_path, trials=3)
         with pytest.raises(OSError):
-            run_experiment(_config(tmp_path, trials=3))
+            run_experiment(config)
         calls.clear()
         shutil.rmtree(out)
-        assert cli_main(["run", "--n", "24", "--trials", "3", "--out", str(out)]) == 2
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("".join(f"{key} = {getattr(config, key)}\n" for key in (
+            "n", "gap", "trials", "stop_mode", "residual_tol", "max_iter")))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["one_cpu", "one_trial"])
+    @pytest.mark.parametrize("case", ["one_cpu", "one_trial", "few_rows"])
     def test_no_helper_where_it_cannot_pay(self, tmp_path, monkeypatch, case):
         import os
+
+        import splitmerge.bench as harness
 
         _no_executor(monkeypatch)
         trials = 1 if case == "one_trial" else 3
         if case == "one_cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        report = run_experiment(_config(tmp_path, trials=trials))
+        else:
+            monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        make = _config if case == "few_rows" else _long_config
+        report = run_experiment(make(tmp_path, trials=trials))
         traces = Path(report.trace_paths[0]).parent
         assert sorted(p.name for p in traces.iterdir()) == [
             f"{solver}__trial{t:03d}.csv" for solver in ("power", "split_merge")
@@ -585,7 +602,7 @@ class TestTraceWriter:
         import splitmerge.bench as harness
 
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
-        config = _config(tmp_path, trials=3)
+        config = _long_config(tmp_path, trials=3)
         run_experiment(config)
         traces = Path(config.out_dir) / "traces"
         assert len(list(traces.glob("*.csv"))) == 6 and list(traces.glob("*.tmp")) == []
@@ -600,7 +617,7 @@ class TestTraceWriter:
             return real_solve(op, config, ground_truth=ground_truth, x0=x0)
 
         monkeypatch.setattr(harness, "solve", interrupt)
-        config = _config(tmp_path / "interrupted", trials=4)
+        config = _long_config(tmp_path / "interrupted", trials=4)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config)
         traces = Path(config.out_dir) / "traces"
