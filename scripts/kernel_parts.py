@@ -17,6 +17,9 @@ its docstring names for this use. ``whole_iteration`` is the best of
 ``--iters`` iterations, per record, and ``rest_of_loop`` is what the parts
 do not account for (loop control, the stop test; noisy, can be negative).
 BLAS runs on one thread unless the environment already says otherwise.
+``cpus`` is the number of CPUs the process may run on: from
+``worker.SPLIT_MIN_N`` elements on, two or more time the split path, where
+the worker thread runs the upper half of each matvec and pass.
 
     python3 scripts/kernel_parts.py --n 1000000 --method split_merge
 """
@@ -36,7 +39,7 @@ import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 from splitmerge import CsrOperator, SolverConfig, solve  # noqa: E402
-from splitmerge import solvers  # noqa: E402
+from splitmerge import solvers, worker  # noqa: E402
 from splitmerge.solvers import METHODS, IterationKernel, IterationTrace, init_vector  # noqa: E402
 
 RHO = "fixed_one_with_safeguard"
@@ -96,7 +99,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
         names["sums"] = (quad, wtw, float(g.dot(g)), float(g.dot(w0)), float(z.dot(z)), RHO)
         parts["scalars"] = ("solvers.coefficients_from_sums(*sums)", "pass")
     calls = repeat * max(1, 200_000 // n)
-    result = {"n": n, "method": method, "block": solvers.BLOCK, "unit": "us per iteration"}
+    result = {"n": n, "method": method, "block": solvers.BLOCK, "cpus": worker.cpus(),
+              "unit": "us per iteration"}
     for name, (stmt, setup) in parts.items():
         times = timeit.repeat(stmt, setup=setup, globals=names, number=1, repeat=calls)
         result[name] = round(min(times) * 1e6, 3)

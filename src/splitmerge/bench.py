@@ -15,8 +15,8 @@ so an unwritable ``out`` fails before any work; if a file source's set-up
 (load or ground truth) then fails, the directories this run made are
 removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
-held at a time. Where the process may run on two or more CPUs and ``fork``
-is available, one helper process writes every trial's CSVs but the last
+held at a time. Where the process may run on two or more CPUs
+(``worker.cpus``) and ``fork`` is available, one helper process writes every trial's CSVs but the last
 while the next trial solves, if they hold ``TRACE_BLOCK`` rows or more
 (``_TraceWriter``); so a run line may name a
 CSV still being written. Each CSV is written under a ``.tmp`` name and
@@ -68,6 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import worker
 from .errors import ConfigError, SplitMergeError
 from .linop import LinearOperator, load_matrix_market
 from .matgen import SyntheticSpec, generate
@@ -498,14 +499,6 @@ def _write_rows(fh, columns: tuple, f_star: float) -> None:
         fh.write(((_TRACE_ROW * size) % tuple(table.ravel().tolist())).replace(",nan", ","))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:    # not on every platform
-        return os.cpu_count() or 1
-
-
 def _start_helper() -> None:
     # Ctrl-C reaches the whole process group; the parent waits for the write in flight
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -528,7 +521,9 @@ class _TraceWriter:
     helper's error there. The helper gets the trace columns only, never an
     iterate. Leaving the ``with`` block waits for the write in flight, also
     on an interrupt, and shuts the helper down. The helper ignores SIGINT
-    and runs at the lowest priority.
+    and runs at the lowest priority. The fork comes after the first trial's
+    solves, which may have started ``worker``'s thread; that thread is
+    stopped before the fork, so the helper is copied from one thread.
     """
 
     def __init__(self, out_dir: Path):
@@ -572,7 +567,7 @@ class _TraceWriter:
         if self._helper is None:
             import multiprocessing
 
-            self._helper = _cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
+            self._helper = worker.cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
             if self._helper:
                 from concurrent.futures import ProcessPoolExecutor
 

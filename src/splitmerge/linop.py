@@ -12,16 +12,23 @@ no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
 matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
 multiplies with ``a.dot(x)`` (BLAS gemv); one of that order or more with
 BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric;
-building the first one imports ``scipy.linalg``.
+building the first one imports ``scipy.linalg``. From ``worker.SPLIT_MIN_N``
+rows on, where the process may run on two CPUs, a CSR matvec computes its
+upper half of the rows on the worker thread (``worker.halves``) while the
+calling thread computes the lower half; each row is summed as ``A @ x``
+sums it, so the product has the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
+from . import worker
 from .errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
@@ -32,13 +39,27 @@ from .errors import (
 )
 
 
+def _frobenius(norm, values: np.ndarray) -> float:
+    """``norm(values)``, or max|v| * norm(values / max|v|) where the plain one overflows.
+
+    Every finite plain norm keeps its bits; entries near 1e154 and above no
+    longer make the norm inf unless the norm itself is.
+    """
+    with np.errstate(over="ignore"):
+        plain = float(norm(values))
+    scale = float(np.abs(values).max()) if plain == math.inf else math.inf
+    return plain if scale == math.inf else scale * float(norm(values / scale))
+
+
 class LinearOperator:
     """Symmetric linear operator exposing ``y = A @ x`` and a matvec counter.
 
     Subclasses implement ``_apply``, ``to_dense`` and ``frobenius_norm``.
     Operators are immutable after construction; the matvec counter is the
     only mutable state. It is not thread-safe: concurrent callers each take
-    their own counter via :meth:`share`.
+    their own counter via :meth:`share`. ``apply`` may hand half of a large
+    product to the worker thread (``worker.halves``); it still counts one
+    matvec, in the calling thread, and returns once both halves are done.
     """
 
     def __init__(self, n: int):
@@ -139,7 +160,7 @@ class DenseOperator(LinearOperator):
 
             self._symv = dsymv
         self._a = matrix
-        self._fro = float(np.linalg.norm(matrix))
+        self._fro = _frobenius(np.linalg.norm, matrix)
 
     def _apply(self, x):
         if self.n < SYMV_MIN_N:
@@ -156,7 +177,11 @@ class DenseOperator(LinearOperator):
 
 
 class CsrOperator(LinearOperator):
-    """Sparse CSR backend storing the full symmetric pattern (both triangles)."""
+    """Sparse CSR backend storing the full symmetric pattern (both triangles).
+
+    From ``worker.SPLIT_MIN_N`` rows on, on two or more CPUs, the matvec is
+    ``_split_matvec``: the same bits as ``A @ x``, in two halves at once.
+    """
 
     def __init__(self, matrix: sp.spmatrix):
         matrix = sp.csr_matrix(matrix).astype(float)
@@ -165,10 +190,12 @@ class CsrOperator(LinearOperator):
         super().__init__(matrix.shape[0])
         matrix.sum_duplicates()
         self._a = matrix
-        self._fro = float(np.sqrt((matrix.data**2).sum()))
+        self._fro = _frobenius(lambda v: np.sqrt((v**2).sum()), matrix.data)
 
     def _apply(self, x):
-        return self._a @ x
+        if self.n < worker.SPLIT_MIN_N or worker.cpus() < 2:
+            return self._a @ x
+        return _split_matvec(self._a, x)
 
     def to_dense(self):
         return self._a.toarray()
@@ -176,6 +203,22 @@ class CsrOperator(LinearOperator):
     @property
     def frobenius_norm(self):
         return self._fro
+
+
+def _split_matvec(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """m @ x: rows [0, h) in this thread and [h, n) on the worker, into one zeroed vector.
+
+    scipy's ``csr_matvec`` adds row i's products to y[i] in storage order,
+    as ``m @ x`` does, so each row has the same bits.
+    """
+    n, cols = m.shape
+    h = n // 2
+    y = np.zeros(n)
+    worker.halves(
+        lambda: csr_matvec(h, cols, m.indptr, m.indices, m.data, x, y),
+        lambda: csr_matvec(n - h, cols, m.indptr[h:], m.indices, m.data, x, y[h:]),
+    )
+    return y
 
 
 def _storage(op: LinearOperator):

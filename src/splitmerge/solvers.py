@@ -21,7 +21,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
 from operator import add
 
 import numpy as np
@@ -34,6 +34,7 @@ from .errors import (
     OverflowGuardError,
     SigmaNotPositiveError,
 )
+from . import worker
 from .linop import LinearOperator
 
 METHODS = ("power", "gd_difference", "power_momentum", "split_merge")
@@ -294,22 +295,32 @@ _PASSES = {
 }
 
 
-def _blockwise(body, blocks):
+def _blockwise(body, blocks, half):
     """``body`` run block by block, its sums added in block order (``body`` itself
     when ``blocks`` is None): an array argument is sliced per block, a list is
-    already one per block (the scratch), and anything else goes to every block."""
+    already one per block (the scratch), and anything else goes to every block.
+    Blocks from ``half`` on run on the worker thread meanwhile, unless it is None."""
     if blocks is None:
         return body
+    lower, upper = slice(0, half), slice(half, None)
 
     def run(*args):
         columns = [
             a if isinstance(a, list) else [a[b] for b in blocks] if isinstance(a, np.ndarray)
-            else repeat(a)
+            else [a] * len(blocks)
             for a in args
         ]
-        parts = map(body, *columns)
-        sums = next(parts)
-        for part in parts:
+
+        def sweep(part):
+            return list(map(body, *(column[part] for column in columns)))
+
+        if half is None:
+            parts = sweep(lower)
+        else:
+            low, high = worker.halves(partial(sweep, lower), partial(sweep, upper))
+            parts = low + high
+        sums = parts[0]
+        for part in parts[1:]:
             sums = list(map(add, sums, part))
         return sums
 
@@ -358,8 +369,15 @@ class IterationKernel:
     computation, with no wrapper cost at small n, where the loop costs more
     than its arithmetic; above BLOCK trajectories move at round-off.
 
+    From ``worker.SPLIT_MIN_N`` elements on, where the process may run on
+    two CPUs, each pass runs in two halves at once: the lower half of the
+    block list in the calling thread, the upper half on the worker thread
+    (``worker.halves``). Each block's sums are kept and added in block order
+    once both halves are done, so the bits are those of one thread.
+
     Throwaway vectors (the residual, g, a step's second term) go into one
-    scratch buffer, block-sized above BLOCK so that it stays in cache.
+    scratch buffer, block-sized above BLOCK so that it stays in cache; each
+    half of a split pass has its own.
     Every call takes numpy's cheapest path, with the same bits: ``a.dot(b)``
     for a 1-D reduction and a ufunc's output passed positionally, never
     ``a @ b`` or ``out=`` (BENCH_small_loop.json).
@@ -379,16 +397,19 @@ class IterationKernel:
         self._diagnostics = diagnostics
         self._quad = self._norm = 0.0    # gd's x'Ax and the power or momentum norm, for update
         if n <= BLOCK:
-            blocks = None
+            blocks = half = None
             self._scratch = np.empty(n)
         else:
             blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
-            buffer = np.empty(BLOCK)    # the scratch of every block, so it stays in cache
-            self._scratch = [buffer[: b.stop - b.start] for b in blocks]
+            # the upper half of the blocks goes to the worker thread, with its own scratch
+            half = len(blocks) // 2 if n >= worker.SPLIT_MIN_N and worker.cpus() >= 2 else None
+            buffers = (np.empty(BLOCK), np.empty(BLOCK))    # each stays in its thread's cache
+            self._scratch = [buffers[half is not None and i >= half][: b.stop - b.start]
+                             for i, b in enumerate(blocks)]
         vectors, finish = _PASSES[method]
-        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks)
-        self._vectors = _blockwise(vectors, blocks)
-        self._finish = _blockwise(finish, blocks) if finish else None
+        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks, half)
+        self._vectors = _blockwise(vectors, blocks, half)
+        self._finish = _blockwise(finish, blocks, half) if finish else None
 
     def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""
@@ -454,22 +475,25 @@ def coefficients_from_sums(
 
     gamma = num / den
     ratio = gamma / mu
-    if rho_policy == "fixed_one_with_safeguard":
-        rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
-    elif rho_policy == "convergence_guaranteed":
-        # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
-        # which pins every rate ratio into [0, 1].
-        rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
-    else:
-        rho = float(rho_policy)
+    try:    # a float ** raises OverflowError: x'Ax above ~1e154
+        if rho_policy == "fixed_one_with_safeguard":
+            rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
+        elif rho_policy == "convergence_guaranteed":
+            # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
+            # which pins every rate ratio into [0, 1].
+            rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
+        else:
+            rho = float(rho_policy)
 
-    sigma = 1.0 - gamma / (rho * mu)
-    if sigma <= 0.0:
-        raise SigmaNotPositiveError(
-            f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
-        )
-    zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
-    omega = 1.0 / (mu**2 * sigma * rho)
+        sigma = 1.0 - gamma / (rho * mu)
+        if sigma <= 0.0:
+            raise SigmaNotPositiveError(
+                f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
+            )
+        zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
+        omega = 1.0 / (mu**2 * sigma * rho)
+    except OverflowError as exc:
+        raise OverflowGuardError(f"split-merge scalars overflow at x'Ax = {quad:.3e}") from exc
     return SplitMergeCoefficients(
         mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
         degenerate=False,

@@ -15,6 +15,7 @@ from splitmerge import (
     load_matrix_market,
     run_experiment,
 )
+from splitmerge import worker
 from splitmerge.bench import TRACE_HEADER, SolverSetting, parse_solver_list
 from splitmerge.cli import main as cli_main
 from splitmerge.errors import ConfigError
@@ -494,7 +495,7 @@ class TestTraceWriter:
         import splitmerge.bench as harness
         from splitmerge.bench import TrialRecord, emit_traces
 
-        monkeypatch.setattr(harness, "_cpus", lambda: 2)     # the helper even on one CPU
+        monkeypatch.setattr(worker, "cpus", lambda: 2)     # the helper even on one CPU
         submitted = _counting_executor(monkeypatch)
         results = _solve_results(monkeypatch)
         report = run_experiment(_long_config(tmp_path, trials=4))
@@ -516,7 +517,7 @@ class TestTraceWriter:
 
         import splitmerge.bench as harness
 
-        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "cpus", lambda: 2)
         with harness._TraceWriter(tmp_path) as writer:
             assert writer._use_helper()
             handler = writer._pool.submit(signal.getsignal, signal.SIGINT).result(timeout=60)
@@ -529,7 +530,7 @@ class TestTraceWriter:
 
         import splitmerge.bench as harness
 
-        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        monkeypatch.setattr(worker, "cpus", lambda: cpus)
         out = tmp_path / "out"
         real_solve = harness.solve
         calls = []
@@ -566,7 +567,7 @@ class TestTraceWriter:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         else:
-            monkeypatch.setattr(harness, "_cpus", lambda: 2)
+            monkeypatch.setattr(worker, "cpus", lambda: 2)
         make = _config if case == "few_rows" else _long_config
         report = run_experiment(make(tmp_path, trials=trials))
         traces = Path(report.trace_paths[0]).parent
@@ -601,7 +602,7 @@ class TestTraceWriter:
 
         import splitmerge.bench as harness
 
-        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(worker, "cpus", lambda: 2)
         config = _long_config(tmp_path, trials=3)
         run_experiment(config)
         traces = Path(config.out_dir) / "traces"
@@ -830,16 +831,22 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the Frobenius norm overflows
     def test_huge_entries_exit_with_one_line(self, tmp_path, capsys):
+        """Entries near 1e200 have a finite Frobenius norm, so both solvers run, and each
+        fails with a typed error once ||Ax||^2 overflows; beta=auto is refused."""
         big = tmp_path / "big.mtx"
         big.write_text("%%MatrixMarket matrix array real general\n2 2\n1e200\n-1.0\n-1.0\n1.5e200\n")
-        out = str(tmp_path / "o")
-        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", out]) == 3
-        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", out,
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning):    # numpy overflows on ||Ax||^2
+            assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", str(out)]) == 0
+        runs = [line for line in map(json.loads, (out / "progress.jsonl").read_text().splitlines())
+                if "solver" in line]
+        assert [(run["solver"], run["error"].split(":")[0]) for run in runs] == [
+            ("power", "NonDifferentiablePointError"), ("split_merge", "OverflowGuardError")]
+        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", str(out),
                          "--solvers", "power,power_momentum(beta=auto)"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("error: InitializationError: ")
-        assert err[1].startswith("config error: power_momentum(beta=auto): beta must be finite")
-        assert len(err) == 2
+        assert err[0].startswith("config error: power_momentum(beta=auto): beta must be finite")
+        assert len(err) == 1
 
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"

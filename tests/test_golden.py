@@ -10,7 +10,9 @@ not stored, to keep the file small.
 The cases run in a new interpreter started with one BLAS thread, as the
 benchmark runs: a threaded ddot sums a 32768-element block in another
 order, which moves split-merge's ``csr_blocked`` values by ~2e-12
-relative. Regenerate (only when a trajectory change is intended) with
+relative. They run twice: once with ``worker.SPLIT_MIN_N`` lowered so that
+``csr_blocked`` takes the two-CPU split, and once pinned to one CPU.
+Regenerate (only when a trajectory change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``, which writes the file from
 the same one-thread interpreter.
 """
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from splitmerge import CsrOperator, DenseOperator, SolverConfig, solve
+from splitmerge import CsrOperator, DenseOperator, SolverConfig, solve, worker
 from splitmerge.solvers import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,12 +89,16 @@ def _run(case, method):
     return columns
 
 
-def _save_in_one_thread_child(path):
-    """Run every case in a new interpreter with one BLAS thread; it saves the columns to path."""
+def _save_in_one_thread_child(path, cpus="split"):
+    """Run every case in a new interpreter with one BLAS thread; it saves the columns to path.
+
+    ``cpus`` is "split" (csr_blocked split across two CPUs, where there are
+    two) or "one" (the child pinned to one CPU).
+    """
     env = dict(os.environ, **ONE_BLAS_THREAD)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", str(path)],
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(path), cpus],
         env=env, timeout=300, check=True,
     )
 
@@ -109,28 +115,41 @@ def golden():
 
 @pytest.fixture(scope="module")
 def computed(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "computed.npz"
-    _save_in_one_thread_child(path)
-    return _load(path)
+    """Every case's columns, computed split across two CPUs and on one."""
+    runs = {}
+    for cpus in ("split", "one"):
+        path = tmp_path_factory.mktemp("golden") / f"{cpus}.npz"
+        _save_in_one_thread_child(path, cpus)
+        runs[cpus] = _load(path)
+    return runs
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("method", METHODS)
 def test_trajectory_matches_golden(golden, computed, case, method):
     prefix = f"{case}/{method}/"
-    got = {key[len(prefix):]: value for key, value in computed.items() if key.startswith(prefix)}
-    assert got
-    for column, value in got.items():
-        ref = golden[prefix + column]
-        if column in ("iterations", "matvecs"):
-            np.testing.assert_array_equal(value, ref, err_msg=column)
-        else:
-            assert value.shape == ref.shape, column
-            np.testing.assert_allclose(value, ref, rtol=RTOL, atol=0.0, err_msg=column)
+    for cpus, arrays in computed.items():
+        got = {key[len(prefix):]: value for key, value in arrays.items() if key.startswith(prefix)}
+        assert got, cpus
+        for column, value in got.items():
+            ref = golden[prefix + column]
+            if column in ("iterations", "matvecs"):
+                np.testing.assert_array_equal(value, ref, err_msg=f"{cpus}: {column}")
+            else:
+                assert value.shape == ref.shape, column
+                np.testing.assert_allclose(value, ref, rtol=RTOL, atol=0.0,
+                                           err_msg=f"{cpus}: {column}")
+    for key, value in computed["one"].items():    # the split changes no bit
+        if key.startswith(prefix):
+            np.testing.assert_array_equal(computed["split"][key], value, err_msg=key)
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
+        if sys.argv[3] == "one":
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+        else:
+            worker.SPLIT_MIN_N = BLOCK + 1
         arrays = {
             f"{case}/{method}/{column}": value
             for case in CASES

@@ -177,6 +177,22 @@ class TestGershgorin:
                 np.linalg.norm(shifted.to_dense()), rel=1e-12
             )
 
+    def test_frobenius_keeps_the_plain_bits(self, rng):
+        a = random_symmetric(rng, 9)
+        assert DenseOperator(a).frobenius_norm == float(np.linalg.norm(a))
+        csr = CsrOperator(sp.csr_matrix(a))
+        assert csr.frobenius_norm == float(np.sqrt((csr._a.data**2).sum()))
+
+    def test_frobenius_of_huge_entries_is_finite(self):
+        """Squares of entries near 1e200 overflow; the norm is rescaled, and a start is found."""
+        from splitmerge import init_vector
+
+        a = np.array([[1e200, -1.0], [-1.0, 1.5e200]])
+        for op in (DenseOperator(a), CsrOperator(sp.csr_matrix(a))):
+            assert op.frobenius_norm == pytest.approx(np.hypot(1e200, 1.5e200), rel=1e-15)
+            assert init_vector(2, 0, op).shape == (2,)
+        assert DenseOperator(np.array([[1e308, 1e308], [1e308, 1e308]])).frobenius_norm == np.inf
+
     def test_eta_is_the_disc_bound(self, rng):
         a = random_symmetric(rng, 7)
         lower = min(a[i, i] - sum(abs(a[i, j]) for j in range(7) if j != i) for i in range(7))

@@ -71,6 +71,7 @@ def test_kernel_parts_prints_each_part():
                               "--iters", "3")
         parts = json.loads(line)
         assert (parts["n"], parts["method"]) == (500, method)
+        assert parts["cpus"] == len(os.sched_getaffinity(0))
         for name in ("matvec", "measure", "reductions", "vectors", "update", "trace_recording",
                      "whole_iteration"):
             assert parts[name] > 0.0, name
@@ -174,3 +175,44 @@ def test_step_pairs_times_each_public_step():
     assert all(ms > 0.0 for ms in timed.values())
     summary = module.summarize({"parent": [timed, timed], "change": [timed, timed]})
     assert all(entry["change_over_parent"] == 1.0 for entry in summary.values())
+
+
+def test_two_cpus_times_each_part_on_one_cpu_and_on_two(monkeypatch):
+    module = _script_module("two_cpus")
+    monkeypatch.setattr(module, "SIZES", (500,))
+    timed = module.parts()
+    assert timed["handoff_us"]["best"] > 0.0
+    assert [(row["n"], row["method"]) for row in timed["parts"]] == [
+        (500, method) for method in ("power", "gd_difference", "power_momentum", "split_merge")]
+    for row in timed["parts"]:
+        assert row["one_cpu"]["cpus"] == 1
+        assert row["two_cpus"]["cpus"] == min(2, len(os.sched_getaffinity(0)))
+        assert sorted(row["gain"]) == sorted(module.TIMED)
+
+
+def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
+    module = _script_module("two_cpus")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def fake_perfbench(tree, workload, seed):
+        runs.append((tree, workload, seed))
+        assert (tree / "perfbench" / "run.py").is_file()     # the parent: an archive of PARENT
+        power = 2.0 if tree != ROOT else 1.5      # the parent is slower
+        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0),
+                "solve_s.power": power + 0.01 * (seed % 2)}
+
+    monkeypatch.setattr(module, "perfbench", fake_perfbench)
+    monkeypatch.setattr(module, "parts", lambda: {"handoff_us": {"best": 1.0}, "parts": []})
+    monkeypatch.setattr(module, "PAIRS", 2)
+    monkeypatch.setattr(module, "OUT", tmp_path / "bench.json")
+    assert module.main() == 0
+    payload = json.loads((tmp_path / "bench.json").read_text())
+    assert [(tree == ROOT, seed) for tree, workload, seed in runs[:4]] == [
+        (False, module.FIRST_SEED), (True, module.FIRST_SEED),
+        (True, module.FIRST_SEED + 1), (False, module.FIRST_SEED + 1),
+    ]
+    assert [w for _, w, _ in runs[::4]] == list(module.WORKLOADS)
+    assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
+    assert payload["verdict"]["change_lower"] == "2 of 2"
+    assert payload["verdict"]["median_drop_share"] == pytest.approx(0.5 / 2.005)
