@@ -121,9 +121,9 @@ def main() -> int:
                 print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
     workload, metric, share = CLAIM
     rule = verdict(pairs[workload], metric)
-    drop_share = rule["median_drop"] / statistics.median(p["parent"][metric] for p in pairs[workload])
-    rule["median_drop_share"] = drop_share
-    rule["met"] = rule["met"] and drop_share >= share
+    parent_median = statistics.median(p["parent"][metric] for p in pairs[workload])
+    rule["median_drop_share"] = rule["median_drop"] / parent_median
+    rule["met"] = rule["met"] and rule["median_drop_share"] >= share
     payload["verdict"] = {"metric": f"{workload} {metric}", **rule}
     payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
     payload["pairs"] = pairs

@@ -16,9 +16,9 @@ so an unwritable ``out`` fails before any work; if a file source's set-up
 removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
 held at a time. Where the process may run on two or more CPUs
-(``worker.cpus``) and ``fork`` is available, one helper process writes every trial's CSVs but the last
-while the next trial solves, if they hold ``TRACE_BLOCK`` rows or more
-(``_TraceWriter``); so a run line may name a
+(``worker.cpus``) and ``fork`` is available, one helper process writes
+every trial's CSVs but the last while the next trial solves, if they hold
+``TRACE_BLOCK`` rows or more (``_TraceWriter``); so a run line may name a
 CSV still being written. Each CSV is written under a ``.tmp`` name and
 renamed into place, so it appears complete. One flushed JSON
 line per event goes to ``progress.jsonl``: each set-up stage

@@ -432,8 +432,12 @@ class IterationKernel:
         else:    # x'Ax <= 0 leaves c undefined: pass 2 with c = 0, and no coeffs
             undefined = quad <= 0.0
             rr, num, den, zz = vectors(x, w, self._scratch, r, z, 0.0 if undefined else wtw / quad)
-            self.coeffs = None if undefined else coefficients_from_sums(
-                quad, wtw, num, den, zz, self.param)
+            try:
+                self.coeffs = None if undefined else coefficients_from_sums(
+                    quad, wtw, num, den, zz, self.param)
+            except OverflowError as exc:    # a float ** overflows: x'Ax above ~1e154
+                raise OverflowGuardError(
+                    f"split-merge scalars overflow at x'Ax = {quad:.3e}") from exc
         return quad, xtx, r, u1x, rr
 
     def update(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
@@ -475,25 +479,22 @@ def coefficients_from_sums(
 
     gamma = num / den
     ratio = gamma / mu
-    try:    # a float ** raises OverflowError: x'Ax above ~1e154
-        if rho_policy == "fixed_one_with_safeguard":
-            rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
-        elif rho_policy == "convergence_guaranteed":
-            # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
-            # which pins every rate ratio into [0, 1].
-            rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
-        else:
-            rho = float(rho_policy)
+    if rho_policy == "fixed_one_with_safeguard":
+        rho = SAFEGUARD_SCALE * ratio if ratio >= 1.0 else 1.0
+    elif rho_policy == "convergence_guaranteed":
+        # rho >= gamma/mu + x'A^2x / (2*(x'Ax)^{3/2}) forces zeta >= 0,
+        # which pins every rate ratio into [0, 1].
+        rho = max(1.0, ratio + wtw / (2.0 * quad**1.5)) + 1e-12
+    else:
+        rho = float(rho_policy)
 
-        sigma = 1.0 - gamma / (rho * mu)
-        if sigma <= 0.0:
-            raise SigmaNotPositiveError(
-                f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
-            )
-        zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
-        omega = 1.0 / (mu**2 * sigma * rho)
-    except OverflowError as exc:
-        raise OverflowGuardError(f"split-merge scalars overflow at x'Ax = {quad:.3e}") from exc
+    sigma = 1.0 - gamma / (rho * mu)
+    if sigma <= 0.0:
+        raise SigmaNotPositiveError(
+            f"sigma = {sigma:.6e} <= 0 under rho = {rho:.6g}: surrogate not positive definite"
+        )
+    zeta = 1.0 / mu - 4.0 * wtw / (mu**4 * sigma * rho)
+    omega = 1.0 / (mu**2 * sigma * rho)
     return SplitMergeCoefficients(
         mu=mu, gamma=gamma, sigma=sigma, zeta=zeta, omega=omega, rho=rho,
         degenerate=False,

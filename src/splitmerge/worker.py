@@ -46,10 +46,12 @@ _start = threading.Lock()
 def _serve() -> None:
     while (task := _tasks.get()) is not None:
         call, done, box = task
+        del task    # an idle worker keeps none of the caller's arrays alive
         try:
             box.append((True, call()))
         except BaseException as exc:    # re-raised in the caller
             box.append((False, exc))
+        del call, box
         done.release()
 
 

@@ -172,6 +172,16 @@ def test_errors_of_either_half_reach_the_caller():
         worker.halves(lambda: None, lambda: big * big)
 
 
+def test_an_idle_worker_keeps_no_argument_alive():
+    import weakref
+
+    array = np.zeros(4)
+    ref = weakref.ref(array)
+    worker.halves(lambda: None, lambda held=array: None)
+    del array
+    assert ref() is None
+
+
 def test_concurrent_callers_each_get_their_own_halves():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
