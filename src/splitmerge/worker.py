@@ -22,12 +22,12 @@ import threading
 from functools import partial
 from queue import SimpleQueue
 
-# Elements from which a sweep is split in two: four kernel blocks. A hand-off
-# to the worker costs ~20-30 us round trip on a 2-core Xeon VM, and each
-# thread waits for the GIL between its numpy calls; a whole iteration of
-# every method was slower split at n = 65536 and faster from n = 131072
-# (BENCH_two_cpus.json).
-SPLIT_MIN_N = 131072
+# Elements from which a sweep is split in two: eight kernel blocks. A hand-off
+# to the worker costs 20-30 us a round trip on a 2-core Xeon VM, and the two
+# threads wait for the GIL between their numpy calls. The whole iteration of
+# every method was faster split from n = 262144 on (1.2-1.6x), and at 65536
+# and 131072 some methods were slower split (BENCH_two_cpus.json).
+SPLIT_MIN_N = 262144
 
 
 def cpus() -> int:
