@@ -24,9 +24,11 @@ from queue import SimpleQueue
 
 # Elements from which a sweep is split in two: eight kernel blocks. A hand-off
 # to the worker costs 20-30 us a round trip on a 2-core Xeon VM, and the two
-# threads wait for the GIL between their numpy calls. The whole iteration of
-# every method was faster split from n = 262144 on (1.2-1.6x), and at 65536
-# and 131072 some methods were slower split (BENCH_two_cpus.json).
+# threads wait for the GIL between their numpy calls. In three runs of
+# scripts/two_cpus.py every method's whole iteration was faster split from
+# n = 262144 on (1.1-1.8x); at 65536 some methods were slower split in every
+# run, and at 131072 two of the four in one run (BENCH_two_cpus.json holds
+# the last run).
 SPLIT_MIN_N = 262144
 
 
