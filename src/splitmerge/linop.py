@@ -42,8 +42,8 @@ from .errors import (
 def _frobenius(norm, values: np.ndarray) -> float:
     """``norm(values)``, or max|v| * norm(values / max|v|) where the plain one overflows.
 
-    Every finite plain norm keeps its bits; entries near 1e154 and above no
-    longer make the norm inf unless the norm itself is.
+    Every finite plain norm keeps its bits, and entries near 1e154 and above
+    give a finite norm wherever the norm itself is representable.
     """
     with np.errstate(over="ignore"):
         plain = float(norm(values))

@@ -1,8 +1,9 @@
 """The two-CPU split: the same bits as one CPU, and no second thread at a fork.
 
-Above ``BLOCK`` elements the CSR matvec and the kernel's blocked passes run
-their upper half on ``worker``'s thread. Here ``SPLIT_MIN_N`` is lowered to
-``BLOCK + 1`` so that every size above one block takes the split, and
+From ``worker.SPLIT_MIN_N`` elements on, the CSR matvec and the kernel's
+blocked passes run their upper half on ``worker``'s thread. Here
+``SPLIT_MIN_N`` is lowered to ``BLOCK + 1`` so that every size above one
+block takes the split, and
 ``worker.cpus`` is set to 2 or 1 to choose the split or the one-thread path.
 """
 
