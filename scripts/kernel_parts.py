@@ -17,9 +17,9 @@ its docstring names for this use. ``whole_iteration`` is the best of
 ``--iters`` iterations, per record, and ``rest_of_loop`` is what the parts
 do not account for (loop control, the stop test; noisy, can be negative).
 BLAS runs on one thread unless the environment already says otherwise.
-``cpus`` is the number of CPUs the process may run on: from
-``worker.SPLIT_MIN_N`` elements on, two or more time the split path, where
-the worker thread runs the upper half of each matvec and pass.
+``cpus`` is the number of CPUs the process may run on, from which and n
+``worker.halves`` decides whether the worker thread runs the upper half of
+each matvec and pass.
 
     python3 scripts/kernel_parts.py --n 1000000 --method split_merge
 """

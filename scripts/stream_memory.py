@@ -196,16 +196,16 @@ def summarize(pairs: list, metrics: list) -> dict:
     return summary
 
 
-def verdict(pairs: list) -> dict:
-    """The claim's rule: lower in >= 9 of 10 pairs, median gap above the parent's IQR."""
-    parent = [p["parent"]["peak_rss_mb"] for p in pairs]
-    change = [p["change"]["peak_rss_mb"] for p in pairs]
+def verdict(pairs: list, metric: str) -> dict:
+    """The claim's rule for a lower-is-better metric: lower in >= 9 of 10 pairs, and a
+    median drop larger than the parent's interquartile range."""
+    parent = [p["parent"][metric] for p in pairs]
+    change = [p["change"][metric] for p in pairs]
     q1, median, q3 = _quartiles(parent)
     lower = sum(c < p for p, c in zip(parent, change))
     drop = median - statistics.median(change)
-    return {"metric": "small_file peak_rss_mb", "change_lower": f"{lower} of {len(pairs)}",
-            "median_drop_mib": drop, "parent_iqr_mib": q3 - q1,
-            "met": lower >= 0.9 * len(pairs) and drop > q3 - q1}
+    return {"change_lower": f"{lower} of {len(pairs)}", "median_drop": drop,
+            "parent_iqr": q3 - q1, "met": lower >= 0.9 * len(pairs) and drop > q3 - q1}
 
 
 def _revision(tree: Path) -> str:
@@ -275,7 +275,8 @@ def main(argv=None) -> int:
                 pair[side] = perfbench(trees[side], workload, seed)
             pairs[workload].append(pair)
             print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
-    payload["verdict"] = verdict(pairs["small_file"])
+    payload["verdict"] = {"metric": "small_file peak_rss_mb",
+                          **verdict(pairs["small_file"], "peak_rss_mb")}
     payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
     payload["pairs"] = pairs
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -17,9 +17,8 @@ clone`` of the parent commit). Each tree runs its own copy of perfbench:
   directory and the ``perfbench/run.py`` processes still alive.
 - ``summary`` gives, per end-to-end metric of ``BENCHMARK.json``, each side's
   quartiles and the number of pairs the change won (ties count for
-  neither); ``verdict`` applies the claim's rule to ``small_file`` ``wall_s``:
-  lower in at least 9 of 10 pairs, and a median drop larger than the
-  parent's interquartile range.
+  neither); ``verdict`` applies the claim's rule (``stream_memory.verdict``)
+  to ``small_file`` ``wall_s``.
 
 The JSON goes to ``--out`` and to standard output. This process holds no
 more than the numbers it reports (``script_peak_mib``): on Linux a child's
@@ -29,7 +28,6 @@ more than the numbers it reports (``script_peak_mib``): on Linux a child's
 import argparse
 import json
 import resource
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -37,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import ROOT, _host, _quartiles, _revision, identity, perfbench, summarize  # noqa: E402
+from stream_memory import ROOT, _host, _revision, identity, perfbench, summarize, verdict  # noqa: E402
 
 WORKLOADS = ("small_file", "dense_paper", "sparse_file")
 PAIRS, FIRST_SEED = 10, 51
@@ -51,17 +49,6 @@ def leftovers(tree: Path, workload: str) -> dict:
     ps = subprocess.run(["ps", "-eo", "args"], capture_output=True, text=True, check=True).stdout
     return {"tmp_files": len(list(traces.glob("*.tmp"))),
             "processes": sum("perfbench/run.py" in line for line in ps.splitlines())}
-
-
-def verdict(pairs: list, metric: str) -> dict:
-    """The claim's rule for a lower-is-better metric."""
-    parent = [p["parent"][metric] for p in pairs]
-    change = [p["change"][metric] for p in pairs]
-    q1, median, q3 = _quartiles(parent)
-    lower = sum(c < p for p, c in zip(parent, change))
-    drop = median - statistics.median(change)
-    return {"change_lower": f"{lower} of {len(pairs)}", "median_drop": drop,
-            "parent_iqr": q3 - q1, "met": lower >= 0.9 * len(pairs) and drop > q3 - q1}
 
 
 def main(argv=None) -> int:

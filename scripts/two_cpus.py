@@ -5,22 +5,23 @@
 
 Three parts, each in its own processes:
 
-- ``handoff_us``: one round trip of ``worker.halves`` with two empty calls,
-  with the process on two CPUs: the best and the median of ``HANDOFF_ROUNDS``
-  means of ``HANDOFF_CALLS`` calls.
+- ``handoff_us``: one round trip of ``worker.halves`` with two empty calls
+  over ``SPLIT_MIN_N`` elements, with the process on two CPUs: the best and
+  the median of ``HANDOFF_ROUNDS`` means of ``HANDOFF_CALLS`` calls.
 - ``parts``: ``kernel_parts.time_parts(n, method)`` for each n of ``SIZES``
   and each method, with this process pinned (``os.sched_setaffinity`` on
   itself only) to one CPU and to two. ``worker.SPLIT_MIN_N`` is lowered to
-  just above ``BLOCK``, so every two-CPU row times the split path; the rows
-  at the smallest n show whether the split pays there. ``gain`` is the
+  just above ``BLOCK``, so every two-CPU row hands off and every one-CPU row
+  runs the same halves in sequence; the rows at the smallest n show whether
+  the hand-off pays there. ``gain`` is the
   one-CPU time over the two-CPU time, per part.
 - ``pairs``: for each of ``WORKLOADS``, ``PAIRS`` alternating pairs of
   ``perfbench/run.py --seconds 40 --trace 0`` at seeds ``FIRST_SEED`` upward,
   on a ``git archive`` of ``PARENT`` (the commit before the split) and on
   this tree; the parent runs first in even pairs. ``summary`` gives each
   end-to-end metric's quartiles and win count, and ``verdict`` the claim's
-  rule on ``sparse_file`` ``solve_s.power``: lower in at least 9 of 10 pairs,
-  a median drop above the parent's interquartile range and of at least 15%.
+  rule (``stream_memory.verdict``) on ``sparse_file`` ``solve_s.power``, with
+  a median drop of at least 15% on top.
 
 The JSON goes to BENCH_two_cpus.json at the repository root and to standard
 output. This process itself holds no arrays: on Linux a child's
@@ -39,8 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import ROOT, _host, _revision, perfbench, summarize  # noqa: E402
-from trace_writer_pairs import verdict  # noqa: E402
+from stream_memory import ROOT, _host, _revision, perfbench, summarize, verdict  # noqa: E402
 
 PARENT = "35778fe"
 OUT = ROOT / "BENCH_two_cpus.json"
@@ -63,8 +63,9 @@ worker.SPLIT_MIN_N = BLOCK + 1
 out = {"parts": [time_parts(n, method) for n in json.loads(sys.argv[2]) for method in METHODS]}
 if cpus > 1:
     empty = lambda: None
-    means = [t / int(sys.argv[4]) * 1e6 for t in timeit.repeat(
-        lambda: worker.halves(empty, empty), number=int(sys.argv[4]), repeat=int(sys.argv[3]))]
+    rounds, calls = int(sys.argv[3]), int(sys.argv[4])
+    means = [t / calls * 1e6 for t in timeit.repeat(
+        lambda: worker.halves(worker.SPLIT_MIN_N, empty, empty), number=calls, repeat=rounds)]
     out["handoff_us"] = {"best": min(means), "median": statistics.median(means)}
 print(json.dumps(out))
 """

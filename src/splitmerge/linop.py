@@ -12,11 +12,9 @@ no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
 matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
 multiplies with ``a.dot(x)`` (BLAS gemv); one of that order or more with
 BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric;
-building the first one imports ``scipy.linalg``. From ``worker.SPLIT_MIN_N``
-rows on, where the process may run on two CPUs, a CSR matvec computes its
-upper half of the rows on the worker thread (``worker.halves``) while the
-calling thread computes the lower half; each row is summed as ``A @ x``
-sums it, so the product has the same bits.
+building the first one imports ``scipy.linalg``. A CSR matvec computes its
+rows in two halves, which ``worker.halves`` may run at once; each row is
+summed as ``A @ x`` sums it, so the product has the same bits.
 """
 
 from __future__ import annotations
@@ -179,8 +177,7 @@ class DenseOperator(LinearOperator):
 class CsrOperator(LinearOperator):
     """Sparse CSR backend storing the full symmetric pattern (both triangles).
 
-    From ``worker.SPLIT_MIN_N`` rows on, on two or more CPUs, the matvec is
-    ``_split_matvec``: the same bits as ``A @ x``, in two halves at once.
+    The matvec is ``_split_matvec``: the bits of ``A @ x``, in two halves.
     """
 
     def __init__(self, matrix: sp.spmatrix):
@@ -193,8 +190,6 @@ class CsrOperator(LinearOperator):
         self._fro = _frobenius(lambda v: np.sqrt((v**2).sum()), matrix.data)
 
     def _apply(self, x):
-        if self.n < worker.SPLIT_MIN_N or worker.cpus() < 2:
-            return self._a @ x
         return _split_matvec(self._a, x)
 
     def to_dense(self):
@@ -206,7 +201,7 @@ class CsrOperator(LinearOperator):
 
 
 def _split_matvec(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """m @ x: rows [0, h) in this thread and [h, n) on the worker, into one zeroed vector.
+    """m @ x: rows [0, h) and [h, n) as ``worker.halves``' two halves, into one zeroed vector.
 
     scipy's ``csr_matvec`` adds row i's products to y[i] in storage order,
     as ``m @ x`` does, so each row has the same bits.
@@ -215,6 +210,7 @@ def _split_matvec(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     h = n // 2
     y = np.zeros(n)
     worker.halves(
+        n,
         lambda: csr_matvec(h, cols, m.indptr, m.indices, m.data, x, y),
         lambda: csr_matvec(n - h, cols, m.indptr[h:], m.indices, m.data, x, y[h:]),
     )

@@ -295,13 +295,14 @@ _PASSES = {
 }
 
 
-def _blockwise(body, blocks, half):
+def _blockwise(body, blocks):
     """``body`` run block by block, its sums added in block order (``body`` itself
     when ``blocks`` is None): an array argument is sliced per block, a list is
     already one per block (the scratch), and anything else goes to every block.
-    Blocks from ``half`` on run on the worker thread meanwhile, unless it is None."""
+    The two halves of the block list go to ``worker.halves``."""
     if blocks is None:
         return body
+    n, half = blocks[-1].stop, len(blocks) // 2
     lower, upper = slice(0, half), slice(half, None)
 
     def run(*args):
@@ -314,11 +315,8 @@ def _blockwise(body, blocks, half):
         def sweep(part):
             return list(map(body, *(column[part] for column in columns)))
 
-        if half is None:
-            parts = sweep(lower)
-        else:
-            low, high = worker.halves(partial(sweep, lower), partial(sweep, upper))
-            parts = low + high
+        low, high = worker.halves(n, partial(sweep, lower), partial(sweep, upper))
+        parts = low + high
         sums = parts[0]
         for part in parts[1:]:
             sums = list(map(add, sums, part))
@@ -369,15 +367,13 @@ class IterationKernel:
     computation, with no wrapper cost at small n, where the loop costs more
     than its arithmetic; above BLOCK trajectories move at round-off.
 
-    From ``worker.SPLIT_MIN_N`` elements on, where the process may run on
-    two CPUs, each pass runs in two halves at once: the lower half of the
-    block list in the calling thread, the upper half on the worker thread
-    (``worker.halves``). Each block's sums are kept and added in block order
-    once both halves are done, so the bits are those of one thread.
+    Above BLOCK each pass hands the two halves of its block list to
+    ``worker.halves``, which decides whether they run at once; each block's
+    sums are added in block order once both are done, so the bits are the same.
 
-    Throwaway vectors (the residual, g, a step's second term) go into one
-    scratch buffer, block-sized above BLOCK so that it stays in cache; each
-    half of a split pass has its own.
+    Throwaway vectors (the residual, g, a step's second term) go into a
+    scratch buffer; above BLOCK one block-sized buffer per half of the block
+    list, which stays in cache.
     Every call takes numpy's cheapest path, with the same bits: ``a.dot(b)``
     for a 1-D reduction and a ufunc's output passed positionally, never
     ``a @ b`` or ``out=`` (BENCH_small_loop.json).
@@ -397,19 +393,17 @@ class IterationKernel:
         self._diagnostics = diagnostics
         self._quad = self._norm = 0.0    # gd's x'Ax and the power or momentum norm, for update
         if n <= BLOCK:
-            blocks = half = None
+            blocks = None
             self._scratch = np.empty(n)
         else:
             blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
-            # the upper half of the blocks goes to the worker thread, with its own scratch
-            half = len(blocks) // 2 if n >= worker.SPLIT_MIN_N and worker.cpus() >= 2 else None
+            half = len(blocks) // 2    # _blockwise's upper half, which may run on the worker
             buffers = (np.empty(BLOCK), np.empty(BLOCK))    # each stays in its thread's cache
-            self._scratch = [buffers[half is not None and i >= half][: b.stop - b.start]
-                             for i, b in enumerate(blocks)]
+            self._scratch = [buffers[i >= half][: b.stop - b.start] for i, b in enumerate(blocks)]
         vectors, finish = _PASSES[method]
-        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks, half)
-        self._vectors = _blockwise(vectors, blocks, half)
-        self._finish = _blockwise(finish, blocks, half) if finish else None
+        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks)
+        self._vectors = _blockwise(vectors, blocks)
+        self._finish = _blockwise(finish, blocks) if finish else None
 
     def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""
@@ -444,12 +438,16 @@ class IterationKernel:
         """The rest of the update ``measure`` began, written over w and returned."""
         method = self.method
         if method == "power":
+            if not self._norm < math.inf:    # nan too; the pass divided by it
+                raise OverflowGuardError(f"power step: ||Ax|| = {self._norm:.3e} is not finite")
             if self._norm < BREAKDOWN_NORM:
                 raise BreakdownError("power step broke down: ||Ax|| ~ 0")
         elif method == "gd_difference":
             if self._quad <= 0.0:
                 raise NonDifferentiablePointError("gd step at a point with x'Ax <= 0")
         elif method == "power_momentum":
+            if not self._norm < math.inf:
+                raise OverflowGuardError(f"momentum step: ||y|| = {self._norm:.3e} is not finite")
             if self._norm < BREAKDOWN_NORM:
                 raise BreakdownError("momentum step broke down: ||Ax - beta*x_prev|| ~ 0")
             self._finish(x, w, self.prev, self._norm)

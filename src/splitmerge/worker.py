@@ -1,13 +1,13 @@
 """One worker thread that runs the upper half of a memory-bound sweep.
 
-From ``SPLIT_MIN_N`` elements on, the CSR matvec (``linop``) and the
-iteration kernel's blocked passes (``solvers``) run their lower half in the
-calling thread and their upper half here at the same time, where the
-process may run on two or more CPUs (``cpus``). Each row and each block is
-summed by one thread in its usual order, and the caller adds the halves'
-block sums in block order, so the bits are those of a one-thread run.
-numpy's ufuncs and dot products and scipy's CSR matvec release the GIL
-while they stream.
+The CSR matvec (``linop``) and the iteration kernel's blocked passes
+(``solvers``) always come in two halves, and ``halves`` alone decides where
+the upper one runs: on the worker thread, at the same time as the lower one,
+from ``SPLIT_MIN_N`` elements on where the process may run on two or more
+CPUs (``cpus``); after it in the calling thread otherwise. Either way the
+same code sums each row and block in the same order, so the bits do not
+depend on the schedule. numpy's ufuncs and dot products and scipy's CSR
+matvec release the GIL while they stream.
 
 The worker is one daemon thread, started at first use. It is stopped before
 any ``os.fork`` and started again at the next use, so a forked child (the
@@ -16,9 +16,9 @@ trace writer's helper, say) never copies a process that has a second thread.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
+from contextvars import copy_context
 from functools import partial
 from queue import SimpleQueue
 
@@ -57,13 +57,17 @@ def _serve() -> None:
         done.release()
 
 
-def halves(lower, upper) -> tuple:
-    """``(lower(), upper())``, with ``upper()`` run on the worker thread meanwhile.
+def halves(n: int, lower, upper) -> tuple:
+    """``(lower(), upper())`` of a sweep over n elements.
 
-    ``upper`` runs in a copy of the caller's context, so numpy's error
-    state (``np.errstate``) holds for both halves. Returns once both have
+    From ``SPLIT_MIN_N`` elements on, where the process may run on two CPUs,
+    ``upper()`` runs on the worker thread meanwhile, in a copy of the
+    caller's context, so numpy's error state (``np.errstate``) holds for both
+    halves; otherwise it runs after ``lower()``. Returns once both have
     finished; an exception of ``lower`` is raised first, then one of ``upper``.
     """
+    if n < SPLIT_MIN_N or cpus() < 2:
+        return lower(), upper()
     global _thread
     done, box = threading.Lock(), []
     done.acquire()
@@ -71,7 +75,7 @@ def halves(lower, upper) -> tuple:
         if _thread is None:
             _thread = threading.Thread(target=_serve, name="splitmerge-worker", daemon=True)
             _thread.start()
-        _tasks.put((partial(contextvars.copy_context().run, upper), done, box))
+        _tasks.put((partial(copy_context().run, upper), done, box))
     try:
         low = lower()
     finally:

@@ -841,7 +841,7 @@ class TestCli:
         runs = [line for line in map(json.loads, (out / "progress.jsonl").read_text().splitlines())
                 if "solver" in line]
         assert [(run["solver"], run["error"].split(":")[0]) for run in runs] == [
-            ("power", "NonDifferentiablePointError"), ("split_merge", "OverflowGuardError")]
+            ("power", "OverflowGuardError"), ("split_merge", "OverflowGuardError")]
         assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", str(out),
                          "--solvers", "power,power_momentum(beta=auto)"]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -290,6 +290,20 @@ class TestSplitMergeStep:
             kernel.update(x, w, z)
 
 
+@pytest.mark.parametrize("method", ["power", "power_momentum"])
+def test_an_overflowing_norm_stops_the_first_step(method):
+    """||Ax||^2 of entries near 1e200 overflows at iteration 0: an overflow, not x'Ax = 0 next."""
+    op = DenseOperator(np.array([[1e200, -1.0], [-1.0, 1.5e200]]))
+    config = SolverConfig(method, beta=0.1, stop_mode="residual")
+    with pytest.raises(OverflowGuardError, match="is not finite"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        solve(op, config, x0=np.array([1.0, 0.5]))
+    kernel = IterationKernel(2, method, 0.1)    # a nan norm is not finite either
+    kernel.measure(np.ones(2), np.array([math.nan, 1.0]))
+    with pytest.raises(OverflowGuardError, match="nan is not finite"):
+        kernel.update(np.ones(2), np.array([math.nan, 1.0]))
+
+
 @pytest.mark.parametrize("n", [128, 1000])
 def test_steps_ignore_memory_layout(rng, n):
     """Every step gives the same bits on a strided view as on its contiguous copy."""

@@ -1,12 +1,13 @@
 """The two-CPU split: the same bits as one CPU, and no second thread at a fork.
 
-From ``worker.SPLIT_MIN_N`` elements on, the CSR matvec and the kernel's
-blocked passes run their upper half on ``worker``'s thread. Here
-``SPLIT_MIN_N`` is lowered to ``BLOCK + 1`` so that every size above one
-block takes the split, and
-``worker.cpus`` is set to 2 or 1 to choose the split or the one-thread path.
+The CSR matvec and the kernel's blocked passes always come in two halves;
+from ``worker.SPLIT_MIN_N`` elements on, on two CPUs, ``worker.halves`` runs
+the upper one on its thread. Here ``SPLIT_MIN_N`` is lowered to ``BLOCK + 1``
+so that every size above one block may hand off, and ``worker.cpus`` is set
+to 2 or 1 to run the same code under either schedule.
 """
 
+import contextvars
 import math
 import os
 import sys
@@ -52,24 +53,30 @@ def _tridiagonal(n, seed):
 @pytest.fixture
 def split_calls(monkeypatch):
     """Lowers the split threshold; returns a function that runs a callable on 1 or 2 CPUs
-    and gives back its result and how many hand-offs to the worker it made."""
+    and gives back its result and how many hand-offs reached the worker thread."""
     monkeypatch.setattr(worker, "SPLIT_MIN_N", BLOCK + 1)
-    real_halves = worker.halves
-    calls = []
+    handoffs = []
 
-    def counting(lower, upper):
-        calls.append(1)
-        return real_halves(lower, upper)
+    def copy_context():    # what halves calls once per hand-off, for the upper half
+        handoffs.append(1)
+        return contextvars.copy_context()
 
-    monkeypatch.setattr(worker, "halves", counting)
+    monkeypatch.setattr(worker, "copy_context", copy_context)
 
     def on(cpus, call, *args):
         monkeypatch.setattr(worker, "cpus", lambda: cpus)
-        calls.clear()
+        handoffs.clear()
         value = call(*args)
-        return value, len(calls)
+        return value, len(handoffs)
 
     return on
+
+
+@pytest.fixture
+def split_n(monkeypatch):
+    """``SPLIT_MIN_N``, on two CPUs: a ``halves`` over that many elements uses the worker."""
+    monkeypatch.setattr(worker, "cpus", lambda: 2)
+    return worker.SPLIT_MIN_N
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -149,6 +156,20 @@ def test_split_csr_matvec_is_m_at_x(n, index_dtype):
     assert y.flags.owndata and y is not x
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n", [1, 2, 1001])
+def test_csr_operator_is_m_at_x_on_either_schedule(split_calls, monkeypatch, n, index_dtype, cpus):
+    """The operator stores m with its indices sorted, so each row sums as its stored ``A @ x``."""
+    monkeypatch.setattr(worker, "SPLIT_MIN_N", 1)
+    op = CsrOperator(_awkward_csr(n, index_dtype))
+    x = np.random.default_rng(7).standard_normal(2 * n)[::2]
+    assert not x.flags.c_contiguous or n == 1
+    y, handoffs = split_calls(cpus, op.apply, x)
+    assert handoffs == (cpus == 2)
+    np.testing.assert_array_equal(y, op._a @ x)
+
+
 def test_split_operator_counts_one_matvec(split_calls):
     op = _tridiagonal(2 * BLOCK, 8)
     x = np.random.default_rng(9).standard_normal(op.n)
@@ -157,33 +178,41 @@ def test_split_operator_counts_one_matvec(split_calls):
     np.testing.assert_array_equal(y, op._a @ x)
 
 
-def test_errors_of_either_half_reach_the_caller():
+def test_the_upper_half_goes_to_the_worker_only_where_it_may(monkeypatch):
+    n = worker.SPLIT_MIN_N
+    for cpus, size, apart in ((2, n, True), (2, n - 1, False), (1, n, False), (3, n, True)):
+        monkeypatch.setattr(worker, "cpus", lambda: cpus)
+        low, high = worker.halves(size, threading.get_ident, threading.get_ident)
+        assert (low != high) == apart and low == threading.get_ident(), (cpus, size)
+
+
+def test_errors_of_either_half_reach_the_caller(split_n):
     def fail(exc):
         def call():
             raise exc
         return call
 
     with pytest.raises(KeyError):
-        worker.halves(fail(KeyError("low")), fail(ValueError("high")))
+        worker.halves(split_n, fail(KeyError("low")), fail(ValueError("high")))
     with pytest.raises(ValueError):
-        worker.halves(lambda: 1, fail(ValueError("high")))
-    assert worker.halves(lambda: 1, lambda: 2) == (1, 2)
+        worker.halves(split_n, lambda: 1, fail(ValueError("high")))
+    assert worker.halves(split_n, lambda: 1, lambda: 2) == (1, 2)
     big = np.full(4, 1e300)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):    # the caller's state
-        worker.halves(lambda: None, lambda: big * big)
+        worker.halves(split_n, lambda: None, lambda: big * big)
 
 
-def test_an_idle_worker_keeps_no_argument_alive():
+def test_an_idle_worker_keeps_no_argument_alive(split_n):
     import weakref
 
     array = np.zeros(4)
     ref = weakref.ref(array)
-    worker.halves(lambda: None, lambda held=array: None)
+    worker.halves(split_n, lambda: None, lambda held=array: None)
     del array
     assert ref() is None
 
 
-def test_concurrent_callers_each_get_their_own_halves():
+def test_concurrent_callers_each_get_their_own_halves(split_n):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -192,7 +221,7 @@ def test_concurrent_callers_each_get_their_own_halves():
         def caller(k):
             results[k] = []
             for i in range(200):
-                results[k].append(worker.halves(lambda: (k, i), lambda: (k, -i)))
+                results[k].append(worker.halves(split_n, lambda: (k, i), lambda: (k, -i)))
                 worker._stop()    # as a fork would, while other callers hand off
 
         threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
