@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Trace CSVs written in a helper process, against a parent tree: perfbench pairs and identical output.
+"""The trace writer against a parent tree: perfbench pairs and identical output.
 
     python3 scripts/trace_writer_pairs.py --parent ../parent --out BENCH_trace_writer.json
 

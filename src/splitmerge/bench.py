@@ -16,11 +16,11 @@ so an unwritable ``out`` fails before any work; if a file source's set-up
 removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
 held at a time. Where the process may run on two or more CPUs
-(``worker.cpus``) and ``fork`` is available, one helper process writes
-every trial's CSVs but the last while the next trial solves, if they hold
-``TRACE_BLOCK`` rows or more (``_TraceWriter``); so a run line may name a
-CSV still being written. Each CSV is written under a ``.tmp`` name and
-renamed into place, so it appears complete. One flushed JSON
+(``worker.cpus``) and ``os.fork`` exists, a forked child per trial writes
+the CSVs of every trial but the last while the next trial solves, if they
+hold ``TRACE_BLOCK`` rows or more (``_TraceWriter``); so a run line may
+name a CSV still being written. Each CSV is written under a ``.tmp`` name
+and renamed into place, so it appears complete. One flushed JSON
 line per event goes to ``progress.jsonl``: each set-up stage
 (``generate``, ``load_matrix_market``, ``dense_eigendecomposition``,
 ``reference_dominant_eigenpair``) with its trial or null, seconds and
@@ -444,7 +444,7 @@ def emit_traces(records: list[TrialRecord], out_dir) -> list[Path]:
         if rec.result is None:
             continue
         path = _trace_path(out_dir, rec)
-        _write_trace(path, rec.f_star, _trace_columns(rec.result.trace))
+        _write_trace(path, rec.f_star, rec.result.trace)
         paths.append(path)
     return paths
 
@@ -453,15 +453,11 @@ def _trace_path(out_dir: Path, rec: TrialRecord) -> Path:
     return out_dir / f"{_slug(rec.solver)}__trial{rec.trial:03d}.csv"
 
 
-def _trace_columns(trace) -> tuple:
-    """What a trace CSV is formatted from: six trace columns, then -zeta/omega or None."""
-    nzo = array("d", [c.neg_zeta_over_omega for c in trace.coeffs]) if trace.coeffs else None
-    return (trace.sin_theta, trace.f_value, trace.rayleigh, trace.residual, trace.matvecs,
-            trace.seconds, nzo)
-
-
-def _write_trace(path: Path, f_star: float, columns: tuple) -> None:
+def _write_trace(path: Path, f_star: float, trace) -> None:
     """The CSV written as ``<path>.tmp`` and renamed into place, so no reader sees part of it."""
+    nzo = array("d", [c.neg_zeta_over_omega for c in trace.coeffs]) if trace.coeffs else None
+    columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.residual, trace.matvecs,
+               trace.seconds, nzo)
     tmp = path.with_name(path.name + ".tmp")
     fh = open(tmp, "w", newline="", encoding="ascii")
     try:
@@ -472,12 +468,6 @@ def _write_trace(path: Path, f_star: float, columns: tuple) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_traces(jobs: list) -> None:
-    """The helper process's task: ``_write_trace`` on each (path, f_star, columns)."""
-    for job in jobs:
-        _write_trace(*job)
 
 
 def _write_rows(fh, columns: tuple, f_star: float) -> None:
@@ -499,82 +489,85 @@ def _write_rows(fh, columns: tuple, f_star: float) -> None:
         fh.write(((_TRACE_ROW * size) % tuple(table.ravel().tolist())).replace(",nan", ","))
 
 
-def _start_helper() -> None:
-    # Ctrl-C reaches the whole process group; the parent waits for the write in flight
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.nice(19)    # where it shares a CPU with the timed solves, they go first
+def _write_in_child(records: list[TrialRecord], out_dir: Path, fd: int) -> None:
+    """A forked child's ``emit_traces``; a failure's ``Type: message`` goes to ``fd``."""
+    status = 1
+    try:    # it leaves by os._exit alone: no return, no raise, no flush of the parent's buffers
+        # Ctrl-C reaches the whole process group; the parent waits for this write
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.nice(19)    # where it shares a CPU with the timed solves, they go first
+        emit_traces(records, out_dir)
+        status = 0
+    except BaseException as exc:
+        os.write(fd, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+    finally:
+        os._exit(status)
 
 
 class _TraceWriter:
-    """Writes each trial's trace CSVs, in a helper process while the next trial solves.
+    """Writes each trial's trace CSVs, in a forked child while the next trial solves.
 
-    A trial goes to the helper when a later trial exists, its traces hold at
+    A trial goes to a child when a later trial exists, its traces hold at
     least ``TRACE_BLOCK`` rows, the process may run on two or more CPUs and
-    ``fork`` is available (spawn would re-import the caller's ``__main__``;
-    the helper only formats and writes, and never calls BLAS). Otherwise,
-    and always for the last trial, ``emit_traces`` writes it in this
-    process. Fewer rows take milliseconds to write, and a fork costs more
-    where the process is large: on the 1e6-row sparse benchmark, whose
-    trials hold a few hundred rows, a helper made the later set-up and
-    solves a few percent slower. ``write`` first waits for the trial before,
-    so at most one trial is in the helper at a time, and re-raises the
-    helper's error there. The helper gets the trace columns only, never an
-    iterate. Leaving the ``with`` block waits for the write in flight, also
-    on an interrupt, and shuts the helper down. The helper ignores SIGINT
-    and runs at the lowest priority. The fork comes after the first trial's
-    solves, which may have started ``worker``'s thread; that thread is
-    stopped before the fork, so the helper is copied from one thread.
+    ``os.fork`` exists; otherwise ``emit_traces`` writes it here. Fewer rows
+    take milliseconds to write, and a fork costs more where the process is
+    large: on the 1e6-row sparse benchmark, whose trials hold a few hundred
+    rows, forked writes made the later set-up and solves a few percent
+    slower. The child writes the records it inherited, so nothing is copied
+    to it, and never calls BLAS. ``write`` and leaving the ``with`` block,
+    also on an interrupt, first wait for the child before, so at most one
+    is alive at a time; ``write`` raises its failure as ``OSError``.
+    ``worker``'s thread is stopped before a fork, so a child is copied from
+    one thread.
     """
 
     def __init__(self, out_dir: Path):
         self._dir = out_dir
-        self._pool = None
-        self._helper: bool | None = None    # decided at the first trial with a later one
-        self._pending = None
+        self._child: tuple[int, int] | None = None    # (pid, read end of its error pipe)
 
     def __enter__(self) -> "_TraceWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        # the last trial's write waited for the helper; after an exception (an
-        # interrupt, say) shutdown waits for the write in flight and drops its error
-        if self._pool is not None:
-            self._pool.shutdown()
+    def __exit__(self, kind, *exc) -> None:
+        # after an exception (an interrupt, say) wait for the child, and let that exception stand
+        try:
+            self.wait()
+        except OSError:
+            if kind is None:
+                raise
 
     def write(self, records: list[TrialRecord], later: bool) -> list[Path]:
-        """The CSV paths of ``records``' traces: written, or being written by the helper."""
+        """The CSV paths of completed runs' traces: written, or being written by a child."""
         self.wait()
-        rows = sum(len(rec.result.trace.matvecs) for rec in records if rec.result is not None)
-        if not (later and rows >= TRACE_BLOCK and self._use_helper()):
+        rows = sum(len(rec.result.trace.matvecs) for rec in records)
+        if not (later and rows >= TRACE_BLOCK and worker.cpus() >= 2 and hasattr(os, "fork")):
             return emit_traces(records, self._dir)
-        jobs = [(_trace_path(self._dir, rec), rec.f_star, _trace_columns(rec.result.trace))
-                for rec in records if rec.result is not None]
-        self._pending = self._pool.submit(_write_traces, jobs)
-        return [path for path, _, _ in jobs]
+        read, write = os.pipe()
+        # a Ctrl-C between the fork and the child's SIG_IGN would run this code on in the child
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_in_child(records, self._dir, write)
+            self._child = (pid, read)
+        finally:
+            os.close(write)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return [_trace_path(self._dir, rec) for rec in records]
 
     def wait(self) -> None:
-        """Wait for the write in flight, if any; its error is raised here."""
-        pending, self._pending = self._pending, None
-        if pending is None:
+        """Wait for the child in flight, if any; its failure is raised here as ``OSError``."""
+        child, self._child = self._child, None
+        if child is None:
             return
-        from concurrent.futures.process import BrokenProcessPool
+        pid, read = child
         try:
-            pending.result()
-        except BrokenProcessPool as exc:
-            raise OSError(f"the trace writer process died: {exc}") from exc
-
-    def _use_helper(self) -> bool:
-        if self._helper is None:
-            import multiprocessing
-
-            self._helper = worker.cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
-            if self._helper:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=1,
-                                                 mp_context=multiprocessing.get_context("fork"),
-                                                 initializer=_start_helper)
-        return self._helper
+            with open(read, "rb") as pipe:
+                error = pipe.read().decode(errors="replace")
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status:
+            raise OSError(error or f"the trace writer ended with wait status {status}")
 
 
 def _slug(label: str) -> str:

@@ -10,8 +10,8 @@ depend on the schedule. numpy's ufuncs and dot products and scipy's CSR
 matvec release the GIL while they stream.
 
 The worker is one daemon thread, started at first use. It is stopped before
-any ``os.fork`` and started again at the next use, so a forked child (the
-trace writer's helper, say) never copies a process that has a second thread.
+any ``os.fork`` and started again at the next use, so a forked child (one
+of the trace writer's, say) never copies a process that has a second thread.
 """
 
 from __future__ import annotations

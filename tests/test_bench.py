@@ -442,40 +442,44 @@ class TestStreaming:
         assert path.read_bytes() == expected.encode()
 
 
-class _Waited:
-    """A future that records whether its result was waited for."""
+def _counting_forks(monkeypatch):
+    """The trace writer's children's pids; a fork before the last child was reaped fails."""
+    import os
 
-    def __init__(self, future):
-        self.future, self.waited = future, False
+    real_fork, real_waitpid = os.fork, os.waitpid
+    forked, reaped = [], set()
 
-    def result(self, timeout=None):
-        self.waited = True
-        return self.future.result(timeout)
+    def fork():
+        assert reaped.issuperset(forked), "a second write in flight"
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
+    def waitpid(pid, options):
+        done = real_waitpid(pid, options)
+        reaped.add(done[0])
+        return done
 
-def _counting_executor(monkeypatch):
-    """The list of the trace writer's hand-offs; one made before the last was waited for fails."""
-    import concurrent.futures
-
-    submitted = []
-
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            assert all(f.waited for f in submitted), "a second write in flight"
-            submitted.append(_Waited(super().submit(fn, *args, **kwargs)))
-            return submitted[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-    return submitted
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return forked, reaped
 
 
-def _no_executor(monkeypatch):
-    import concurrent.futures
+def _no_fork(monkeypatch):
+    import os
 
-    def refuse(*args, **kwargs):
-        pytest.fail("the trace writer built a helper process")
+    def refuse():
+        pytest.fail("the trace writer forked a child")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _assert_no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):    # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _long_config(tmp_path, **overrides):
@@ -487,20 +491,17 @@ def _long_config(tmp_path, **overrides):
 
 
 class TestTraceWriter:
-    """Every trial but the last is written by one helper process while the next trial solves."""
+    """Every trial but the last is written by a forked child while the next trial solves."""
 
     def test_helper_csvs_are_the_inline_bytes(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        import splitmerge.bench as harness
         from splitmerge.bench import TrialRecord, emit_traces
 
-        monkeypatch.setattr(worker, "cpus", lambda: 2)     # the helper even on one CPU
-        submitted = _counting_executor(monkeypatch)
+        monkeypatch.setattr(worker, "cpus", lambda: 2)     # the children even on one CPU
+        forked, reaped = _counting_forks(monkeypatch)
         results = _solve_results(monkeypatch)
         report = run_experiment(_long_config(tmp_path, trials=4))
-        assert len(submitted) == 3 and all(f.waited for f in submitted)
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 3 and reaped.issuperset(forked)
+        _assert_no_child_left()
         # solves run trial by trial, solvers in config order; records are in (solver, trial) order
         by_key = dict(zip([(s, t) for t in range(4) for s in ("power", "split_merge")], results))
         inline = [TrialRecord(rec.solver, rec.trial, rec.converged, rec.iterations, rec.matvecs,
@@ -517,12 +518,21 @@ class TestTraceWriter:
 
         import splitmerge.bench as harness
 
+        seen = tmp_path / "seen.jsonl"
+        real_emit = harness.emit_traces
+
+        def emit(records, out_dir):
+            with open(seen, "a") as fh:
+                fh.write(json.dumps([os.getpid(), signal.getsignal(signal.SIGINT) == signal.SIG_IGN,
+                                     os.nice(0)]) + "\n")
+            return real_emit(records, out_dir)
+
+        monkeypatch.setattr(harness, "emit_traces", emit)
         monkeypatch.setattr(worker, "cpus", lambda: 2)
-        with harness._TraceWriter(tmp_path) as writer:
-            assert writer._use_helper()
-            handler = writer._pool.submit(signal.getsignal, signal.SIGINT).result(timeout=60)
-            niceness = writer._pool.submit(os.nice, 0).result(timeout=60)
-        assert handler == signal.SIG_IGN and niceness == 19
+        run_experiment(_long_config(tmp_path, trials=3))
+        calls = [json.loads(line) for line in seen.read_text().splitlines()]
+        children = [(ignored, niceness) for pid, ignored, niceness in calls if pid != os.getpid()]
+        assert children == [(True, 19), (True, 19)] and len(calls) == 3
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_write_failure_is_an_io_error(self, tmp_path, monkeypatch, capsys, cpus):
@@ -555,13 +565,21 @@ class TestTraceWriter:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
 
+    def test_a_childs_failure_is_raised_at_the_next_trial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker, "cpus", lambda: 2)
+        config = _long_config(tmp_path, trials=3)
+        blocked = Path(config.out_dir) / "traces" / "power__trial000.csv"
+        blocked.mkdir(parents=True)     # the child's rename onto it fails; later writes do not
+        with pytest.raises(OSError, match="^IsADirectoryError: "):
+            run_experiment(config)
+        assert [line["trial"] for line in _progress(config) if "solver" in line] == [0, 0]
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("case", ["one_cpu", "one_trial", "few_rows"])
     def test_no_helper_where_it_cannot_pay(self, tmp_path, monkeypatch, case):
         import os
 
-        import splitmerge.bench as harness
-
-        _no_executor(monkeypatch)
+        _no_fork(monkeypatch)
         trials = 1 if case == "one_trial" else 3
         if case == "one_cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -598,8 +616,6 @@ class TestTraceWriter:
         assert list((Path(config.out_dir) / "traces").iterdir()) == []
 
     def test_no_tmp_file_or_process_left(self, tmp_path, monkeypatch):
-        import multiprocessing
-
         import splitmerge.bench as harness
 
         monkeypatch.setattr(worker, "cpus", lambda: 2)
@@ -607,13 +623,14 @@ class TestTraceWriter:
         run_experiment(config)
         traces = Path(config.out_dir) / "traces"
         assert len(list(traces.glob("*.csv"))) == 6 and list(traces.glob("*.tmp")) == []
+        _assert_no_child_left()
 
         real_solve = harness.solve
         calls = []
 
         def interrupt(op, config, ground_truth=None, x0=None):
             calls.append(config.method)
-            if len(calls) == 5:     # trial 2's first solve, with trial 1 in the helper
+            if len(calls) == 5:     # trial 2's first solve, with trial 1 in a child
                 raise KeyboardInterrupt
             return real_solve(op, config, ground_truth=ground_truth, x0=x0)
 
@@ -625,7 +642,32 @@ class TestTraceWriter:
         assert sorted(p.name for p in traces.iterdir()) == [
             f"{solver}__trial{t:03d}.csv" for solver in ("power", "split_merge") for t in range(2)
         ]
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
+
+    def test_children_never_flush_the_parents_buffers(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import os, sys\n"
+            "from splitmerge import ExperimentConfig, run_experiment, worker\n"
+            "from splitmerge.bench import TRACE_BLOCK\n"
+            "worker.cpus = lambda: 2\n"
+            "real_fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "print('marker', end='')    # buffered: stdout is a pipe\n"
+            "run_experiment(ExperimentConfig(n=24, gap=1e-3, trials=3, stop_mode='residual',\n"
+            "    residual_tol=1e-300, max_iter=TRACE_BLOCK // 2 + 50, out_dir='out'))\n"
+            "print(len(forks), file=sys.stderr)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert done.stderr.split() == ["2"] and done.stdout == "marker"
 
 
 def _progress(config):

@@ -2,7 +2,7 @@
 
 ``scipy.linalg`` comes in with the first dense operator of order
 ``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``. The trace
-writer's process pool comes in with the first trial that has a later one.
+writer forks its children with ``os.fork`` and loads no process pool.
 
 A fresh interpreter per case, since the test session itself imports them.
 """
@@ -57,9 +57,20 @@ def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):
     assert _loaded_after(body, tmp_path) == {"scipy.linalg"}
 
 
-def test_one_trial_run_loads_no_process_pool(tmp_path):
+def test_forked_trace_writer_loads_no_process_pool(tmp_path):
+    body = (
+        "import os\n"
+        "from splitmerge import worker\n"
+        "from splitmerge.bench import TRACE_BLOCK\n"
+        "worker.cpus = lambda: 2\n"
+        "real_fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or real_fork()\n"
+        "run_experiment(ExperimentConfig(n=24, gap=1e-3, trials=3, stop_mode='residual',\n"
+        "    residual_tol=1e-300, max_iter=TRACE_BLOCK // 2 + 50, out_dir='out'))\n"
+        "assert len(forks) == 2, forks    # trials 0 and 1 were written by children"
+    )
+    # scipy's array API layer imports numpy.testing, which loads concurrent.futures' base alone
     pool = ("multiprocessing", "concurrent.futures.process")
-    body = "run_experiment(ExperimentConfig(n=16, gap=0.2, trials=1, out_dir='out'))"
     assert _loaded_after(body, tmp_path, pool) == set()
 
 

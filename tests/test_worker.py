@@ -253,7 +253,7 @@ def test_no_second_thread_at_the_trace_writers_fork(tmp_path, monkeypatch):
 
     import splitmerge.bench as harness
 
-    monkeypatch.setattr(harness, "TRACE_BLOCK", 8)    # every trial but the last goes to the helper
+    monkeypatch.setattr(harness, "TRACE_BLOCK", 8)    # every trial but the last goes to a child
     monkeypatch.setattr(worker, "SPLIT_MIN_N", BLOCK + 1)
     real_fork = os.fork
     forks = []
@@ -275,5 +275,6 @@ def test_no_second_thread_at_the_trace_writers_fork(tmp_path, monkeypatch):
         run_experiment(config)
         traces = tmp_path / f"cpus{cpus}" / "traces"
         outputs[cpus] = {p.name: p.read_bytes() for p in sorted(traces.iterdir())}
-    assert forks == [(True, 1)]    # one helper, forked after split solves, from a lone thread
+    # a child for each of trials 0 and 1, forked after split solves, from a lone thread
+    assert forks == [(True, 1), (True, 1)]
     assert len(outputs[2]) == 6 and outputs[2] == outputs[1]
