@@ -665,6 +665,7 @@ class TestTraceWriter:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                           env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)    # the marker must wait in the buffer
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         assert done.stderr.split() == ["2"] and done.stdout == "marker"
