@@ -46,8 +46,8 @@ RHO = "fixed_one_with_safeguard"
 PARAMS = {"gd_difference": 0.9, "power_momentum": 0.1, "split_merge": RHO}
 RECORD = (
     "trace.sin_theta.append(sin_t); trace.f_value.append(xtx - s); trace.rayleigh.append(r); "
-    "trace.lambda_of_x.append(2.0 * s); trace.residual.append(resid); "
-    "trace.matvecs.append(op.matvec_count); trace.seconds.append(time.perf_counter())"
+    "trace.residual.append(resid); trace.matvecs.append(op.matvec_count); "
+    "trace.seconds.append(time.perf_counter())"
 )
 
 

@@ -113,9 +113,9 @@ def record(i):
                                      rho=1.0, degenerate=False) for z in c[4]]
     trace = IterationTrace(
         method="split_merge" if i % 2 else "power", sin_theta=array("d", np.abs(c[0])),
-        f_value=array("d", c[1]), rayleigh=array("d", c[2]), lambda_of_x=array("d", c[2]),
-        residual=array("d", np.abs(c[3])), matvecs=array("q", range(1, rows + 1)),
-        seconds=array("d", np.abs(c[4])), coeffs=coeffs if i % 2 else None)
+        f_value=array("d", c[1]), rayleigh=array("d", c[2]), residual=array("d", np.abs(c[3])),
+        matvecs=array("q", range(1, rows + 1)), seconds=array("d", np.abs(c[4])),
+        coeffs=coeffs if i % 2 else None)
     result = SolveResult(x=np.ones(2), x_unit=np.ones(2), lambda_estimate=1.0,
                          rayleigh_estimate=1.0, iterations=rows - 1, converged=True, trace=trace)
     return TrialRecord(f"m{i}", i, True, rows - 1, rows, 1.0, result=result, f_star=-0.25)
@@ -172,6 +172,26 @@ def perfbench(tree: Path, workload: str, seed: int) -> dict:
     result = json.loads(done.stdout.splitlines()[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"correct": result["correct"], "failed": result["failed"], **metrics}
+
+
+def alternating_pairs(trees: dict, workloads, pairs: int, first_seed: int, run, after=None) -> dict:
+    """Per workload, ``pairs`` pairs of ``run(tree, workload, seed)``: pair i at seed ``first_seed
+    + i``, the parent first in even pairs. ``after(tree, workload)`` returns entries to add to
+    each run's result. One JSON line per pair goes to stderr."""
+    done = {}
+    for workload in workloads:
+        done[workload] = []
+        for i in range(pairs):
+            seed = first_seed + i
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run(trees[side], workload, seed)
+                if after is not None:
+                    pair[side].update(after(trees[side], workload))
+            done[workload].append(pair)
+            print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
+    return done
 
 
 def _quartiles(values) -> list:
@@ -264,17 +284,7 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
                                 "--seconds 40 --trace 0")
-    pairs = {}
-    for workload in WORKLOADS:
-        pairs[workload] = []
-        for i in range(PAIRS):
-            seed = FIRST_SEED + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = perfbench(trees[side], workload, seed)
-            pairs[workload].append(pair)
-            print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
+    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
     payload["verdict"] = {"metric": "small_file peak_rss_mb",
                           **verdict(pairs["small_file"], "peak_rss_mb")}
     payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}

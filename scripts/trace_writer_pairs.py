@@ -35,7 +35,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import ROOT, _host, _revision, identity, perfbench, summarize, verdict  # noqa: E402
+from stream_memory import (  # noqa: E402
+    ROOT, _host, _revision, alternating_pairs, identity, perfbench, summarize, verdict,
+)
 
 WORKLOADS = ("small_file", "dense_paper", "sparse_file")
 PAIRS, FIRST_SEED = 10, 51
@@ -67,18 +69,8 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
                                 "--seconds 40 --trace 0")
-    pairs = {}
-    for workload in WORKLOADS:
-        pairs[workload] = []
-        for i in range(PAIRS):
-            seed = FIRST_SEED + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = perfbench(trees[side], workload, seed)
-                pair[side]["leftovers"] = leftovers(trees[side], workload)
-            pairs[workload].append(pair)
-            print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
+    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench,
+                              after=lambda tree, workload: {"leftovers": leftovers(tree, workload)})
     workload, metric = CLAIM
     payload["verdict"] = {"metric": f"{workload} {metric}", **verdict(pairs[workload], metric)}
     payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}

@@ -40,7 +40,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import ROOT, _host, _revision, perfbench, summarize, verdict  # noqa: E402
+from stream_memory import (  # noqa: E402
+    ROOT, _host, _revision, alternating_pairs, perfbench, summarize, verdict,
+)
 
 PARENT = "35778fe"
 OUT = ROOT / "BENCH_two_cpus.json"
@@ -107,19 +109,9 @@ def main() -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
                                 "--seconds 40 --trace 0")
-    pairs = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": parent_tree(Path(tmp)), "change": ROOT}
-        for workload in WORKLOADS:
-            pairs[workload] = []
-            for i in range(PAIRS):
-                seed = FIRST_SEED + i
-                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = perfbench(trees[side], workload, seed)
-                pairs[workload].append(pair)
-                print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
+        pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
     workload, metric, share = CLAIM
     rule = verdict(pairs[workload], metric)
     parent_median = statistics.median(p["parent"][metric] for p in pairs[workload])

@@ -27,7 +27,10 @@ line per event goes to ``progress.jsonl``: each set-up stage
 matvecs, and each (solver, trial) run with its outcome and trace path.
 ``report.json`` is written once the last trial ends.
 
-Config files are plain ``key = value`` text with ``#`` comments::
+Config files are plain ``key = value`` text with ``#`` comments. Each key of
+``SETTINGS`` is also a ``bench run`` flag (``--max-iter`` for ``max_iter``) that
+overrides the file. A ``matrix`` without a ``source``, in the file or among the
+flags, selects ``matrix_market``; a synthetic source with a matrix is refused::
 
     source = synthetic            # synthetic | matrix_market
     n = 256
@@ -117,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "matrix_market" and not self.matrix_path:
             raise ConfigError("matrix_market source needs a matrix path")
+        if self.source == "synthetic" and self.matrix_path:
+            raise ConfigError(f"a synthetic source takes no matrix, got {self.matrix_path!r}")
         if self.source == "synthetic":
             try:
                 SyntheticSpec(n=self.n, gap=self.gap)
@@ -602,29 +607,38 @@ def _coerce(value: str):
     return value
 
 
-_CONFIG_KEYS = {
-    "source": str,
-    "n": int,
-    "gap": float,
-    "matrix": str,
-    "solvers": parse_solver_list,
-    "baseline": str,
-    "trials": int,
-    "eps": float,
-    "max_iter": int,
-    "seed": int,
-    "out": str,
-    "stop_mode": str,
-    "residual_tol": float,
-    "dense_limit": int,
+# config key -> (ExperimentConfig field, parser of its text, help); each is a ``bench run`` flag
+SETTINGS = {
+    "source": ("source", str, "synthetic | matrix_market"),
+    "n": ("n", int, "synthetic matrix dimension"),
+    "gap": ("gap", float, "synthetic eigengap"),
+    "matrix": ("matrix_path", str, "Matrix Market file; without a source, selects matrix_market"),
+    "solvers": ("solvers", parse_solver_list,
+                "comma list, e.g. power,split_merge,gd_difference(alpha=0.9)"),
+    "baseline": ("baseline", str, "the solver label or method speed-ups are relative to"),
+    "trials": ("trials", int, "trials per solver"),
+    "eps": ("eps", float, "stopping tolerance on sin(theta)"),
+    "max_iter": ("max_iter", int, "iteration cap per solve"),
+    "seed": ("seed", int, "base seed of matrices and start vectors"),
+    "out": ("out_dir", str, "output directory"),
+    "stop_mode": ("stop_mode", str, "oracle | residual"),
+    "residual_tol": ("residual_tol", float, "relative residual tolerance in residual mode"),
+    "dense_limit": ("dense_limit", int, "largest n built or solved dense"),
 }
 
-KEY_TO_FIELD = {"matrix": "matrix_path", "out": "out_dir"}
+
+def apply_settings(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """Set each parsed ``{key: value}``; a matrix without a source selects matrix_market."""
+    for key, value in values.items():
+        setattr(config, SETTINGS[key][0], value)
+    if "matrix" in values and "source" not in values:
+        config.source = "matrix_market"
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
     """Read the key=value config format documented in the module docstring."""
-    config = ExperimentConfig()
+    values = {}
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
@@ -636,11 +650,10 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (t.strip() for t in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            parsed = _CONFIG_KEYS[key](value)
+            values[key] = SETTINGS[key][1](value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        setattr(config, KEY_TO_FIELD.get(key, key), parsed)
-    return config
+    return apply_settings(ExperimentConfig(), values)

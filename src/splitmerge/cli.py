@@ -5,6 +5,11 @@ Subcommands::
     bench run --config cfg.txt [overrides...]
     bench gen --n 256 --gap 0.01 --seed 0 --out matrix.mtx    # n <= 4096
 
+Every config-file key (``bench.SETTINGS``) is also a ``run`` flag, such as
+``--max-iter`` for ``max_iter``, and a flag overrides the file. ``--matrix``
+without ``--source`` selects the Matrix Market source, as a ``matrix`` line
+without a ``source`` line does in a file.
+
 Exit codes: 0 on completion, 1 on configuration errors (including bad
 flags), 2 on I/O errors (unreadable files, malformed Matrix Market input,
 unwritable output), 3 on any other library error (a ``SplitMergeError``
@@ -18,18 +23,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import KEY_TO_FIELD, ExperimentConfig, load_config, parse_solver_list, run_experiment
+from .bench import SETTINGS, ExperimentConfig, apply_settings, load_config, run_experiment
 from .errors import ConfigError, MatrixMarketError, SplitMergeError
 from .linop import save_matrix_market
 from .matgen import SyntheticSpec, generate
-from .solvers import STOP_MODES
-from .theory import DENSE_LIMIT_DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; bad flags are configuration errors here
+    # argparse prints its usage and exits 2; a bad flag is a one-line configuration error here
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise ConfigError(message)
 
 
@@ -40,19 +42,8 @@ def _build_parser() -> _Parser:
     # every run flag but --config is the config-file key of the same name
     run = sub.add_parser("run", help="run a benchmark experiment")
     run.add_argument("--config", help="key=value config file")
-    run.add_argument("--n", type=int, help="synthetic matrix dimension")
-    run.add_argument("--gap", type=float, help="synthetic eigengap")
-    run.add_argument(
-        "--solvers", type=parse_solver_list,
-        help="comma list, e.g. power,split_merge,gd_difference(alpha=0.9)",
-    )
-    run.add_argument("--trials", type=int)
-    run.add_argument("--eps", type=float, help="stopping tolerance on sin(theta)")
-    run.add_argument("--max-iter", type=int, dest="max_iter")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--matrix", help="Matrix Market file (switches source)")
-    run.add_argument("--stop-mode", choices=STOP_MODES, dest="stop_mode")
+    for key, (_, parse, text) in SETTINGS.items():
+        run.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=text)
 
     gen = sub.add_parser("gen", help="export a synthetic matrix to Matrix Market")
     gen.add_argument("--n", type=int, required=True)
@@ -64,11 +55,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    for key, value in vars(args).items():
-        if key not in ("command", "config") and value is not None:
-            setattr(config, KEY_TO_FIELD.get(key, key), value)
-    if args.matrix is not None:
-        config.source = "matrix_market"
+    apply_settings(config, {k: v for k, v in vars(args).items() if k in SETTINGS and v is not None})
     report = run_experiment(config)
     _print_report(report)
     return 0
@@ -93,12 +80,8 @@ def _print_report(report) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = SyntheticSpec(n=args.n, gap=args.gap, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.n > DENSE_LIMIT_DEFAULT:
-        raise ConfigError(f"n = {args.n} is above {DENSE_LIMIT_DEFAULT}: the matrix is built dense")
+    ExperimentConfig(n=args.n, gap=args.gap, seed=args.seed).validate()
+    spec = SyntheticSpec(n=args.n, gap=args.gap, seed=args.seed)
     op, _ = generate(spec)
     save_matrix_market(op, args.out)
     print(f"wrote {args.out} (n={args.n}, gap={args.gap}, seed={args.seed})")

@@ -147,7 +147,6 @@ class IterationTrace:
     sin_theta: array = _column("d")
     f_value: array = _column("d")
     rayleigh: array = _column("d")
-    lambda_of_x: array = _column("d")
     residual: array = _column("d")
     matvecs: array = _column("q")
     seconds: array = _column("d")
@@ -510,6 +509,16 @@ def _vector(v, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _unit_u1(u1, n: int) -> np.ndarray:
+    """u1 / ||u1||: DimensionMismatchError unless of shape (n,), ValueError if 0 or not finite."""
+    u1 = _vector(u1, n, "ground truth u1")
+    norm = float(np.linalg.norm(u1))
+    # negated so that a nan norm fails too: sin theta against nan reads 0
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"ground truth u1 must be finite and nonzero, got norm {norm}")
+    return u1 / norm
+
+
 def _step(kernel: IterationKernel, op: LinearOperator, x) -> np.ndarray:
     """One iteration of ``kernel``'s method from x. One matvec, two for split_merge."""
     x = np.ascontiguousarray(x, dtype=float)   # BLAS ddot sums a strided x in another order
@@ -577,14 +586,7 @@ def solve(
     advances by exactly the method's per-iteration cost. Memory is O(n) plus
     a few scalars per iteration.
     """
-    u1 = None
-    if ground_truth is not None:
-        u1 = _vector(ground_truth.u1, op.n, "ground truth u1")
-        norm_u1 = float(np.linalg.norm(u1))
-        # negated so that a nan norm fails too: sin theta against nan reads 0
-        if not 0.0 < norm_u1 < math.inf:
-            raise ValueError(f"ground truth u1 must be finite and nonzero, got norm {norm_u1}")
-        u1 = u1 / norm_u1
+    u1 = None if ground_truth is None else _unit_u1(ground_truth.u1, op.n)
     if config.stop_mode == "oracle" and u1 is None:
         raise ValueError("oracle stop mode requires ground truth")
 
@@ -601,9 +603,9 @@ def solve(
     trace = IterationTrace(method=config.method, coeffs=[] if is_sm else None)
 
     # the trace columns' appends and the loop's functions, bound once: lookups count at small n
-    columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.lambda_of_x,
-               trace.residual, trace.matvecs, trace.seconds)
-    add_sin, add_f, add_r, add_lambda, add_resid, add_mv, add_s = (c.append for c in columns)
+    columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.residual, trace.matvecs,
+               trace.seconds)
+    add_sin, add_f, add_r, add_resid, add_mv, add_s = (c.append for c in columns)
     clock, sqrt, inf, nan = time.perf_counter, math.sqrt, math.inf, math.nan
     mv0 = op.matvec_count
     t0 = clock()
@@ -629,7 +631,6 @@ def solve(
         add_sin(sin_t)
         add_f(xtx - s)
         add_r(r)
-        add_lambda(2.0 * s)
         add_resid(resid)
         add_mv(op.matvec_count - mv0)
         add_s(clock() - t0)
@@ -648,7 +649,7 @@ def solve(
     return SolveResult(
         x=x,
         x_unit=x / norm_x,
-        lambda_estimate=trace.lambda_of_x[-1],
+        lambda_estimate=2.0 * s,
         rayleigh_estimate=trace.rayleigh[-1],
         iterations=k,
         converged=converged,

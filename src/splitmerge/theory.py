@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linop import LinearOperator
 from .objective import _require_differentiable, hessian_vec
-from .solvers import IterationTrace, split_merge_step
+from .solvers import IterationTrace, _unit_u1, split_merge_step
 
 DENSE_LIMIT_DEFAULT = 4096
 REFERENCE_CERTIFY = 1e-10
@@ -175,16 +175,12 @@ class SquareRootFactor:
 
 
 def sin_theta(x: np.ndarray, u1: np.ndarray) -> AngleError:
-    """Angle between x and the dominant eigenvector u1, normalized here as solve does."""
+    """Angle between x and the dominant eigenvector u1, checked and normalized as solve does."""
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ValueError("angle undefined for the zero vector")
-    u1 = np.asarray(u1, dtype=float)
-    norm_u1 = float(np.linalg.norm(u1))
-    if not 0.0 < norm_u1 < math.inf:
-        raise ValueError(f"u1 must be finite and nonzero, got norm {norm_u1}")
-    cos = abs(float((u1 / norm_u1) @ x)) / norm
+    cos = abs(float(_unit_u1(u1, x.size) @ x)) / norm
     cos = min(cos, 1.0)
     return AngleError(sin_theta=math.sqrt(max(0.0, 1.0 - cos * cos)), cos_theta=cos)
 

@@ -16,9 +16,18 @@ from splitmerge import (
     run_experiment,
 )
 from splitmerge import worker
-from splitmerge.bench import TRACE_HEADER, SolverSetting, parse_solver_list
+from splitmerge.bench import SETTINGS, TRACE_HEADER, RunReport, SolverSetting, parse_solver_list
 from splitmerge.cli import main as cli_main
 from splitmerge.errors import ConfigError
+
+
+# a value other than the default for every config key, as its text
+SAMPLE_SETTINGS = {
+    "source": "matrix_market", "n": "48", "gap": "0.05", "matrix": "m.mtx",
+    "solvers": "power, gd_difference(alpha=0.9)", "baseline": "gd_difference", "trials": "7",
+    "eps": "1e-4", "max_iter": "500", "seed": "3", "out": "results", "stop_mode": "residual",
+    "residual_tol": "1e-9", "dense_limit": "100",
+}
 
 
 def _config(tmp_path, **overrides):
@@ -427,7 +436,7 @@ class TestStreaming:
         columns[0, ::7] = math.nan                 # sin theta missing on some rows
         trace = IterationTrace(
             method="split_merge", sin_theta=list(columns[0]), f_value=list(columns[1]),
-            rayleigh=list(columns[2]), lambda_of_x=[1.0] * rows, residual=list(columns[3]),
+            rayleigh=list(columns[2]), residual=list(columns[3]),
             matvecs=list(range(2, 2 * rows + 2, 2)), seconds=list(np.abs(columns[4])),
             coeffs=[_coeffs(z, 0.0 if i % 5 == 0 else 0.3) for i, z in enumerate(columns[4])],
         )
@@ -767,6 +776,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key 'workers'"):
             load_config(cfg)
 
+    def test_matrix_without_source_loads_the_file(self, tmp_path):
+        mtx = tmp_path / "m.mtx"
+        assert cli_main(["gen", "--n", "10", "--gap", "0.3", "--seed", "1", "--out", str(mtx)]) == 0
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"matrix = {mtx}\nn = 32\ntrials = 1\nout = {tmp_path / 'out'}\n")
+        config = load_config(cfg)
+        assert (config.source, config.matrix_path) == ("matrix_market", str(mtx))
+        run_experiment(config)
+        stages = [line.get("stage") for line in _progress(config)]
+        assert stages[:2] == ["load_matrix_market", "dense_eigendecomposition"]
+
+    @pytest.mark.parametrize("text", ["matrix = m.mtx\nsource = synthetic\n",
+                                      "source = synthetic\nmatrix = m.mtx\n"])
+    def test_synthetic_source_with_a_matrix_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="a synthetic source takes no matrix"):
+            load_config(cfg).validate()
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_each_key_sets_the_same_field_from_a_file_and_from_its_flag(
+        self, tmp_path, monkeypatch, key
+    ):
+        import splitmerge.cli as cli
+
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"{key} = {SAMPLE_SETTINGS[key]}\n")
+        from_file = load_config(cfg)
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return RunReport(baseline=config.baseline, stats=[], records=[], trace_paths=[])
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        flag = "--" + key.replace("_", "-")
+        assert cli_main(["run", flag, SAMPLE_SETTINGS[key]]) == 0
+        field = SETTINGS[key][0]
+        assert getattr(from_file, field) != getattr(ExperimentConfig(), field)
+        assert vars(seen[0]) == vars(from_file)
+
 
 class TestCli:
     def test_run_with_config_and_overrides(self, tmp_path, capsys):
@@ -831,6 +881,16 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_config_files_matrix_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"matrix = {tmp_path / 'absent.mtx'}\nn = 32\ntrials = 1\n"
+                       f"out = {tmp_path / 'o'}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        # a flag's source overrides the file's rule, and a synthetic matrix is refused
+        assert cli_main(["run", "--config", str(cfg), "--source", "synthetic"]) == 1
+        assert cli_main(["run", "--config", str(cfg), "--matrix", ""]) == 1
 
     def test_malformed_matrix_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mtx"
@@ -948,13 +1008,13 @@ def test_trace_csv_exact_bytes(tmp_path):
     sm = IterationTrace(
         method="split_merge", sin_theta=[math.nan] * 3,
         f_value=[0.5, -0.2, -0.2499999999999999], rayleigh=[0.7, 0.95, 1.0],
-        lambda_of_x=[1.0, 1.0, 1.0], residual=[0.3, 1e-3, 2.5e-17], matvecs=[2, 4, 6],
+        residual=[0.3, 1e-3, 2.5e-17], matvecs=[2, 4, 6],
         seconds=[1e-5, 2.5e-5, 4.0e-5],
         coeffs=[_coeffs(-0.2, 0.4), _coeffs(0.35, 0.0, True), _coeffs(0.1, 0.3)],
     )
     pw = IterationTrace(
         method="power", sin_theta=[0.5, 0.0], f_value=[0.1, 0.2],
-        rayleigh=[1.0 / 3.0, 123456.789], lambda_of_x=[1.0, 1.0], residual=[1.0, 0.0],
+        rayleigh=[1.0 / 3.0, 123456.789], residual=[1.0, 0.0],
         matvecs=[1, 2], seconds=[0.125, 3.0],
     )
     failed = TrialRecord("power", 1, False, 0, 5, 0.0, error="BreakdownError: x")

@@ -1,9 +1,11 @@
-"""Fuzzed input surfaces: Matrix Market bytes, config files and solver lists.
+"""Fuzzed input surfaces: Matrix Market bytes, config files, solver lists and CLI flags.
 
 The loader cases run in one child interpreter under an address-space limit,
 so a crash or a runaway allocation fails the test instead of pytest.
 """
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -11,11 +13,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitmerge.bench import _CONFIG_KEYS, load_config, parse_solver_list
+from splitmerge import cli
+from splitmerge.bench import SETTINGS, RunReport, load_config, parse_solver_list
 from splitmerge.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,7 +131,7 @@ _TOKEN = st.sampled_from([
 _VALUE = st.one_of(_TOKEN, st.text(_ASCII, max_size=12),
                    st.lists(_TOKEN, max_size=6).map("".join))
 _LINE = st.one_of(
-    st.tuples(st.sampled_from(sorted(_CONFIG_KEYS)), _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(st.sampled_from(sorted(SETTINGS)), _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(_ASCII, max_size=30),
 )
 
@@ -151,3 +155,35 @@ def test_solver_list_raises_only_config_errors(text):
         parse_solver_list(text)
     except ConfigError:
         pass
+
+
+_FLAG = st.sampled_from(["--" + key.replace("_", "-") for key in SETTINGS])
+# a subcommand, then flags with a value, flags without one and stray values
+_ARGV = st.tuples(
+    st.sampled_from(["run", "gen"]),
+    st.lists(st.one_of(st.tuples(_FLAG, _VALUE), st.tuples(st.one_of(_FLAG, _VALUE))), max_size=6),
+).map(lambda cmd_parts: [cmd_parts[0], *(arg for part in cmd_parts[1] for arg in part)])
+
+
+def _validate_only(config):
+    config.validate()
+    return RunReport(baseline=config.baseline, stats=[], records=[], trace_paths=[])
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(argv=_ARGV)
+def test_cli_flags_exit_with_at_most_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        # no solve, matrix or file: the settings are only checked
+        for name, stub in (("run_experiment", _validate_only), ("generate", lambda spec: (0, 0)),
+                           ("save_matrix_market", lambda op, path: None)):
+            stack.enter_context(mock.patch.object(cli, name, stub))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:    # --help prints to stdout and exits 0
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv

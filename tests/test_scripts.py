@@ -131,6 +131,32 @@ def test_stream_memory_summary_counts_wins_by_direction():
     assert summary["rss"]["change_q1_median_q3"] == [85.0, 90.0, 94.5]
 
 
+def test_alternating_pairs_order_seeds_and_workloads(capsys):
+    module = _script_module("stream_memory")
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    runs = []
+
+    def run(tree, workload, seed):
+        runs.append((tree.name, workload, seed))
+        return {"wall_s": float(seed)}
+
+    pairs = module.alternating_pairs(trees, ("a", "b"), 3, 51, run,
+                                     after=lambda tree, workload: {"after": (tree.name, workload)})
+    assert runs == [(side, workload, seed) for workload in ("a", "b") for seed, order in
+                    ((51, ("parent", "change")), (52, ("change", "parent")),
+                     (53, ("parent", "change"))) for side in order]
+    assert sorted(pairs) == ["a", "b"]
+    for workload, done in pairs.items():
+        assert [(pair["seed"], pair["first"]) for pair in done] == [
+            (51, "parent"), (52, "change"), (53, "parent")]
+        for pair in done:
+            for side in trees:
+                assert pair[side] == {"wall_s": float(pair["seed"]), "after": (side, workload)}
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(line["workload"], line["seed"]) for line in lines] == [
+        (w, seed) for w in ("a", "b") for seed in (51, 52, 53)]
+
+
 def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):
     module = _script_module("trace_writer_pairs")
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -147,10 +173,7 @@ def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert module.main(["--parent", str(ROOT.parent), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert [(tree == ROOT, seed) for tree, workload, seed in runs[:4]] == [
-        (False, 51), (True, 51), (True, 52), (False, 52),
-    ]
-    assert [w for _, w, _ in runs[::4]] == list(module.WORKLOADS)
+    assert len(runs) == 4 * len(module.WORKLOADS)
     assert payload["verdict"]["metric"] == "small_file wall_s"
     assert payload["verdict"]["change_lower"] == "2 of 2"
     assert payload["summary"]["small_file"]["wall_s"]["change_won"] == "2 of 2"
@@ -208,11 +231,7 @@ def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "OUT", tmp_path / "bench.json")
     assert module.main() == 0
     payload = json.loads((tmp_path / "bench.json").read_text())
-    assert [(tree == ROOT, seed) for tree, workload, seed in runs[:4]] == [
-        (False, module.FIRST_SEED), (True, module.FIRST_SEED),
-        (True, module.FIRST_SEED + 1), (False, module.FIRST_SEED + 1),
-    ]
-    assert [w for _, w, _ in runs[::4]] == list(module.WORKLOADS)
+    assert len(runs) == 4 * len(module.WORKLOADS)
     assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
     assert payload["verdict"]["change_lower"] == "2 of 2"
     assert payload["verdict"]["median_drop_share"] == pytest.approx(0.5 / 2.005)
