@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""The two-CPU split of the CSR matvec and the kernel's passes, timed; writes BENCH_two_cpus.json.
+"""The two-CPU split of the CSR matvec and the kernel's passes, timed against a parent tree.
 
-    python3 scripts/two_cpus.py
+    python3 scripts/two_cpus.py --parent ../parent --out BENCH_two_cpus.json
 
-Three parts, each in its own processes:
+``--parent`` is another checkout of this repository (for example a ``git
+clone`` of the commit before the split). Three parts, each in its own
+processes:
 
 - ``handoff_us``: one round trip of ``worker.halves`` with two empty calls
   over ``SPLIT_MIN_N`` elements, with the process on two CPUs: the best and
@@ -17,25 +19,23 @@ Three parts, each in its own processes:
   one-CPU time over the two-CPU time, per part.
 - ``pairs``: for each of ``WORKLOADS``, ``PAIRS`` alternating pairs of
   ``perfbench/run.py --seconds 40 --trace 0`` at seeds ``FIRST_SEED`` upward,
-  on a ``git archive`` of ``PARENT`` (the commit before the split) and on
-  this tree; the parent runs first in even pairs. ``summary`` gives each
-  end-to-end metric's quartiles and win count, and ``verdict`` the claim's
+  each tree running its own copy; the parent runs first in even pairs.
+  ``summary`` gives each end-to-end metric's quartiles and win count, and ``verdict`` the claim's
   rule (``stream_memory.verdict``) on ``sparse_file`` ``solve_s.power``, with
   a median drop of at least 15% on top.
 
-The JSON goes to BENCH_two_cpus.json at the repository root and to standard
-output. This process itself holds no arrays: on Linux a child's
-``ru_maxrss`` starts at the peak its parent had reached when it was spawned.
+The JSON goes to ``--out`` and to standard output. This process itself holds
+no arrays: on Linux a child's ``ru_maxrss`` starts at the peak its parent had
+reached when it was spawned.
 """
 
+import argparse
 import json
 import os
 import resource
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -44,8 +44,6 @@ from stream_memory import (  # noqa: E402
     ROOT, _host, _revision, alternating_pairs, perfbench, summarize, verdict,
 )
 
-PARENT = "35778fe"
-OUT = ROOT / "BENCH_two_cpus.json"
 SIZES = (65536, 131072, 262144, 1_000_000)
 HANDOFF_ROUNDS, HANDOFF_CALLS = 20, 500
 WORKLOADS = ("sparse_file", "dense_paper", "small_file")
@@ -91,27 +89,20 @@ def parts() -> dict:
     return {"handoff_us": runs[2]["handoff_us"], "parts": rows}
 
 
-def parent_tree(tmp: Path) -> Path:
-    """A ``git archive`` of ``PARENT`` unpacked under ``tmp``."""
-    tree = tmp / "parent"
-    archive = tmp / "parent.tar"
-    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), PARENT], check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
-    return tree
-
-
-def main() -> int:
-    payload = {"trees": {"parent": PARENT, "change": _revision(ROOT)}, "host": _host()}
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    payload = {"trees": {side: _revision(tree) for side, tree in trees.items()}, "host": _host()}
     payload.update(parts())
     print(json.dumps({"handoff_us": payload["handoff_us"]}), file=sys.stderr)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
                                 "--seconds 40 --trace 0")
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": parent_tree(Path(tmp)), "change": ROOT}
-        pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
+    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
     workload, metric, share = CLAIM
     rule = verdict(pairs[workload], metric)
     parent_median = statistics.median(p["parent"][metric] for p in pairs[workload])
@@ -123,7 +114,7 @@ def main() -> int:
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)
-    OUT.write_text(text + "\n")
+    args.out.write_text(text + "\n")
     print(text)
     return 0
 

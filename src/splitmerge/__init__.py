@@ -36,12 +36,12 @@ from .theory import (
     AngleError,
     DominantReference,
     Spectrum,
-    SquareRootFactor,
     Theorem51Bounds,
     compute_delta,
     dense_eigendecomposition,
     reference_dominant_eigenpair,
     sin_theta,
+    square_root_factor,
     theorem51_bounds,
     verify_surrogate_dominance,
     verify_vhat_formula,
@@ -74,11 +74,11 @@ __all__ = [
     "Spectrum",
     "DominantReference",
     "AngleError",
-    "SquareRootFactor",
     "Theorem51Bounds",
     "dense_eigendecomposition",
     "reference_dominant_eigenpair",
     "sin_theta",
+    "square_root_factor",
     "compute_delta",
     "theorem51_bounds",
     "verify_surrogate_dominance",

@@ -16,15 +16,16 @@ so an unwritable ``out`` fails before any work; if a file source's set-up
 removed again. As each trial's solvers finish, their trace CSVs are written
 and each record's ``result`` is dropped, so at most one trial's traces are
 held at a time. Where the process may run on two or more CPUs
-(``worker.cpus``) and ``os.fork`` exists, a forked child per trial writes
-the CSVs of every trial but the last while the next trial solves, if they
-hold ``TRACE_BLOCK`` rows or more (``_TraceWriter``); so a run line may
-name a CSV still being written. Each CSV is written under a ``.tmp`` name
-and renamed into place, so it appears complete. One flushed JSON
-line per event goes to ``progress.jsonl``: each set-up stage
-(``generate``, ``load_matrix_market``, ``dense_eigendecomposition``,
-``reference_dominant_eigenpair``) with its trial or null, seconds and
-matvecs, and each (solver, trial) run with its outcome and trace path.
+(``worker.cpus``), a forked child per trial writes the CSVs of every trial
+but the last while the next trial solves, if they hold ``TRACE_BLOCK`` rows
+or more (``_TraceWriter``); so a run line may name a CSV still being
+written. The fork, like ``worker``'s fork hook, needs a POSIX system. Each
+CSV is written under a ``.tmp`` name and renamed into place, so it appears
+complete. One flushed JSON line per event goes to ``progress.jsonl``: each
+set-up stage (``generate``, ``load_matrix_market``,
+``dense_eigendecomposition``, ``reference_dominant_eigenpair``) with its
+trial or null, seconds and matvecs, and each (solver, trial) run with its
+outcome and trace path.
 ``report.json`` is written once the last trial ends.
 
 Config files are plain ``key = value`` text with ``#`` comments. Each key of
@@ -116,6 +117,8 @@ class ExperimentConfig:
     dense_limit: int = DENSE_LIMIT_DEFAULT
 
     def validate(self) -> None:
+        if not self.out_dir:    # Path("") is the working directory
+            raise ConfigError("out must name a directory, got an empty value")
         if self.source not in ("synthetic", "matrix_market"):
             raise ConfigError(f"unknown source {self.source!r}")
         if self.source == "matrix_market" and not self.matrix_path:
@@ -513,15 +516,15 @@ class _TraceWriter:
     """Writes each trial's trace CSVs, in a forked child while the next trial solves.
 
     A trial goes to a child when a later trial exists, its traces hold at
-    least ``TRACE_BLOCK`` rows, the process may run on two or more CPUs and
-    ``os.fork`` exists; otherwise ``emit_traces`` writes it here. Fewer rows
-    take milliseconds to write, and a fork costs more where the process is
-    large: on the 1e6-row sparse benchmark, whose trials hold a few hundred
-    rows, forked writes made the later set-up and solves a few percent
-    slower. The child writes the records it inherited, so nothing is copied
-    to it, and never calls BLAS. ``write`` and leaving the ``with`` block,
-    also on an interrupt, first wait for the child before, so at most one
-    is alive at a time; ``write`` raises its failure as ``OSError``.
+    least ``TRACE_BLOCK`` rows and the process may run on two or more CPUs;
+    otherwise ``emit_traces`` writes it here. Fewer rows take milliseconds
+    to write, and a fork costs more where the process is large: on the
+    1e6-row sparse benchmark, whose trials hold a few hundred rows, forked
+    writes made the later set-up and solves a few percent slower. The child
+    writes the records it inherited, so nothing is copied to it, and never
+    calls BLAS. ``write`` and leaving the ``with`` block, also on an
+    interrupt, first wait for the child, so at most one is alive at a time;
+    ``write`` raises its failure as ``OSError``.
     ``worker``'s thread is stopped before a fork, so a child is copied from
     one thread.
     """
@@ -545,7 +548,7 @@ class _TraceWriter:
         """The CSV paths of completed runs' traces: written, or being written by a child."""
         self.wait()
         rows = sum(len(rec.result.trace.matvecs) for rec in records)
-        if not (later and rows >= TRACE_BLOCK and worker.cpus() >= 2 and hasattr(os, "fork")):
+        if not (later and rows >= TRACE_BLOCK and worker.cpus() >= 2):
             return emit_traces(records, self._dir)
         read, write = os.pipe()
         # a Ctrl-C between the fork and the child's SIG_IGN would run this code on in the child

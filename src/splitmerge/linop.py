@@ -52,7 +52,8 @@ def _frobenius(norm, values: np.ndarray) -> float:
 class LinearOperator:
     """Symmetric linear operator exposing ``y = A @ x`` and a matvec counter.
 
-    Subclasses implement ``_apply``, ``to_dense`` and ``frobenius_norm``.
+    Subclasses implement ``_apply`` and ``to_dense``, and set
+    ``frobenius_norm`` as this class sets ``n``.
     Operators are immutable after construction; the matvec counter is the
     only mutable state. It is not thread-safe: concurrent callers each take
     their own counter via :meth:`share`. ``apply`` may hand half of a large
@@ -73,10 +74,6 @@ class LinearOperator:
 
     def to_dense(self) -> np.ndarray:
         """A new n x n array, which the caller may modify."""
-        raise NotImplementedError
-
-    @property
-    def frobenius_norm(self) -> float:
         raise NotImplementedError
 
     # -- shared behavior ----------------------------------------------------
@@ -158,7 +155,7 @@ class DenseOperator(LinearOperator):
 
             self._symv = dsymv
         self._a = matrix
-        self._fro = _frobenius(np.linalg.norm, matrix)
+        self.frobenius_norm = _frobenius(np.linalg.norm, matrix)
 
     def _apply(self, x):
         if self.n < SYMV_MIN_N:
@@ -168,10 +165,6 @@ class DenseOperator(LinearOperator):
 
     def to_dense(self):
         return self._a.copy()
-
-    @property
-    def frobenius_norm(self):
-        return self._fro
 
 
 class CsrOperator(LinearOperator):
@@ -187,17 +180,13 @@ class CsrOperator(LinearOperator):
         super().__init__(matrix.shape[0])
         matrix.sum_duplicates()
         self._a = matrix
-        self._fro = _frobenius(lambda v: np.sqrt((v**2).sum()), matrix.data)
+        self.frobenius_norm = _frobenius(lambda v: np.sqrt((v**2).sum()), matrix.data)
 
     def _apply(self, x):
         return _split_matvec(self._a, x)
 
     def to_dense(self):
         return self._a.toarray()
-
-    @property
-    def frobenius_norm(self):
-        return self._fro
 
 
 def _split_matvec(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -253,6 +242,11 @@ def gershgorin_shift(op: LinearOperator) -> tuple[LinearOperator, float]:
 # Coordinate indices are 1-based.
 
 _MM_RELATIVE_SYMMETRY_TOL = 1e-12
+# Most rows a file may declare per byte of its size. An entry line takes at
+# least 6 bytes and covers at most two rows, so a file whose every row holds
+# an entry declares at most one row per 3 bytes. A larger n would allocate
+# row pointers, and a solve n-vectors, far beyond what the file describes.
+MM_ROWS_PER_BYTE = 1
 
 
 def _parse_header(line: str, path) -> tuple[str, str]:
@@ -308,6 +302,8 @@ def load_matrix_market(path) -> LinearOperator:
     and a CSR operator otherwise; both hold the same values. "symmetric"
     files have every off-diagonal entry mirrored; "general" variants must be
     symmetric to 1e-12 relative (max-entry norm) and are stored as (A + A')/2.
+    A size line that declares more than ``MM_ROWS_PER_BYTE`` rows per byte of
+    the file is refused before the entries are parsed.
     """
     import scipy.io  # only file-backed runs pay for the import
 
@@ -324,8 +320,12 @@ def load_matrix_market(path) -> LinearOperator:
             rows, cols, entries = scipy.io.mminfo(_BannerStream(banner, fh))[:3]
             if rows != cols:
                 raise NonSquareMatrixError(f"{path}: {rows}x{cols} matrix is not square")
-            if rows < 1 or 2 * entries > os.fstat(fh.fileno()).st_size:
+            size = os.fstat(fh.fileno()).st_size
+            if rows < 1 or 2 * entries > size:
                 raise MatrixMarketError(f"{path}: impossible size line {rows} {cols} {entries}")
+            if rows > MM_ROWS_PER_BYTE * size:
+                raise MatrixMarketError(f"{path}: {rows} rows declared in {size} bytes, above "
+                                        f"MM_ROWS_PER_BYTE = {MM_ROWS_PER_BYTE} per byte")
             fh.seek(len(header))
             mat = scipy.io.mmread(_BannerStream(banner, fh))
         except (ValueError, OverflowError) as exc:

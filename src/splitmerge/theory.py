@@ -153,25 +153,11 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=view.matvec_count)
 
 
-@dataclass
-class SquareRootFactor:
-    """F with F'F = A, built as sqrt(L+) U' over the positive eigenvalues."""
-
-    factor: np.ndarray  # (r, n)
-
-    @staticmethod
-    def from_spectrum(spectrum: Spectrum) -> "SquareRootFactor":
-        lam = spectrum.eigenvalues
-        keep = lam > RANK_TOL * max(lam[0], 0.0) if lam[0] > 0 else lam > 0
-        f = np.sqrt(lam[keep])[:, None] * spectrum.eigenvectors[:, keep].T
-        return SquareRootFactor(factor=f)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.factor @ x
-
-    @property
-    def rank(self) -> int:
-        return self.factor.shape[0]
+def square_root_factor(spectrum: Spectrum) -> np.ndarray:
+    """The (r, n) array F with F'F = A, sqrt(L+) U' over the positive eigenvalues."""
+    lam = spectrum.eigenvalues
+    keep = lam > RANK_TOL * max(lam[0], 0.0) if lam[0] > 0 else lam > 0
+    return np.sqrt(lam[keep])[:, None] * spectrum.eigenvectors[:, keep].T
 
 
 def sin_theta(x: np.ndarray, u1: np.ndarray) -> AngleError:
@@ -250,8 +236,7 @@ def _factor_and_products(op: LinearOperator, x: np.ndarray):
     quad = float(x @ w)
     if quad <= 0.0:
         raise NonDifferentiablePointError("surrogate checks need x with x'Ax > 0")
-    factor = SquareRootFactor.from_spectrum(dense_eigendecomposition(op))
-    return factor, w, quad
+    return square_root_factor(dense_eigendecomposition(op)), w, quad
 
 
 def project_direction(v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -264,13 +249,13 @@ def project_direction(v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def surrogate_matrix(
-    factor: SquareRootFactor, quad: float, w: np.ndarray, u: np.ndarray, v: np.ndarray
+    factor: np.ndarray, quad: float, w: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """Dense H = 2I - F'(uu' + vv')F / s + (Ax)(Ax)' / s^3, s = sqrt(x'Ax)."""
     s = math.sqrt(quad)
-    n = factor.factor.shape[1]
-    fu = factor.factor.T @ u
-    fv = factor.factor.T @ v
+    n = factor.shape[1]
+    fu = factor.T @ u
+    fv = factor.T @ v
     return (
         2.0 * np.eye(n)
         - (np.outer(fu, fu) + np.outer(fv, fv)) / s
@@ -334,7 +319,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
     fx = factor @ x
     z = op.apply(w)
     c = float(w @ w) / quad
-    g_split = factor.factor @ (factor.factor.T @ fx) - c * fx   # FF'Fx - c*Fx = F(Ax - c*x)
+    g_split = factor @ (factor.T @ fx) - c * fx   # FF'Fx - c*Fx = F(Ax - c*x)
     norm_g = float(np.linalg.norm(g_split))
     # ||F(Ax - c*x)||^2 = x'A^3x - (x'A^2x)^2 / x'Ax, the split-merge denominator
     if norm_g * norm_g <= 1e-14 * float(z @ z):
@@ -346,7 +331,7 @@ def verify_vhat_formula(op: LinearOperator, x: np.ndarray, rho: float) -> VhatCh
         return VhatCheck(passed=False, skipped=False, vhat=vhat)
 
     # explicit update: Ax/(2s) + ((F'v)'Ax / (4*sigma*quad)) * F'v
-    fv = factor.factor.T @ vhat
+    fv = factor.T @ vhat
     sigma = 1.0 - float(fv @ fv) / (2.0 * s)
     explicit = w / (2.0 * s) + (float(fv @ w) / (4.0 * sigma * quad)) * fv
 

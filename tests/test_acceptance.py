@@ -15,7 +15,6 @@ import pytest
 from splitmerge import (
     DenseOperator,
     SolverConfig,
-    SquareRootFactor,
     SyntheticSpec,
     compute_delta,
     dense_eigendecomposition,
@@ -26,6 +25,7 @@ from splitmerge import (
     sin_theta,
     solve,
     split_merge_step,
+    square_root_factor,
     theorem51_bounds,
     verify_surrogate_dominance,
     verify_vhat_formula,
@@ -157,10 +157,10 @@ def test_criterion_5_surrogate_dominance():
         op = random_psd_operator(rng, n)
         x = rng.standard_normal(n)
         spec = dense_eigendecomposition(op)
-        factor = SquareRootFactor.from_spectrum(spec)
+        factor = square_root_factor(spec)
         fx = factor @ x
         u = fx / np.linalg.norm(fx)
-        v = project_direction(rng.standard_normal(factor.rank), u)
+        v = project_direction(rng.standard_normal(factor.shape[0]), u)
         w = op.to_dense() @ x
         h = surrogate_matrix(factor, float(x @ w), w, u, v)
         gap_eigs = np.linalg.eigvalsh(h - hessian_matrix(op, x))

@@ -978,6 +978,41 @@ class TestCli:
         target = tmp_path / "no_dir" / "x.mtx"
         assert cli_main(["gen", "--n", "4", "--gap", "0.5", "--out", str(target)]) == 2
 
+    def test_empty_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, which would receive traces/ and report.json
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n = 8\ntrials = 1\nout =\n")
+        for argv in (["run", "--out", "", "--n", "8", "--trials", "1"], ["run", "--config", str(cfg)]):
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == (
+                "config error: out must name a directory, got an empty value\n")
+        assert list(cwd.iterdir()) == []
+
+    def test_rows_beyond_the_file_size_exit_with_one_line(self, tmp_path, capsys):
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "400000000 400000000 1\n1 1 1.0\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--matrix", str(huge), "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {huge}: 400000000 rows declared in 78 bytes")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_duplicate_solvers_are_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("solvers = split_merge, split_merge()\n")
+        out = tmp_path / "o"
+        for argv in (["run", "--solvers", "power,power", "--out", str(out)],
+                     ["run", "--config", str(cfg), "--out", str(out)]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: duplicate solver entries") and err.count("\n") == 1
+        assert not out.exists()
+
 
 def _coeffs(zeta, omega, degenerate=False):
     from splitmerge.solvers import SplitMergeCoefficients

@@ -31,7 +31,7 @@ from splitmerge.errors import (
     MatrixMarketHeaderError,
     NonSquareMatrixError,
 )
-from splitmerge.linop import SYMV_MIN_N
+from splitmerge.linop import MM_ROWS_PER_BYTE, SYMV_MIN_N
 
 from conftest import assert_symmetric_psd, random_symmetric
 
@@ -397,6 +397,32 @@ class TestMatrixMarket:
         path = _write(tmp_path, "short.mtx", text)
         with pytest.raises(MatrixMarketError):
             load_matrix_market(path)
+
+    def test_rows_far_beyond_the_file_size_are_refused_before_parsing(self, tmp_path,
+                                                                       monkeypatch):
+        # CSR row pointers for 4e8 rows would take 1.5 GiB; the file holds 78 bytes
+        path = _write(tmp_path, "huge.mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
+                                             "400000000 400000000 1\n1 1 1.0\n")
+        assert path.stat().st_size == 78
+
+        def never(*args, **kwargs):
+            raise AssertionError("mmread was called")
+
+        monkeypatch.setattr(scipy.io, "mmread", never)
+        with pytest.raises(MatrixMarketError, match="MM_ROWS_PER_BYTE = 1 per byte"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("n", [56, 57])
+    def test_rows_per_byte_bound_is_tight(self, tmp_path, n):
+        # an all-zero file of 56 or 57 rows takes 56 bytes
+        path = _write(tmp_path, "zeros.mtx",
+                      f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} 0\n")
+        assert path.stat().st_size * MM_ROWS_PER_BYTE == 56
+        if n > 56:
+            with pytest.raises(MatrixMarketError):
+                load_matrix_market(path)
+        else:
+            np.testing.assert_array_equal(load_matrix_market(path).to_dense(), np.zeros((n, n)))
 
     def test_cross_check_against_scipy(self, tmp_path, rng):
         dense = random_symmetric(rng, 7)

@@ -1,4 +1,5 @@
-"""Smoke tests for the experiment scripts, run as subprocesses on tiny cells."""
+"""Smoke tests for the experiment scripts, run as subprocesses on tiny cells, and for the
+``bench run`` line that the README gives for the step-size sweep."""
 
 import csv
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from splitmerge import ExperimentConfig, run_experiment
+from splitmerge import ExperimentConfig, cli, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,15 +40,19 @@ def test_speedup_table_prints_harness_ratios(tmp_path):
     assert float(mv) > 1.0
 
 
-def test_step_size_sweep_writes_per_alpha_traces(tmp_path):
+def test_step_size_sweep_writes_per_alpha_traces(tmp_path, capsys):
+    # the README's step-size sweep is one bench run line: gd_difference at each alpha, one trial
     out = tmp_path / "sweep"
-    lines = _run_script(
-        "step_size_sweep.py", "--n", "32", "--gap", "0.1", "--alphas", "0.5,0.9", "--out", str(out)
-    )
-    assert lines[0].startswith("gd_difference(alpha=0.5): ")
-    assert lines[0].endswith("matvec speed-up 1.00x")
-    assert lines[1].startswith("gd_difference(alpha=0.9): ")
-    assert lines[2] == f"traces -> {out}/traces"
+    assert cli.main([
+        "run", "--n", "32", "--gap", "0.1",
+        "--solvers", "gd_difference(alpha=0.5),gd_difference(alpha=0.9)",
+        "--baseline", "gd_difference(alpha=0.5)", "--trials", "1", "--eps", "1e-2",
+        "--out", str(out),
+    ]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["gd_difference(alpha=0.5)",
+                                               "gd_difference(alpha=0.9)"]
+    assert rows[0].split()[-1] == "1"      # the baseline's matvec speed-up
 
     report = json.loads((out / "report.json").read_text())
     assert report["baseline"] == "gd_difference(alpha=0.5)"
@@ -216,21 +221,25 @@ def test_two_cpus_times_each_part_on_one_cpu_and_on_two(monkeypatch):
 def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
     module = _script_module("two_cpus")
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("")
     runs = []
 
     def fake_perfbench(tree, workload, seed):
         runs.append((tree, workload, seed))
-        assert (tree / "perfbench" / "run.py").is_file()     # the parent: an archive of PARENT
-        power = 2.0 if tree != ROOT else 1.5      # the parent is slower
+        assert (tree / "perfbench" / "run.py").is_file()
+        power = 2.0 if tree == parent else 1.5      # the parent is slower
         return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0),
                 "solve_s.power": power + 0.01 * (seed % 2)}
 
     monkeypatch.setattr(module, "perfbench", fake_perfbench)
     monkeypatch.setattr(module, "parts", lambda: {"handoff_us": {"best": 1.0}, "parts": []})
     monkeypatch.setattr(module, "PAIRS", 2)
-    monkeypatch.setattr(module, "OUT", tmp_path / "bench.json")
-    assert module.main() == 0
-    payload = json.loads((tmp_path / "bench.json").read_text())
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(parent), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted({tree for tree, _, _ in runs}) == sorted([parent, ROOT])
     assert len(runs) == 4 * len(module.WORKLOADS)
     assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
     assert payload["verdict"]["change_lower"] == "2 of 2"

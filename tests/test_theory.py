@@ -14,7 +14,6 @@ from splitmerge import (
     SolverConfig,
     Spectrum,
     SplitMergeCoefficients,
-    SquareRootFactor,
     SyntheticSpec,
     compute_delta,
     dense_eigendecomposition,
@@ -24,6 +23,7 @@ from splitmerge import (
     sin_theta,
     solve,
     split_merge_step,
+    square_root_factor,
     theorem51_bounds,
     verify_surrogate_dominance,
     verify_vhat_formula,
@@ -115,14 +115,14 @@ class TestSquareRootFactor:
         for _ in range(10):
             op = random_psd_operator(rng, 10)
             spec = dense_eigendecomposition(op)
-            factor = SquareRootFactor.from_spectrum(spec)
-            err = np.max(np.abs(factor.factor.T @ factor.factor - op.to_dense()))
+            factor = square_root_factor(spec)
+            err = np.max(np.abs(factor.T @ factor - op.to_dense()))
             assert err <= 1e-8 * spec.lambda1
 
     def test_rank_truncation(self):
         op = DenseOperator(np.diag([2.0, 1.0, 0.0]))
-        factor = SquareRootFactor.from_spectrum(dense_eigendecomposition(op))
-        assert factor.rank == 2
+        factor = square_root_factor(dense_eigendecomposition(op))
+        assert factor.shape[0] == 2
 
 
 class TestSinTheta:
@@ -330,10 +330,10 @@ class TestSurrogateDominance:
             op = random_psd_operator(rng, n)
             x = rng.standard_normal(n)
             spec = dense_eigendecomposition(op)
-            factor = SquareRootFactor.from_spectrum(spec)
+            factor = square_root_factor(spec)
             fx = factor @ x
             u = fx / np.linalg.norm(fx)
-            v = project_direction(rng.standard_normal(factor.rank), u)
+            v = project_direction(rng.standard_normal(factor.shape[0]), u)
             w = op.to_dense() @ x
             quad = float(x @ w)
             h = surrogate_matrix(factor, quad, w, u, v)
@@ -390,16 +390,16 @@ class TestAppendixB1:
             op = random_psd_operator(rng, n)
             x = rng.standard_normal(n)
             spec = dense_eigendecomposition(op)
-            factor = SquareRootFactor.from_spectrum(spec)
+            factor = square_root_factor(spec)
             fx = factor @ x
             u = fx / np.linalg.norm(fx)
-            v = rng.standard_normal(factor.rank)
+            v = rng.standard_normal(factor.shape[0])
             v -= (v @ u) * u
             v *= 10.0 ** rng.uniform(-1, 1) / np.linalg.norm(v)
             w = op.to_dense() @ x
             quad = float(x @ w)
             s = math.sqrt(quad)
-            sigma = 1.0 - float(v @ (factor.factor @ (factor.factor.T @ v))) / (2.0 * s)
+            sigma = 1.0 - float(v @ (factor @ (factor.T @ v))) / (2.0 * s)
             if abs(sigma) < 1e-6:  # stay off the knife edge
                 continue
             h = surrogate_matrix(factor, quad, w, u, v)
@@ -416,7 +416,7 @@ class TestAppendixB1:
         op = random_psd_operator(rng, 8)
         x = rng.standard_normal(8)
         spec = dense_eigendecomposition(op)
-        factor = SquareRootFactor.from_spectrum(spec)
+        factor = square_root_factor(spec)
         fx = factor @ x
         u = fx / np.linalg.norm(fx)
         v = rng.standard_normal(8)
@@ -424,7 +424,7 @@ class TestAppendixB1:
         v /= np.linalg.norm(v)
         w = op.to_dense() @ x
         quad = float(x @ w)
-        sigma = 1.0 - float(v @ (factor.factor @ (factor.factor.T @ v))) / (
+        sigma = 1.0 - float(v @ (factor @ (factor.T @ v))) / (
             2.0 * math.sqrt(quad)
         )
         h = surrogate_matrix(factor, quad, w, u, v)
@@ -442,12 +442,11 @@ class TestAppendixB2:
             op = random_psd_operator(rng, n)
             x = rng.standard_normal(n)
             spec = dense_eigendecomposition(op)
-            factor = SquareRootFactor.from_spectrum(spec)
-            f = factor.factor
+            f = square_root_factor(spec)
             fx = f @ x
             u = fx / np.linalg.norm(fx)
             rho = float(rng.uniform(1.0, 3.0))
-            v = rng.standard_normal(factor.rank)
+            v = rng.standard_normal(f.shape[0])
             v -= (v @ u) * u
             v *= 1.0 / (math.sqrt(rho) * np.linalg.norm(v))
             s = math.sqrt(float(x @ (op.to_dense() @ x)))
