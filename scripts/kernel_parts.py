@@ -4,9 +4,10 @@
 The parts are the ones ``solve`` runs each iteration: the matvecs, the
 kernel's two calls (``measure`` and ``update``) and the trace recording.
 ``measure``'s own parts are timed too, each on its own: its reductions pass
-(pass 1), its vector pass (pass 2, the method's block function with the
-arguments ``measure`` gives it) and, for split_merge, the scalars
-(``coefficients_from_sums``). Each timed part is the fastest of
+(pass 1), its vector pass (pass 2, the method's block function) and, for
+split_merge, the scalars (``coefficients_from_sums``), each called with the
+arguments one ``measure`` call gave it (``measure_arguments`` records
+them). Each timed part is the fastest of
 ``--repeat`` x max(1, 200000 // n) single calls of the statement the loop
 runs, in microseconds, on a seeded tridiagonal CSR operator (diagonally
 dominant, so PSD) from ``init_vector``; each call of a part that writes
@@ -30,10 +31,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
@@ -59,6 +62,17 @@ def tridiagonal(n: int, seed: int) -> CsrOperator:
     return CsrOperator(mat)
 
 
+def measure_arguments(kernel: IterationKernel, x, w, z) -> dict:
+    """The argument tuple one ``kernel.measure(x, w, z)`` passes to each part it calls."""
+    targets = {"reductions": (kernel, "_reductions"), "vectors": (kernel, "_vectors"),
+               "scalars": (solvers, "coefficients_from_sums")}
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(obj, attr, wraps=getattr(obj, attr)))
+                 for name, (obj, attr) in targets.items()}
+        kernel.measure(x, w, z)
+    return {name: spy.call_args.args for name, spy in spies.items() if spy.called}
+
+
 def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int = 20) -> dict:
     """Microseconds per call of each part of one ``method`` iteration at size n."""
     op = tridiagonal(n, seed)
@@ -69,35 +83,22 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     w = op.apply(x)
     z = op.apply(w) if is_sm else None
     w0 = w.copy()
-    kernel.measure(x, w, z)
+    args = measure_arguments(kernel, x, w, z)
     w1 = w.copy()    # what update sees: for power and momentum, the update in progress
-    quad, xtx, wtw = float(x.dot(w0)), float(x.dot(x)), float(w0.dot(w0))
-    r = quad / xtx
-    # pass 2's arguments after the scratch buffer, as measure passes them
-    alpha, beta = PARAMS["gd_difference"], PARAMS["power_momentum"]
-    pass2 = {
-        "power": (r, math.sqrt(wtw)),
-        "gd_difference": (r, 1.0 - 2.0 * alpha, alpha / math.sqrt(quad)),
-        "power_momentum": (r, kernel.prev, beta),
-        "split_merge": (r, z, wtw / quad),
-    }[method]
-    names = dict(op=op, x=x, w=w, w0=w0, w1=w1, z=z, u1=u1, kernel=kernel, np=np, time=time,
+    names = dict(op=op, x=x, w=w, w0=w0, w1=w1, z=z, kernel=kernel, np=np, time=time,
                  solvers=solvers, trace=IterationTrace(method=method), sin_t=0.1, s=1.0,
-                 resid=0.1, xtx=1.0, r=1.0, with_wtw=method in ("power", "split_merge"),
-                 pass2=pass2)
-    # (statement, setup) per part
+                 resid=0.1, xtx=1.0, r=1.0, args=args)
+    # (statement, setup) per part; the passes read w as measure gave it to them
     parts = {
         "matvec": ("op.apply(w); op.apply(x)" if is_sm else "op.apply(x)", "pass"),
         "measure": ("kernel.measure(x, w, z)", "np.copyto(w, w0)"),
-        "reductions": ("kernel._reductions(x, w, u1, with_wtw)", "pass"),
-        "vectors": ("kernel._vectors(x, w, kernel._scratch, *pass2)", "np.copyto(w, w0)"),
+        "reductions": ("kernel._reductions(*args['reductions'])", "np.copyto(w, w0)"),
+        "vectors": ("kernel._vectors(*args['vectors'])", "np.copyto(w, w0)"),
         "update": ("kernel.update(x, w, z)", "np.copyto(w, w1)"),
         "trace_recording": (RECORD, "pass"),
     }
     if is_sm:
-        g = z - (wtw / quad) * w0
-        names["sums"] = (quad, wtw, float(g.dot(g)), float(g.dot(w0)), float(z.dot(z)), RHO)
-        parts["scalars"] = ("solvers.coefficients_from_sums(*sums)", "pass")
+        parts["scalars"] = ("solvers.coefficients_from_sums(*args['scalars'])", "pass")
     calls = repeat * max(1, 200_000 // n)
     result = {"n": n, "method": method, "block": solvers.BLOCK, "cpus": worker.cpus(),
               "unit": "us per iteration"}

@@ -4,9 +4,11 @@ Dense and sparse-CSR backends behind one ``apply`` interface with exact
 matvec accounting, Matrix Market ingestion, and a Gershgorin shift that
 makes an indefinite symmetric A PSD as a plain operator of A + eta*I (CSR
 stays CSR, anything else becomes dense). ``scipy.io.mmread`` parses
-Matrix Market files on scipy's own thread pool, sized to the CPU count and
-separate from BLAS; it runs while a file loads, never inside a timed solve.
-It rejects % lines between entries and ignores text after an entry's value.
+Matrix Market files and ``scipy.io.mmwrite`` writes them, on scipy's own
+thread pool, sized to the CPU count and separate from BLAS; they run while a
+file loads or is saved, never inside a timed solve.
+``mmread`` rejects % lines between entries and ignores text after an
+entry's value.
 A coordinate file is held dense (a BLAS matvec) when the dense array takes
 no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
 matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
@@ -365,18 +367,15 @@ def _symmetrized(mat, path):
 def save_matrix_market(op: LinearOperator, path) -> None:
     """Write an operator as 'coordinate real symmetric' (lower triangle).
 
-    Nonzero entries are written in row-major order with 17 significant
-    digits. A CSR operator is written from its sparse lower triangle, never
-    densified.
+    ``scipy.io.mmwrite`` writes the nonzero entries in row-major order with
+    17 significant digits; it is handed an open file, as given a path it
+    adds ``.mtx`` to a name without it. A CSR operator is written from its
+    sparse lower triangle, never densified.
     """
+    import scipy.io
+
     lower = sp.tril(_storage(op), format="csr")
     lower.eliminate_zeros()
     lower.sort_indices()
-    n = op.n
-    rows = np.repeat(np.arange(1, n + 1), np.diff(lower.indptr))
-    cols = lower.indices + 1
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{n} {n} {lower.nnz}\n")
-        for i, j, v in zip(rows.tolist(), cols.tolist(), lower.data.tolist()):
-            fh.write(f"{i} {j} {v:.17g}\n")
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, lower, symmetry="symmetric", precision=17)

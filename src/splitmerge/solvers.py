@@ -167,7 +167,6 @@ class IterationTrace:
 @dataclass
 class SolveResult:
     x: np.ndarray
-    x_unit: np.ndarray
     lambda_estimate: float      # lambda(x_K) = 2*sqrt(x'Ax)
     rayleigh_estimate: float
     iterations: int
@@ -644,11 +643,9 @@ def solve(
 
         x = kernel.update(x, w, z)
 
-    norm_x = float(np.linalg.norm(x))
     coeffs = trace.coeffs or ()
     return SolveResult(
         x=x,
-        x_unit=x / norm_x,
         lambda_estimate=2.0 * s,
         rayleigh_estimate=trace.rayleigh[-1],
         iterations=k,

@@ -163,9 +163,11 @@ def square_root_factor(spectrum: Spectrum) -> np.ndarray:
 def sin_theta(x: np.ndarray, u1: np.ndarray) -> AngleError:
     """Angle between x and the dominant eigenvector u1, checked and normalized as solve does."""
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValueError("angle undefined for the zero vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    # as _unit_u1 checks u1: a nan, inf or overflowing x would read as aligned or orthogonal
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"angle undefined for x of norm {norm} (zero or not finite)")
     cos = abs(float(_unit_u1(u1, x.size) @ x)) / norm
     cos = min(cos, 1.0)
     return AngleError(sin_theta=math.sqrt(max(0.0, 1.0 - cos * cos)), cos_theta=cos)

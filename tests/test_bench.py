@@ -1027,7 +1027,7 @@ def _record(label, trial, trace, f_star=math.nan):
     from splitmerge.solvers import SolveResult
 
     result = SolveResult(
-        x=np.ones(2), x_unit=np.ones(2), lambda_estimate=1.0, rayleigh_estimate=1.0,
+        x=np.ones(2), lambda_estimate=1.0, rayleigh_estimate=1.0,
         iterations=len(trace.matvecs) - 1, converged=True, trace=trace,
     )
     return TrialRecord(label, trial, True, result.iterations, trace.matvecs[-1],

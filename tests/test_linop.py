@@ -439,7 +439,13 @@ class TestMatrixMarket:
         op = DenseOperator(dense)
         path = tmp_path / "out.mtx"
         save_matrix_market(op, path)
-        np.testing.assert_allclose(load_matrix_market(path).to_dense(), dense, rtol=1e-15)
+        assert load_matrix_market(path).to_dense().tobytes() == dense.tobytes()
+
+    def test_save_uses_the_path_as_given(self, tmp_path):
+        # mmwrite given a name without .mtx would write m.tmp.mtx
+        save_matrix_market(DenseOperator(np.eye(3)), tmp_path / "m.tmp")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tmp"]
+        np.testing.assert_array_equal(load_matrix_market(tmp_path / "m.tmp").to_dense(), np.eye(3))
 
     def test_save_exact_bytes(self, tmp_path):
         # zeros of either sign are dropped; values keep 17 significant digits
@@ -452,10 +458,14 @@ class TestMatrixMarket:
         path = tmp_path / "pinned.mtx"
         save_matrix_market(DenseOperator(dense), path)
         assert path.read_bytes() == (
-            b"%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n"
-            b"1 1 2\n2 1 0.33333333333333331\n3 2 1e-300\n3 3 123456789.125\n"
-            b"4 1 -0.10000000000000001\n4 3 -2.5e+17\n4 4 4.9406564584124654e-324\n"
+            b"%%MatrixMarket matrix coordinate real symmetric\n%\n4 4 7\n"
+            b"1 1 2.0000000000000000e+00\n2 1 3.3333333333333331e-01\n"
+            b"3 2 1.0000000000000000e-300\n3 3 1.2345678912500000e+08\n"
+            b"4 1 -1.0000000000000001e-01\n4 3 -2.5000000000000000e+17\n"
+            b"4 4 4.9406564584124654e-324\n"
         )
+        # every value reads back with the same bits; -0.0 was dropped, so reads as +0.0
+        assert load_matrix_market(path).to_dense().tobytes() == (dense + 0.0).tobytes()
 
     def test_save_csr_without_densifying(self, tmp_path, monkeypatch, rng):
         n = 100_000
@@ -472,6 +482,7 @@ class TestMatrixMarket:
         assert (scipy.io.mmread(path) != matrix).nnz == 0   # mmread mirrors the triangle
         loaded = load_matrix_market(path)
         assert isinstance(loaded, CsrOperator)
+        assert (loaded._a != matrix).nnz == 0
         x = rng.standard_normal(n)
         assert loaded.apply(x).tobytes() == (matrix @ x).tobytes()
 

@@ -28,6 +28,7 @@ from splitmerge import (
     verify_surrogate_dominance,
     verify_vhat_formula,
 )
+from splitmerge import theory
 from splitmerge.errors import OracleConvergenceError, UndefinedRatioError
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
@@ -137,9 +138,11 @@ class TestSinTheta:
         err = sin_theta(np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 0.0]))
         assert err.sin_theta == pytest.approx(1.0 / math.sqrt(2))
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(ValueError):
-            sin_theta(np.zeros(2), np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [1e200, 1e200]])
+    def test_zero_or_non_finite_vector_raises(self, x):
+        # ||[1e200, 1e200]|| overflows to inf, so its 0.707 cannot be formed
+        with pytest.raises(ValueError, match="angle undefined"):
+            sin_theta(np.array(x), np.array([1.0, 0.0]))
 
     def test_u1_is_normalized(self):
         err = sin_theta(np.array([1.0, 1.0]) / math.sqrt(2), np.array([2.0, 0.0]))
@@ -177,6 +180,9 @@ class TestComputeDelta:
     def test_undefined_ratio(self):
         with pytest.raises(UndefinedRatioError):
             compute_delta(_spectrum([1.0, 0.5]), zeta=-1.0, omega=1.0)
+
+    def test_one_eigenvalue_has_no_ratio(self):
+        assert compute_delta(Spectrum(np.array([1.0]), np.array([[1.0]])), 0.3, 1.0) == 0.0
 
     def test_guaranteed_policy_pins_delta_below_one(self):
         # zeta >= 0 and omega > 0 put every ratio in [0, 1]
@@ -341,6 +347,20 @@ class TestSurrogateDominance:
             assert np.linalg.eigvalsh(h - hess).min() >= -1e-9
             assert np.linalg.eigvalsh(2.0 * np.eye(n) - h).min() >= -1e-9
 
+    # a wrong piece must make the check fail, or a check that always passes would go unseen
+    def test_hessian_above_the_surrogate_fails(self, rng, monkeypatch):
+        op = random_psd_operator(rng, 6)
+        x = rng.standard_normal(6)
+        hess = theory.hessian_vec
+        monkeypatch.setattr(theory, "hessian_vec", lambda op, x, d: hess(op, x, d) + 3.0 * d)
+        assert not verify_surrogate_dominance(op, x, rng.standard_normal(6), samples=5, rng=1)
+
+    def test_surrogate_above_2i_fails(self, rng, monkeypatch):
+        op = random_psd_operator(rng, 6)
+        x = rng.standard_normal(6)
+        monkeypatch.setattr(theory, "surrogate_matrix", lambda *args: 3.0 * np.eye(6))
+        assert not verify_surrogate_dominance(op, x, rng.standard_normal(6), samples=5, rng=1)
+
 
 class TestVhatFormula:
     def test_two_by_two_cross_validation(self, diag21):
@@ -352,6 +372,26 @@ class TestVhatFormula:
             check.merged_next, [0.74977242087062019, 0.11625298291381846], atol=1e-14
         )
         np.testing.assert_allclose(check.explicit_next, check.merged_next, rtol=1e-8)
+
+    def test_wrong_factor_fails_the_vhat_identities(self, diag21, monkeypatch):
+        # with 2F for F, vhat'Fx = 0 no longer holds
+        factor = theory.square_root_factor
+        monkeypatch.setattr(theory, "square_root_factor", lambda spec: 2.0 * factor(spec))
+        check = verify_vhat_formula(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho=1.0)
+        assert not check.passed and not check.skipped
+        assert check.merged_next is None
+
+    def test_perturbed_merged_step_fails(self, diag21, monkeypatch):
+        step = theory.split_merge_step
+
+        def perturbed(op, x, rho):
+            x_next, coeffs = step(op, x, rho)
+            return x_next * (1.0 + 1e-6), coeffs
+
+        monkeypatch.setattr(theory, "split_merge_step", perturbed)
+        check = verify_vhat_formula(diag21, np.array([1.0, 1.0]) / math.sqrt(2), rho=1.0)
+        assert not check.passed and not check.skipped
+        np.testing.assert_allclose(check.explicit_next, check.merged_next, rtol=1e-5)
 
     def test_eigenvector_skips(self, diag21):
         check = verify_vhat_formula(diag21, np.array([1.0, 0.0]), rho=1.0)
