@@ -82,7 +82,7 @@ def _print_report(report) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     ExperimentConfig(n=args.n, gap=args.gap, seed=args.seed).validate()
     spec = SyntheticSpec(n=args.n, gap=args.gap, seed=args.seed)
-    op, _ = generate(spec)
+    op = generate(spec)[0]    # the spectrum's n x n eigenvectors are freed before the write
     save_matrix_market(op, args.out)
     print(f"wrote {args.out} (n={args.n}, gap={args.gap}, seed={args.seed})")
     return 0

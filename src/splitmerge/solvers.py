@@ -35,7 +35,7 @@ from .errors import (
     SigmaNotPositiveError,
 )
 from . import worker
-from .linop import LinearOperator
+from .linop import LinearOperator, _scaled_norm
 
 METHODS = ("power", "gd_difference", "power_momentum", "split_merge")
 # the one SolverConfig field each method reads beyond the shared ones; power has none
@@ -511,7 +511,7 @@ def _vector(v, n: int, name: str) -> np.ndarray:
 def _unit_u1(u1, n: int) -> np.ndarray:
     """u1 / ||u1||: DimensionMismatchError unless of shape (n,), ValueError if 0 or not finite."""
     u1 = _vector(u1, n, "ground truth u1")
-    norm = float(np.linalg.norm(u1))
+    norm = _scaled_norm(u1)
     # negated so that a nan norm fails too: sin theta against nan reads 0
     if not 0.0 < norm < math.inf:
         raise ValueError(f"ground truth u1 must be finite and nonzero, got norm {norm}")

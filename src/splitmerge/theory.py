@@ -22,7 +22,7 @@ from .errors import (
     OracleConvergenceError,
     UndefinedRatioError,
 )
-from .linop import LinearOperator
+from .linop import LinearOperator, _scaled_norm
 from .objective import _require_differentiable, hessian_vec
 from .solvers import IterationTrace, _unit_u1, split_merge_step
 
@@ -163,9 +163,8 @@ def square_root_factor(spectrum: Spectrum) -> np.ndarray:
 def sin_theta(x: np.ndarray, u1: np.ndarray) -> AngleError:
     """Angle between x and the dominant eigenvector u1, checked and normalized as solve does."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    # as _unit_u1 checks u1: a nan, inf or overflowing x would read as aligned or orthogonal
+    norm = _scaled_norm(x)
+    # as _unit_u1 checks u1: a nan or inf x would read as aligned or orthogonal
     if not 0.0 < norm < math.inf:
         raise ValueError(f"angle undefined for x of norm {norm} (zero or not finite)")
     cos = abs(float(_unit_u1(u1, x.size) @ x)) / norm

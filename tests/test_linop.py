@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from splitmerge.errors import (
     MatrixMarketHeaderError,
     NonSquareMatrixError,
 )
-from splitmerge.linop import MM_ROWS_PER_BYTE, SYMV_MIN_N
+from splitmerge.linop import MM_ROWS_PER_BYTE, SYMV_MIN_N, _scaled_norm
 
 from conftest import assert_symmetric_psd, random_symmetric
 
@@ -74,6 +76,58 @@ class TestApply:
             ref = dense @ x
             got = op.apply(x)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+
+    def test_csr_shares_a_canonical_float_matrix(self):
+        matrix = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        op = CsrOperator(matrix)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op._a, name), getattr(matrix, name)), name
+
+    def test_csr_copies_before_summing_duplicates(self):
+        # (0, 1) twice and row 1 unsorted: sum_duplicates would rewrite all three arrays
+        data, indices, indptr = np.array([2.0, 0.5, 0.5, 3.0, 1.0]), np.array([0, 1, 1, 1, 0]), \
+            np.array([0, 3, 5])
+        matrix = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(2, 2))
+        op = CsrOperator(matrix)
+        np.testing.assert_array_equal(op.to_dense(), [[2.0, 1.0], [1.0, 3.0]])
+        np.testing.assert_array_equal(matrix.data, data)
+        np.testing.assert_array_equal(matrix.indices, indices)
+        np.testing.assert_array_equal(matrix.indptr, indptr)
+        assert not np.shares_memory(op._a.data, matrix.data)
+
+    def test_csr_copies_a_non_float_matrix(self):
+        matrix = sp.csr_matrix(np.array([[2, 1], [1, 3]]))
+        op = CsrOperator(matrix)
+        assert op._a.dtype == np.float64 and matrix.dtype != np.float64
+        np.testing.assert_array_equal(op.to_dense(), matrix.toarray())
+
+
+class TestScaledNorm:
+    @pytest.mark.parametrize("v, expected", [
+        ([1e200, 1e200], 1e200 * math.sqrt(2.0)),      # the squares overflow
+        ([1e-200, 1e-200], 1e-200 * math.sqrt(2.0)),   # the squares underflow to 0
+        ([1e-170, 0.0], 1e-170),
+        ([1e-160, 0.0], 1e-160),                       # 1e-320 keeps ~4 digits in a subnormal
+        ([3e-320, 4e-320], 5e-320),
+    ])
+    def test_norm_beyond_the_squares_range(self, v, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _scaled_norm(np.array(v)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_plain_norm_keeps_its_bits(self, rng):
+        for v in (rng.standard_normal(50), 1e-100 * rng.standard_normal(50),
+                  1e150 * rng.standard_normal(50)):
+            assert _scaled_norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("v, expected", [
+        ([0.0, 0.0], 0.0), ([math.inf, 1.0], math.inf), ([1.5e308, 1.5e308], math.inf),
+    ])
+    def test_zero_and_non_finite(self, v, expected):
+        assert _scaled_norm(np.array(v)) == expected
+
+    def test_nan_entry_gives_nan(self):
+        assert math.isnan(_scaled_norm(np.array([math.nan, 1e200])))
 
 
 class _Gemv(DenseOperator):

@@ -88,3 +88,43 @@ class TestGenerate:
         _, spec = generate(SyntheticSpec(n=8, gap=0.1, seed=0, lambda1=0.8))
         assert spec.eigenvalues[0] == 0.8
         assert spec.eigenvalues[1] == pytest.approx(0.7)
+
+
+# generate's in-place stages against the out-of-place formula they replaced, in a
+# new interpreter with one BLAS thread: on more threads numpy's and scipy's
+# OpenBLAS builds partition the QR differently, and at some orders their bits differ
+_OUT_OF_PLACE = """
+import json, sys
+import numpy as np
+from splitmerge import SyntheticSpec, generate
+same = []
+for n in map(int, sys.argv[1:]):
+    spec = SyntheticSpec(n=n, gap=1e-3, seed=n)
+    op, spectrum = generate(spec)
+    q, r = np.linalg.qr(np.random.default_rng(spec.seed).standard_normal((n, n)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    u = q * signs
+    a = (u * spectrum.eigenvalues) @ u.T
+    a = (a + a.T) * 0.5
+    same.append([np.array_equal(op.to_dense(), a), np.array_equal(spectrum.eigenvectors, u)])
+print(json.dumps(same))
+"""
+
+
+def test_in_place_stages_keep_every_bit():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from splitmerge.linop import SYMV_MIN_N
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    orders = [SYMV_MIN_N - 1, SYMV_MIN_N, 1024]
+    done = subprocess.run([sys.executable, "-c", _OUT_OF_PLACE, *map(str, orders)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(done.stdout) == [[True, True]] * len(orders)

@@ -1,6 +1,7 @@
 """A solve retains O(n) plus a few scalars per iteration, not O(n) per iteration,
-an experiment holds one trial's traces at a time, not every trial's, and saving
-a matrix holds a few copies of it, not a Python object per entry."""
+an experiment holds one trial's traces at a time, not every trial's, saving
+a matrix holds a few copies of it, not a Python object per entry, and drawing
+a synthetic matrix holds three."""
 
 import tracemalloc
 
@@ -83,6 +84,24 @@ def test_save_matrix_market_peak_is_a_few_matrices(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the dense copy and its triangle's index arrays: ~5 matrices; one Python
-    # int and float per entry, as a per-entry formatting loop holds, takes ~7.5
-    assert peak <= 6 * 8 * n * n, peak
+    # the triangle's CSR and mmwrite's COO of it: ~2.1 matrices (a dense copy and
+    # a COO of all n^2 entries took 5.0); one Python int and float per entry, as
+    # a per-entry formatting loop holds, takes ~7.5
+    assert peak <= 3 * 8 * n * n, peak
+
+
+def test_generate_peak_is_three_matrices():
+    from splitmerge import SyntheticSpec, generate
+    from splitmerge.linop import SYMV_MIN_N
+
+    n = 1024
+    generate(SyntheticSpec(n=SYMV_MIN_N, gap=1e-3))    # first-call imports, outside the measurement
+    tracemalloc.start()
+    try:
+        generate(SyntheticSpec(n=n, gap=1e-3, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the product's two operands and its result, two of them returned: 3.0 matrices
+    # (out-of-place steps, numpy's QR copies and a separate R took 6.0)
+    assert peak <= 3.2 * 8 * n * n, peak

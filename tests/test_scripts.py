@@ -244,3 +244,37 @@ def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
     assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
     assert payload["verdict"]["change_lower"] == "2 of 2"
     assert payload["verdict"]["median_drop_share"] == pytest.approx(0.5 / 2.005)
+
+
+def test_setup_memory_drives_alternating_pairs_and_gen(tmp_path, monkeypatch):
+    module = _script_module("setup_memory")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    (parent / "src").symlink_to(ROOT / "src")     # the same library: identical files
+    runs = []
+
+    def fake_perfbench(tree, workload, seed):
+        runs.append((tree, workload, seed))
+        peak = 140.0 if tree == parent else 112.0      # the parent peaks higher
+        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0),
+                "peak_rss_mb": peak + seed % 2, "matvecs_total": 84678}
+
+    monkeypatch.setattr(module, "perfbench", fake_perfbench)
+    monkeypatch.setattr(module, "PAIRS", 2)
+    monkeypatch.setattr(module, "GEN_N", 40)
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(parent), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted({tree for tree, _, _ in runs}) == sorted([parent, ROOT])
+    assert len(runs) == 4 * len(module.WORKLOADS)
+    assert payload["verdict"]["metric"] == "dense_paper peak_rss_mb"
+    assert payload["verdict"]["change_lower"] == "2 of 2"
+    assert payload["verdict"]["median_ratio"] == pytest.approx(112.5 / 140.5)
+    assert all(entry["matvecs_equal"] for entry in payload["summary"].values())
+    gen = payload["gen"]
+    assert gen["n"] == 40 and gen["identical"]
+    assert len(gen["parent"]) == len(gen["change"]) == module.GEN_ROUNDS
+    for run in gen["parent"] + gen["change"]:
+        assert run["peak_mib"] > 0.0 and run["seconds"] >= 0.0
+    assert payload["script_peak_mib"] > 0.0

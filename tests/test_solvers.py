@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from splitmerge.solvers import (
     METHODS,
     IterationKernel,
     SplitMergeCoefficients,
+    _unit_u1,
     coefficients_from_sums,
 )
 
@@ -357,6 +359,14 @@ class TestSolverConfig:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("u1, unit", [([1e200, 1e200], [math.sqrt(0.5)] * 2),
+                                          ([1e-200, 1e-200], [math.sqrt(0.5)] * 2),
+                                          ([1e-170, 0.0], [1.0, 0.0])])
+    def test_ground_truth_whose_squares_over_or_underflow(self, u1, unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(_unit_u1(u1, 2), unit, rtol=1e-15)
+
     def test_power_textbook_convergence(self, diag21):
         op, truth = generate(SyntheticSpec(n=2, gap=0.5, seed=5))
         res = solve(op, SolverConfig("power", seed=3), ground_truth=truth)

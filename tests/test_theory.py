@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,11 +139,20 @@ class TestSinTheta:
         err = sin_theta(np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, 0.0]))
         assert err.sin_theta == pytest.approx(1.0 / math.sqrt(2))
 
-    @pytest.mark.parametrize("x", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [1e200, 1e200]])
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0],
+                                   [1.5e308, 1.5e308]])
     def test_zero_or_non_finite_vector_raises(self, x):
-        # ||[1e200, 1e200]|| overflows to inf, so its 0.707 cannot be formed
+        # ||[1.5e308, 1.5e308]|| = 2.1e308 is beyond the largest float
         with pytest.raises(ValueError, match="angle undefined"):
             sin_theta(np.array(x), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("x, sin", [([1e200, 1e200], math.sqrt(0.5)),
+                                        ([1e-200, 1e-200], math.sqrt(0.5)), ([1e-170, 0.0], 0.0)])
+    def test_vector_whose_squares_over_or_underflow(self, x, sin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = sin_theta(np.array(x), np.array([1.0, 0.0]))
+        assert err.sin_theta == pytest.approx(sin, abs=1e-15)
 
     def test_u1_is_normalized(self):
         err = sin_theta(np.array([1.0, 1.0]) / math.sqrt(2), np.array([2.0, 0.0]))
