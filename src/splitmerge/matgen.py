@@ -48,13 +48,13 @@ def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
     """Draw (operator, exact spectrum) for the given spec.
 
     The stages work in place, so the peak holds three n x n arrays, the two
-    returned included (24.1 MiB traced at n = 1024, where out-of-place steps
-    held six). From ``SYMV_MIN_N`` on, scipy's LAPACK QR factors the Gaussian
-    over its own Fortran copy, as numpy's ``qr`` cannot; the returned operator
-    imports ``scipy.linalg`` for ``dsymv`` at those orders anyway. Below it,
-    numpy's ``qr`` keeps small runs free of that import. With one BLAS thread
-    both give the same Q and R bit for bit; with more, each library's result
-    depends on the thread count, and at some orders they differ.
+    returned included (24.1 MiB traced at n = 1024). From ``SYMV_MIN_N`` on,
+    scipy's LAPACK QR factors the Gaussian over its own Fortran copy, as
+    numpy's ``qr`` cannot; the returned operator imports ``scipy.linalg`` for
+    ``dsymv`` at those orders anyway. Below it, numpy's ``qr`` keeps small
+    runs free of that import. With one BLAS thread both give the same Q and R
+    bit for bit; with more, each library's result depends on the thread
+    count, and at some orders they differ.
     """
     n = spec.n
     rng = np.random.default_rng(spec.seed)

@@ -84,9 +84,9 @@ def test_save_matrix_market_peak_is_a_few_matrices(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the triangle's CSR and mmwrite's COO of it: ~2.1 matrices (a dense copy and
-    # a COO of all n^2 entries took 5.0); one Python int and float per entry, as
-    # a per-entry formatting loop holds, takes ~7.5
+    # the triangle's CSR and mmwrite's COO of it: ~2.1 matrices; a dense copy and a
+    # COO of all n^2 entries take 5.0, and one Python int and float per entry, as a
+    # per-entry formatting loop holds, ~7.5
     assert peak <= 3 * 8 * n * n, peak
 
 
@@ -102,6 +102,6 @@ def test_generate_peak_is_three_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the product's two operands and its result, two of them returned: 3.0 matrices
-    # (out-of-place steps, numpy's QR copies and a separate R took 6.0)
+    # the product's two operands and its result, two of them returned: 3.0 matrices;
+    # numpy's QR, which copies its input and returns a separate R, takes 6.0
     assert peak <= 3.2 * 8 * n * n, peak
