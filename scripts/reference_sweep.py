@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the ARPACK dominant-pair reference over a grid of stopping tolerance x ncv.
+"""Time ARPACK's dominant pair over a grid of stopping tolerance x ncv, then the reference.
 
 The operator is the benchmark's seeded tridiagonal (``sparse_entries`` from
 ``perfbench/workloads.py``, read, not changed) as a CSR matrix of order
@@ -8,10 +8,10 @@ The operator is the benchmark's seeded tridiagonal (``sparse_entries`` from
 same ``v0``) but with the cell's ``tol`` and ``ncv``, and prints one JSON row:
 wall seconds, matvecs, lambda1 and the relative residual
 ||Ax - lambda x|| / lambda. ``tol`` = 0 is ARPACK's machine-precision
-default. A last row times ``reference_dominant_eigenpair`` itself, with
-``REFERENCE_TOL`` and ``REFERENCE_NCV``; its matvecs include the one that
-checks the residual. BLAS runs on one thread unless the environment
-already says otherwise.
+default. A last row times ``reference_dominant_eigenpair`` itself, which
+takes a tridiagonal CSR matrix to LAPACK's ``eigh_tridiagonal``, not to
+ARPACK; its one matvec checks the residual. BLAS runs on one thread unless
+the environment already says otherwise.
 
     python3 scripts/reference_sweep.py --n 1000000 --seed 0
 """
@@ -73,9 +73,8 @@ def time_reference(matrix) -> dict:
     start = time.perf_counter()
     ref = theory.reference_dominant_eigenpair(op)
     seconds = time.perf_counter() - start
-    return {"call": "reference_dominant_eigenpair", "tol": theory.REFERENCE_TOL,
-            "ncv": theory.REFERENCE_NCV, "seconds": round(seconds, 4), "matvecs": calls[0],
-            "lambda1": ref.lambda1, "rel_residual": ref.residual / ref.lambda1}
+    return {"call": "reference_dominant_eigenpair", "seconds": round(seconds, 4),
+            "matvecs": calls[0], "lambda1": ref.lambda1, "rel_residual": ref.residual / ref.lambda1}
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import resource
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -40,14 +39,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import (  # noqa: E402
-    ROOT, _host, _revision, alternating_pairs, perfbench, summarize, verdict,
-)
+from stream_memory import ROOT, _host, _revision, claim_pairs, perfbench  # noqa: E402
 
 WORKLOADS = ("dense_paper", "sparse_file", "small_file")
 PAIRS, FIRST_SEED = 10, 101
 GEN_N, GEN_ROUNDS = 4096, 2
-CLAIM = ("dense_paper", "peak_rss_mb")
+CLAIM = "dense_paper:peak_rss_mb"
 
 # argv: library src directory, order, output path
 _GEN = """
@@ -97,20 +94,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         payload["gen"] = gen_rounds(trees, GEN_N, GEN_ROUNDS, Path(tmp))
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
-                                "--seconds 40 --trace 0")
-    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
-    workload, metric = CLAIM
-    ratio = (statistics.median(p["change"][metric] for p in pairs[workload])
-             / statistics.median(p["parent"][metric] for p in pairs[workload]))
-    payload["verdict"] = {"metric": f"{workload} {metric}", **verdict(pairs[workload], metric),
-                          "median_ratio": ratio}
-    payload["summary"] = {
-        workload: {**summarize(p, metrics), "matvecs_equal": all(
-            pair["parent"]["matvecs_total"] == pair["change"]["matvecs_total"] for pair in p)}
-        for workload, p in pairs.items()}
-    payload["pairs"] = pairs
+    payload.update(claim_pairs(trees, CLAIM, WORKLOADS, PAIRS, FIRST_SEED, perfbench))
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)

@@ -2,6 +2,8 @@
 """Streamed traces against a parent tree: peak memory, identical output, emit cost and perfbench pairs.
 
     python3 scripts/stream_memory.py --parent ../parent --out BENCH_stream_traces.json
+    python3 scripts/stream_memory.py --parent ../parent --out BENCH_tridiagonal_reference.json \
+        --claim sparse_file:setup_s --first-seed 121
 
 ``--parent`` is another checkout of this repository (for example a ``git
 clone`` of the parent commit). Every measurement runs on that tree and on
@@ -25,8 +27,14 @@ this one, each in fresh interpreters, with one BLAS thread:
   ``FIRST_SEED`` upward. The parent runs first in even pairs and the change
   in odd ones. ``summary`` gives, per end-to-end metric of
   ``BENCHMARK.json``, each side's median and quartiles and the number of
-  pairs the change won (ties count for neither); ``verdict`` applies the
-  claim's rule to ``small_file`` ``peak_rss_mb``.
+  pairs the change won (ties count for neither), and ``matvecs_equal``
+  whether ``matvecs_total`` agreed in every pair; ``verdict`` applies the
+  claim's rule to ``small_file`` ``peak_rss_mb``, with the ratio of the
+  medians. ``--first-seed`` moves the seeds.
+
+``--claim WORKLOAD:METRIC`` (a lower-is-better end-to-end metric) runs the
+``pairs`` alone and gives the verdict on that metric instead
+(``claim_pairs``, which other pair scripts share).
 
 Both trees run this tree's ``perfbench/workloads.py`` for ``standalone`` and
 ``identity``. The JSON goes to ``--out`` and to standard output.
@@ -254,41 +262,59 @@ def _host() -> dict:
             "scipy": importlib.metadata.version("scipy"), "blas_threads": 1}
 
 
+def claim_pairs(trees: dict, claim: str, workloads, count: int, first_seed: int, run) -> dict:
+    """``alternating_pairs`` of ``run``, each workload's summary, and the verdict of ``claim``
+    (``WORKLOAD:METRIC``, lower is better) with the ratio of its medians."""
+    workload, metric = claim.split(":")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    pairs = alternating_pairs(trees, workloads, count, first_seed, run)
+    ratio = (statistics.median(p["change"][metric] for p in pairs[workload])
+             / statistics.median(p["parent"][metric] for p in pairs[workload]))
+    return {
+        "pairs_command": ("python3 perfbench/run.py --workload {workload} --seed {seed} "
+                          "--seconds 40 --trace 0"),
+        "verdict": {"metric": f"{workload} {metric}", **verdict(pairs[workload], metric),
+                    "median_ratio": ratio},
+        "summary": {name: {**summarize(p, metrics), "matvecs_equal": all(
+            pair["parent"]["matvecs_total"] == pair["change"]["matvecs_total"] for pair in p)}
+            for name, p in pairs.items()},
+        "pairs": pairs,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="run the perfbench pairs alone, with this claim's verdict")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
-    payload = {"trees": {side: _revision(tree) for side, tree in trees.items()},
-               "host": _host(), "standalone_seed": STANDALONE_SEED, "standalone": []}
+    payload = {"trees": {side: _revision(tree) for side, tree in trees.items()}, "host": _host()}
 
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for trials in TRIALS:
-            row = {"trials": trials}
-            for side, tree in trees.items():
-                row[side] = standalone(tree, trials, STANDALONE_SEED, tmp)
-            payload["standalone"].append(row)
-            print(json.dumps(row), file=sys.stderr)
-        payload["identity"] = identity(trees["parent"], ROOT, IDENTITY_TRIALS, IDENTITY_SEED,
-                                       tmp / "identity")
-        print(json.dumps(payload["identity"]), file=sys.stderr)
-        rounds = {"parent": [], "change": []}
-        for i in range(EMIT_ROUNDS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                rounds[side].append(emit(trees[side], EMIT_TRACES, EMIT_ROWS, tmp))
-        payload["emit"] = {"traces": EMIT_TRACES, "rows": EMIT_ROWS, **rounds}
-        print(json.dumps(payload["emit"]), file=sys.stderr)
+    if args.claim is None:
+        payload.update(standalone_seed=STANDALONE_SEED, standalone=[])
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for trials in TRIALS:
+                row = {"trials": trials}
+                for side, tree in trees.items():
+                    row[side] = standalone(tree, trials, STANDALONE_SEED, tmp)
+                payload["standalone"].append(row)
+                print(json.dumps(row), file=sys.stderr)
+            payload["identity"] = identity(trees["parent"], ROOT, IDENTITY_TRIALS, IDENTITY_SEED,
+                                           tmp / "identity")
+            print(json.dumps(payload["identity"]), file=sys.stderr)
+            rounds = {"parent": [], "change": []}
+            for i in range(EMIT_ROUNDS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    rounds[side].append(emit(trees[side], EMIT_TRACES, EMIT_ROWS, tmp))
+            payload["emit"] = {"traces": EMIT_TRACES, "rows": EMIT_ROWS, **rounds}
+            print(json.dumps(payload["emit"]), file=sys.stderr)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
-                                "--seconds 40 --trace 0")
-    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
-    payload["verdict"] = {"metric": "small_file peak_rss_mb",
-                          **verdict(pairs["small_file"], "peak_rss_mb")}
-    payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
-    payload["pairs"] = pairs
+    payload.update(claim_pairs(trees, args.claim or "small_file:peak_rss_mb", WORKLOADS, PAIRS,
+                               args.first_seed, perfbench))
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)

@@ -2,10 +2,11 @@
 
 Library surface: matrix-free operators (`linop`), the difference-formulation
 objective (`objective`), the solver family including the split-merge method
-(`solvers`), ground truth from LAPACK (dense oracle) or ARPACK (dominant-pair
-reference) and theory checks (`theory`), synthetic matrix generation
-(`matgen`), and the benchmark harness (`bench`, CLI via ``bench``). Large
-CSR matvecs and kernel passes split across two CPUs (`worker`).
+(`solvers`), ground truth from LAPACK (dense oracle, tridiagonal dominant
+pair) or ARPACK (any other dominant pair) and theory checks (`theory`),
+synthetic matrix generation (`matgen`), and the benchmark harness (`bench`,
+CLI via ``bench``). Large CSR matvecs and kernel passes split across two
+CPUs (`worker`).
 """
 
 from . import errors

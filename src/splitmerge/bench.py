@@ -4,7 +4,8 @@ Protocol: every trial draws a fresh synthetic matrix (base seed + trial
 index) or reuses the one Matrix Market operator; all solvers in a trial
 start from the same x0; ground truth is the generator's exact spectrum for
 synthetic sources and, for files, the LAPACK dense oracle up to
-``dense_limit`` or a residual-certified ARPACK dominant pair above it.
+``dense_limit`` or a residual-certified dominant pair above it (LAPACK's for a
+tridiagonal CSR matrix, ARPACK's for any other).
 A synthetic n above ``dense_limit`` is refused: its matrix is built dense.
 Timing wraps the solver loop only. Trials run one after another in this
 process, and records are reported in (solver, trial) order.
@@ -221,7 +222,8 @@ class _Progress:
         """``call(*args, **kwargs)``, logged as set-up stage ``name``."""
         start = time.perf_counter()
         value = call(*args, **kwargs)
-        # only the ARPACK reference makes matvecs, on its own counter
+        # only the dominant-pair reference makes matvecs, on its own counter: ARPACK's
+        # Lanczos steps, or LAPACK's tridiagonal path's one certificate product
         self.line(stage=name, trial=trial, seconds=time.perf_counter() - start,
                   matvecs=getattr(value, "matvecs", 0))
         return value
@@ -242,7 +244,7 @@ def _ground_truth_for(config: ExperimentConfig, op: LinearOperator, progress: _P
         for setting in config.solvers:   # n = 1 has no lambda2 for beta=auto
             _solver_config(setting, config, _auto_beta(spectrum))
         return spectrum
-    for setting in config.solvers:   # the ARPACK pair has no lambda2 for beta=auto
+    for setting in config.solvers:   # the dominant pair has no lambda2 for beta=auto
         _solver_config(setting, config, auto_beta=None)
     return progress.stage("reference_dominant_eigenpair", None, reference_dominant_eigenpair, op)
 

@@ -233,6 +233,19 @@ def _storage(op: LinearOperator):
     return op.to_dense()
 
 
+def _tridiagonal_bands(op: LinearOperator):
+    """(diagonal, off-diagonal) of an exactly symmetric tridiagonal CSR operator, else None."""
+    if not isinstance(op, CsrOperator):
+        return None
+    m, rows = op._a, np.arange(op.n)
+    full = m.indptr[1:] > m.indptr[:-1]   # sorted indices: a row's first and last bound its band
+    if ((m.indices[m.indptr[:-1][full]] < rows[full] - 1).any()
+            or (m.indices[m.indptr[1:][full] - 1] > rows[full] + 1).any()):
+        return None
+    off = m.diagonal(1)
+    return (m.diagonal(), off) if np.array_equal(off, m.diagonal(-1)) else None
+
+
 def gershgorin_shift(op: LinearOperator) -> tuple[LinearOperator, float]:
     """Return (A + eta*I, eta) with eta = max(0, -min_i(a_ii - sum_{j!=i}|a_ij|)).
 

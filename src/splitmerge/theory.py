@@ -1,8 +1,9 @@
 """Ground-truth oracle and executable checks of the convergence theory.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigh``);
-above its size limit an ARPACK Lanczos run (``scipy.sparse.linalg.eigsh``)
-gives a residual-certified dominant pair instead. Everything else here
+above its size limit a residual-certified dominant pair comes from LAPACK's
+``eigh_tridiagonal`` for a symmetric tridiagonal CSR operator, and from
+ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) otherwise. Everything else here
 consumes the dense oracle's output: square-root factors
 F'F = A, angle errors against the true dominant eigenvector, the rate
 constant delta, per-iteration convergence bounds, and the two surrogate
@@ -22,7 +23,7 @@ from .errors import (
     OracleConvergenceError,
     UndefinedRatioError,
 )
-from .linop import LinearOperator, _scaled_norm
+from .linop import LinearOperator, _scaled_norm, _tridiagonal_bands
 from .objective import _require_differentiable, hessian_vec
 from .solvers import IterationTrace, _unit_u1, split_merge_step
 
@@ -117,37 +118,48 @@ def dense_eigendecomposition(
 
 
 def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
-    """Dominant eigenpair by ARPACK's Lanczos (``eigsh``) with a residual certificate.
+    """Dominant eigenpair by LAPACK (tridiagonal CSR) or ARPACK, with a residual certificate.
 
-    Ground-truth path for operators beyond the dense oracle limit. Runs on
-    an isolated counter so callers' matvec accounting is unaffected. ARPACK
-    stops once its own residual estimate is below ``REFERENCE_TOL`` = 1e-11
-    times lambda, and the pair is accepted only when the residual computed
-    afresh meets ||Au - lambda u|| <= ``REFERENCE_CERTIFY`` * lambda = 1e-10
-    * lambda. By Davis-Kahan, the sine of u's angle to the true u1 is at
-    most ||Au - lambda u|| / gap, gap = lambda1 - lambda2. At the stopping
-    tolerance that is ~1e-11 * lambda1 / gap, below ``SolverConfig``'s ~1e-8
-    floor on a meaningful oracle ``eps`` only when gap > 1e-3 * lambda1; the
-    certificate alone guarantees 1e-10 * lambda1 / gap.
+    Ground-truth path for operators beyond the dense oracle limit, on an
+    isolated counter so callers' matvec accounting is unaffected. An exactly
+    symmetric tridiagonal CSR operator takes LAPACK's bisection and inverse
+    iteration (``eigh_tridiagonal``, stebz; stemr would ask for n x n memory),
+    any other ARPACK's Lanczos (``eigsh``), stopped once its own residual
+    estimate is below ``REFERENCE_TOL`` = 1e-11 * lambda. The pair is accepted
+    only when the residual computed afresh meets ||Au - lambda u|| <=
+    ``REFERENCE_CERTIFY`` * lambda = 1e-10 * lambda. By Davis-Kahan, the sine of
+    u's angle to the true u1 is at most ||Au - lambda u|| / gap, gap = lambda1 -
+    lambda2: ~1e-11 * lambda1 / gap at ARPACK's stop, below ``SolverConfig``'s
+    ~1e-8 floor on a meaningful oracle ``eps`` only when gap > 1e-3 * lambda1;
+    the certificate alone guarantees 1e-10 * lambda1 / gap.
     """
-    # imported here: scipy.sparse.linalg loads scipy.linalg (+9 MiB RSS),
-    # which only this path needs
-    from scipy.sparse.linalg import ArpackError, LinearOperator as ScipyOperator, eigsh
-
     if op.n < 2:
-        raise ValueError("the ARPACK reference needs n >= 2 (k = 1 < n)")
+        raise ValueError("the dominant-pair reference needs n >= 2 (k = 1 < n)")
     view = op.share()
-    v0 = np.random.default_rng(0).standard_normal(view.n)
-    arpack_op = ScipyOperator((view.n, view.n), matvec=view.apply, dtype=float)
-    try:
-        vals, vecs = eigsh(arpack_op, k=1, which="LA", v0=v0, ncv=REFERENCE_NCV, tol=REFERENCE_TOL)
-    except ArpackError as exc:
-        raise OracleConvergenceError(f"ARPACK reference failed: {exc}") from exc
+    bands = _tridiagonal_bands(view)
+    # imported here: scipy.linalg (+9 MiB RSS) and scipy.sparse.linalg serve only this path
+    if bands is not None:
+        from scipy.linalg import eigh_tridiagonal
+        name, top = "LAPACK", (view.n - 1, view.n - 1)
+        try:
+            vals, vecs = eigh_tridiagonal(*bands, select="i", select_range=top,
+                                          lapack_driver="stebz")
+        except (ValueError, np.linalg.LinAlgError) as exc:   # non-finite entry; stein failed
+            raise OracleConvergenceError(f"LAPACK reference failed at n = {view.n}: {exc}") from exc
+    else:
+        from scipy.sparse.linalg import ArpackError, LinearOperator as ScipyOperator, eigsh
+        name, v0 = "ARPACK", np.random.default_rng(0).standard_normal(view.n)
+        arpack_op = ScipyOperator((view.n, view.n), matvec=view.apply, dtype=float)
+        try:
+            vals, vecs = eigsh(arpack_op, k=1, which="LA", v0=v0, ncv=REFERENCE_NCV,
+                               tol=REFERENCE_TOL)
+        except ArpackError as exc:
+            raise OracleConvergenceError(f"ARPACK reference failed: {exc}") from exc
     r, x = float(vals[0]), vecs[:, 0]
     resid = float(np.linalg.norm(view.apply(x) - r * x))
     if not (r > 0 and resid <= REFERENCE_CERTIFY * r):
         raise OracleConvergenceError(
-            f"ARPACK reference residual {resid:.3e} not certified below "
+            f"{name} reference residual {resid:.3e} not certified below "
             f"{REFERENCE_CERTIFY:.0e}*lambda (lambda = {r:.6g})"
         )
     return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=view.matvec_count)

@@ -1,7 +1,9 @@
 """The heavy scipy submodules load only on the paths that need them.
 
 ``scipy.linalg`` comes in with the first dense operator of order
-``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``. The trace
+``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``, and with the
+dominant-pair reference; ``scipy.sparse.linalg`` (ARPACK) only with that
+reference for a matrix that is not tridiagonal. The trace
 writer forks its children with ``os.fork`` and loads no process pool.
 
 A fresh interpreter per case, since the test session itself imports them.
@@ -47,6 +49,18 @@ def test_matrix_market_run_under_dense_limit_loads_only_scipy_io(tmp_path):
         "                                trials=1, out_dir='out', dense_limit=64))"
     )
     assert _loaded_after(body, tmp_path) == {"scipy.io"}
+
+
+def test_tridiagonal_matrix_market_run_above_dense_limit_loads_no_arpack(tmp_path):
+    body = (
+        "import numpy as np, scipy.sparse as sp\n"
+        "from splitmerge import CsrOperator, save_matrix_market\n"
+        "m = sp.diags([np.full(39, 0.1), np.linspace(1.0, 2.0, 40), np.full(39, 0.1)], [-1, 0, 1])\n"
+        "save_matrix_market(CsrOperator(m), 'm.mtx')\n"
+        "run_experiment(ExperimentConfig(source='matrix_market', matrix_path='m.mtx',\n"
+        "                                trials=1, out_dir='out', dense_limit=16))"
+    )
+    assert _loaded_after(body, tmp_path) == {"scipy.io", "scipy.linalg"}
 
 
 def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):

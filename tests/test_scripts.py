@@ -91,14 +91,13 @@ def test_reference_sweep_prints_each_cell_and_the_library_call():
     rows = [json.loads(line) for line in lines]
     assert [(r["tol"], r["ncv"]) for r in rows[:4]] == [(0.0, 4), (0.0, 8), (1e-11, 4), (1e-11, 8)]
     assert rows[4]["call"] == "reference_dominant_eigenpair"
-    assert (rows[4]["tol"], rows[4]["ncv"]) == (theory.REFERENCE_TOL, theory.REFERENCE_NCV)
     for row in rows:
         assert (row["n"], row["seed"]) == (2000, 3)
         assert row["seconds"] > 0.0 and row["matvecs"] > 0
         assert row["rel_residual"] <= theory.REFERENCE_CERTIFY
         assert row["lambda1"] == pytest.approx(rows[0]["lambda1"], rel=1e-12)
-    # the library's call is the (REFERENCE_TOL, REFERENCE_NCV) cell plus one residual matvec
-    assert rows[4]["matvecs"] == rows[3]["matvecs"] + 1
+    # the library takes a tridiagonal matrix to LAPACK: one matvec, the residual's
+    assert rows[4]["matvecs"] == 1
 
 
 def _script_module(name):
@@ -160,6 +159,34 @@ def test_alternating_pairs_order_seeds_and_workloads(capsys):
     lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [(line["workload"], line["seed"]) for line in lines] == [
         (w, seed) for w in ("a", "b") for seed in (51, 52, 53)]
+
+
+def test_stream_memory_claim_runs_the_pairs_alone(tmp_path, monkeypatch):
+    module = _script_module("stream_memory")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def fake_perfbench(tree, workload, seed):
+        runs.append((tree, workload, seed))
+        setup = 3.5 if tree == ROOT.parent else 1.2      # the "parent" tree sets up slower
+        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0), "setup_s": setup + seed % 2}
+
+    for skipped in ("standalone", "identity", "emit"):
+        monkeypatch.setattr(module, skipped, lambda *args: pytest.fail("not a pairs-only run"))
+    monkeypatch.setattr(module, "perfbench", fake_perfbench)
+    monkeypatch.setattr(module, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(ROOT.parent), "--out", str(out),
+                        "--claim", "sparse_file:setup_s", "--first-seed", "121"]) == 0
+    payload = json.loads(out.read_text())
+    assert sorted({seed for _, _, seed in runs}) == [121, 122]
+    assert len(runs) == 4 * len(module.WORKLOADS)
+    assert "standalone" not in payload and "identity" not in payload
+    assert payload["verdict"]["metric"] == "sparse_file setup_s"
+    assert payload["verdict"]["change_lower"] == "2 of 2"
+    assert payload["verdict"]["median_ratio"] == pytest.approx(1.7 / 4.0)
+    assert all(entry["matvecs_equal"] for entry in payload["summary"].values())
+    assert payload["summary"]["sparse_file"]["setup_s"]["change_won"] == "2 of 2"
 
 
 def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):

@@ -553,29 +553,56 @@ class TestDominantReference:
             reference_dominant_eigenpair(op)
         assert len(calls) <= 100
 
-    def test_uncertified_pair_is_refused(self, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        from splitmerge import theory
-
-        n = 200
-        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
-                     [-1, 0, 1]).tocsr()
+    @staticmethod
+    def _perturbed_top_pair(m):
+        """The top eigenvalue of m with its vector tilted by 1e-6 toward the bottom one."""
         eigs, vecs = np.linalg.eigh(m.toarray())
         u = vecs[:, -1] + 1e-6 * vecs[:, 0]
         u /= np.linalg.norm(u)
+        resid = float(np.linalg.norm(m @ u - eigs[-1] * u))
+        assert resid > 1e-10 * eigs[-1]
+        return eigs[-1], u, resid
+
+    def test_uncertified_pair_is_refused(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        # pentadiagonal, so the pair comes from ARPACK
+        n = 200
+        m = sp.diags([np.full(n - 2, 0.1), np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n),
+                      np.full(n - 1, 0.5), np.full(n - 2, 0.1)], [-2, -1, 0, 1, 2]).tocsr()
+        lam, u, resid = self._perturbed_top_pair(m)
         seen = {}
 
         def perturbed_eigsh(*args, **kwargs):
             seen.update(kwargs)
-            return np.array([eigs[-1]]), u[:, None].copy()
+            return np.array([lam]), u[:, None].copy()
 
         monkeypatch.setattr(spla, "eigsh", perturbed_eigsh)
-        resid = float(np.linalg.norm(m @ u - eigs[-1] * u))
-        assert resid > 1e-10 * eigs[-1]
-        with pytest.raises(OracleConvergenceError, match=f"residual {resid:.3e} not certified"):
+        with pytest.raises(OracleConvergenceError,
+                           match=f"ARPACK reference residual {resid:.3e} not certified"):
             reference_dominant_eigenpair(CsrOperator(m))
         assert seen["tol"] == theory.REFERENCE_TOL == theory.REFERENCE_CERTIFY / 10
+
+    def test_uncertified_lapack_pair_is_refused(self, monkeypatch):
+        import scipy.linalg
+
+        n = 200
+        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
+                     [-1, 0, 1]).tocsr()
+        lam, u, resid = self._perturbed_top_pair(m)
+        seen = {}
+
+        def perturbed_eigh_tridiagonal(d, e, **kwargs):
+            seen.update(kwargs, d=d, e=e)
+            return np.array([lam]), u[:, None].copy()
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed_eigh_tridiagonal)
+        with pytest.raises(OracleConvergenceError,
+                           match=f"LAPACK reference residual {resid:.3e} not certified"):
+            reference_dominant_eigenpair(CsrOperator(m))
+        assert seen["select"] == "i" and seen["select_range"] == (n - 1, n - 1)
+        assert seen["lapack_driver"] == "stebz"
+        assert np.array_equal(seen["d"], m.diagonal()) and np.array_equal(seen["e"], m.diagonal(1))
 
     def test_near_degenerate_top_pair(self):
         # lambda1 = 1 and lambda2 = 1 - 1e-6 sit at two rows with the same
@@ -599,3 +626,89 @@ class TestDominantReference:
         u1 = vecs[:, -1]
         sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
         assert sin <= ref.residual / gap + 1e-9
+
+    def test_tridiagonal_pair_matches_arpack(self, monkeypatch):
+        n = 2000
+        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
+                     [-1, 0, 1]).tocsr()
+        op = CsrOperator(m)
+        lapack = reference_dominant_eigenpair(op)
+        assert lapack.matvecs == 1    # the certificate's product alone
+        monkeypatch.setattr(theory, "_tridiagonal_bands", lambda view: None)
+        arpack = reference_dominant_eigenpair(op)
+        assert arpack.matvecs > 1
+        assert lapack.lambda1 == pytest.approx(arpack.lambda1, rel=1e-13)
+        assert abs(lapack.u1 @ arpack.u1) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _no_lapack(monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the LAPACK tridiagonal path was taken")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+
+    @staticmethod
+    def _counted_eigsh(monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls, real = [], spla.eigsh
+        monkeypatch.setattr(spla, "eigsh", lambda *a, **k: calls.append(k) or real(*a, **k))
+        return calls
+
+    def test_pentadiagonal_keeps_the_arpack_pair_bit_for_bit(self, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator as ScipyOperator, eigsh
+
+        n = 500
+        m = sp.diags([np.full(n - 2, 0.1), np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n),
+                      np.full(n - 1, 0.5), np.full(n - 2, 0.1)], [-2, -1, 0, 1, 2]).tocsr()
+        vals, vecs = eigsh(ScipyOperator((n, n), matvec=lambda x: m @ x, dtype=float), k=1,
+                           which="LA", v0=np.random.default_rng(0).standard_normal(n),
+                           ncv=theory.REFERENCE_NCV, tol=theory.REFERENCE_TOL)
+        self._no_lapack(monkeypatch)
+        calls = self._counted_eigsh(monkeypatch)
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert len(calls) == 1
+        assert ref.lambda1 == vals[0] and np.array_equal(ref.u1, vecs[:, 0])
+
+    def test_unequal_off_diagonals_reach_arpack(self, monkeypatch):
+        n = 300
+        upper = np.full(n - 1, 0.5)
+        lower = upper.copy()
+        lower[7] = np.nextafter(0.5, 1.0)   # one ulp apart: not exactly symmetric
+        m = sp.diags([lower, np.linspace(1.0, 2.0, n), upper], [-1, 0, 1]).tocsr()
+        self._no_lapack(monkeypatch)
+        calls = self._counted_eigsh(monkeypatch)
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert len(calls) == 1 and ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
+
+    @pytest.mark.parametrize("m", [
+        sp.diags(np.array([0.5, 0.0, 3.0, 0.0, 1.0, 2.0])),   # rows 1 and 3 hold no entry
+        sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])),
+    ], ids=["diagonal-with-empty-rows", "order-2"])
+    def test_diagonal_and_order_two_certify(self, m, monkeypatch):
+        m = sp.csr_matrix(m)
+        m.eliminate_zeros()
+        calls = self._counted_eigsh(monkeypatch)
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert calls == [] and ref.matvecs == 1
+        assert ref.lambda1 == pytest.approx(np.linalg.eigvalsh(m.toarray())[-1], rel=1e-14)
+        assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
+
+    def test_lapack_failures_raise_the_typed_error_with_n(self, monkeypatch):
+        import scipy.linalg
+
+        n = 50
+        m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tocsr()
+        m[3, 3] = math.inf
+        with pytest.raises(OracleConvergenceError, match=f"LAPACK reference failed at n = {n}"):
+            reference_dominant_eigenpair(CsrOperator(m))
+
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unconverged)
+        m[3, 3] = 1.0
+        with pytest.raises(OracleConvergenceError, match="failed to converge"):
+            reference_dominant_eigenpair(CsrOperator(m))
