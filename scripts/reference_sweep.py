@@ -4,14 +4,17 @@
 The operator is the benchmark's seeded tridiagonal (``sparse_entries`` from
 ``perfbench/workloads.py``, read, not changed) as a CSR matrix of order
 ``--n``. Each grid cell is one ``eigsh`` call made as
-``theory.reference_dominant_eigenpair`` makes it (k = 1, which = "LA", the
-same ``v0``) but with the cell's ``tol`` and ``ncv``, and prints one JSON row:
-wall seconds, matvecs, lambda1 and the relative residual
-||Ax - lambda x|| / lambda. ``tol`` = 0 is ARPACK's machine-precision
-default. A last row times ``reference_dominant_eigenpair`` itself, which
-takes a tridiagonal CSR matrix to LAPACK's ``eigh_tridiagonal``, not to
-ARPACK; its one matvec checks the residual. BLAS runs on one thread unless
-the environment already says otherwise.
+``theory.reference_dominant_eigenpair`` makes it for a matrix that is not
+tridiagonal (k = 1, which = "LA", the same ``v0``) but with the cell's
+``tol`` and ``ncv``, and prints one JSON row: wall seconds, matvecs, lambda1
+and the relative residual ||Ax - lambda x|| / lambda. ``tol`` = 0 is ARPACK's
+machine-precision default. The next row times ``reference_dominant_eigenpair``
+itself, which takes a tridiagonal CSR matrix to shifted inverse iteration, not
+to ARPACK; its matvecs are the iteration's steps and the certificate's
+product. The last row times LAPACK's bisection, ``eigh_tridiagonal(select="i",
+lapack_driver="stebz")``, on the same bands, which makes no matvec; its
+residual product is not timed. BLAS runs on one thread unless the environment
+already says otherwise.
 
     python3 scripts/reference_sweep.py --n 1000000 --seed 0
 """
@@ -29,6 +32,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
+from scipy.linalg import eigh_tridiagonal  # noqa: E402
 from scipy.sparse.linalg import LinearOperator, eigsh  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -77,6 +81,19 @@ def time_reference(matrix) -> dict:
             "matvecs": calls[0], "lambda1": ref.lambda1, "rel_residual": ref.residual / ref.lambda1}
 
 
+def time_bisection(diag, off, matrix) -> dict:
+    """LAPACK's bisection and inverse iteration for the top pair of the same bands."""
+    n = diag.size
+    start = time.perf_counter()
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1),
+                                  lapack_driver="stebz")
+    seconds = time.perf_counter() - start
+    lam, u = float(vals[0]), vecs[:, 0]
+    resid = float(np.linalg.norm(matrix @ u - lam * u))
+    return {"call": "eigh_tridiagonal", "seconds": round(seconds, 4), "matvecs": 0,
+            "lambda1": lam, "rel_residual": resid / lam}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=SPARSE_N)
@@ -92,6 +109,8 @@ def main(argv=None) -> int:
             print(json.dumps({"n": args.n, "seed": args.seed, **sweep_cell(matrix, tol, ncv)}),
                   flush=True)
     print(json.dumps({"n": args.n, "seed": args.seed, **time_reference(matrix)}), flush=True)
+    print(json.dumps({"n": args.n, "seed": args.seed, **time_bisection(diag, off, matrix)}),
+          flush=True)
     return 0
 
 

@@ -4,8 +4,8 @@ Protocol: every trial draws a fresh synthetic matrix (base seed + trial
 index) or reuses the one Matrix Market operator; all solvers in a trial
 start from the same x0; ground truth is the generator's exact spectrum for
 synthetic sources and, for files, the LAPACK dense oracle up to
-``dense_limit`` or a residual-certified dominant pair above it (LAPACK's for a
-tridiagonal CSR matrix, ARPACK's for any other).
+``dense_limit`` or a residual-certified dominant pair above it (shifted inverse
+iteration's for a tridiagonal CSR matrix, ARPACK's for any other).
 A synthetic n above ``dense_limit`` is refused: its matrix is built dense.
 Timing wraps the solver loop only. Trials run one after another in this
 process, and records are reported in (solver, trial) order.
@@ -222,8 +222,8 @@ class _Progress:
         """``call(*args, **kwargs)``, logged as set-up stage ``name``."""
         start = time.perf_counter()
         value = call(*args, **kwargs)
-        # only the dominant-pair reference makes matvecs, on its own counter: ARPACK's
-        # Lanczos steps, or LAPACK's tridiagonal path's one certificate product
+        # only the dominant-pair reference makes matvecs, on its own counter: its Lanczos
+        # or inverse-iteration steps and the certificate's product
         self.line(stage=name, trial=trial, seconds=time.perf_counter() - start,
                   matvecs=getattr(value, "matvecs", 0))
         return value

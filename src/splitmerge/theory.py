@@ -1,14 +1,14 @@
 """Ground-truth oracle and executable checks of the convergence theory.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigh``);
-above its size limit a residual-certified dominant pair comes from LAPACK's
-``eigh_tridiagonal`` for a symmetric tridiagonal CSR operator, and from
-ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) otherwise. Everything else here
-consumes the dense oracle's output: square-root factors
-F'F = A, angle errors against the true dominant eigenvector, the rate
-constant delta, per-iteration convergence bounds, and the two surrogate
-verifications (dominance sampling and the closed-form direction
-cross-validation).
+above its size limit a residual-certified dominant pair comes from inverse
+iteration on LAPACK's tridiagonal LDL' (``dpttrf``/``dpttrs``) for a symmetric
+tridiagonal CSR operator, and from ARPACK's Lanczos
+(``scipy.sparse.linalg.eigsh``) otherwise. Everything else here consumes the
+dense oracle's output: square-root factors F'F = A, angle errors against the
+true dominant eigenvector, the rate constant delta, per-iteration convergence
+bounds, and the two surrogate verifications (dominance sampling and the
+closed-form direction cross-validation).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ REFERENCE_TOL = REFERENCE_CERTIFY / 10
 # 91-93/70-73/65/61 matvecs, so 8 ties 6 in time with fewer matvecs
 # (BENCH_reference_tol.json).
 REFERENCE_NCV = 8
+REFERENCE_STEPS = 100   # the tridiagonal reference's cap; 1e6-row inputs take 5 to 11
 PSD_EIG_CLAMP = 1e-10
 RANK_TOL = 1e-12
 
@@ -118,20 +119,20 @@ def dense_eigendecomposition(
 
 
 def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
-    """Dominant eigenpair by LAPACK (tridiagonal CSR) or ARPACK, with a residual certificate.
+    """Dominant eigenpair by inverse iteration (tridiagonal CSR) or ARPACK, residual-certified.
 
     Ground-truth path for operators beyond the dense oracle limit, on an
     isolated counter so callers' matvec accounting is unaffected. An exactly
-    symmetric tridiagonal CSR operator takes LAPACK's bisection and inverse
-    iteration (``eigh_tridiagonal``, stebz; stemr would ask for n x n memory),
-    any other ARPACK's Lanczos (``eigsh``), stopped once its own residual
-    estimate is below ``REFERENCE_TOL`` = 1e-11 * lambda. The pair is accepted
+    symmetric tridiagonal CSR operator takes ``_top_tridiagonal_pair``, any
+    other ARPACK's Lanczos (``eigsh``); each stops at a residual (ARPACK's own
+    estimate) below ``REFERENCE_TOL`` = 1e-11 * lambda. The pair is accepted
     only when the residual computed afresh meets ||Au - lambda u|| <=
-    ``REFERENCE_CERTIFY`` * lambda = 1e-10 * lambda. By Davis-Kahan, the sine of
-    u's angle to the true u1 is at most ||Au - lambda u|| / gap, gap = lambda1 -
-    lambda2: ~1e-11 * lambda1 / gap at ARPACK's stop, below ``SolverConfig``'s
-    ~1e-8 floor on a meaningful oracle ``eps`` only when gap > 1e-3 * lambda1;
-    the certificate alone guarantees 1e-10 * lambda1 / gap.
+    ``REFERENCE_CERTIFY`` * lambda = 1e-10 * lambda, and a tridiagonal one only
+    when no eigenvalue lies above lambda + that residual + 1e-10 * lambda. By
+    Davis-Kahan, the sine of u's angle to the true u1 is at most ||Au - lambda
+    u|| / gap, gap = lambda1 - lambda2: ~1e-11 * lambda1 / gap at the stop,
+    below ``SolverConfig``'s ~1e-8 floor on a meaningful oracle ``eps`` only
+    when gap > 1e-3 * lambda1; the certificate alone guarantees 1e-10 * lambda1 / gap.
     """
     if op.n < 2:
         raise ValueError("the dominant-pair reference needs n >= 2 (k = 1 < n)")
@@ -139,13 +140,7 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     bands = _tridiagonal_bands(view)
     # imported here: scipy.linalg (+9 MiB RSS) and scipy.sparse.linalg serve only this path
     if bands is not None:
-        from scipy.linalg import eigh_tridiagonal
-        name, top = "LAPACK", (view.n - 1, view.n - 1)
-        try:
-            vals, vecs = eigh_tridiagonal(*bands, select="i", select_range=top,
-                                          lapack_driver="stebz")
-        except (ValueError, np.linalg.LinAlgError) as exc:   # non-finite entry; stein failed
-            raise OracleConvergenceError(f"LAPACK reference failed at n = {view.n}: {exc}") from exc
+        name, (r, x) = "inverse-iteration", _top_tridiagonal_pair(view, *bands)
     else:
         from scipy.sparse.linalg import ArpackError, LinearOperator as ScipyOperator, eigsh
         name, v0 = "ARPACK", np.random.default_rng(0).standard_normal(view.n)
@@ -155,14 +150,54 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
                                tol=REFERENCE_TOL)
         except ArpackError as exc:
             raise OracleConvergenceError(f"ARPACK reference failed: {exc}") from exc
-    r, x = float(vals[0]), vecs[:, 0]
+        r, x = float(vals[0]), vecs[:, 0]
     resid = float(np.linalg.norm(view.apply(x) - r * x))
     if not (r > 0 and resid <= REFERENCE_CERTIFY * r):
         raise OracleConvergenceError(
             f"{name} reference residual {resid:.3e} not certified below "
             f"{REFERENCE_CERTIFY:.0e}*lambda (lambda = {r:.6g})"
         )
+    if bands is not None and _shifted_factor(r + resid + REFERENCE_CERTIFY * r, *bands) is None:
+        raise OracleConvergenceError(f"{name} reference lambda = {r:.6g} is not the top eigenvalue")
     return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=view.matvec_count)
+
+
+def _shifted_factor(sigma: float, diag: np.ndarray, off: np.ndarray):
+    """LDL' factors of sigma*I - T, or None where not positive definite: then sigma <= lambda1."""
+    from scipy.linalg.lapack import dpttrf   # its pivots see off only squared: either sign serves
+    d, e, info = dpttrf(sigma - diag, off, overwrite_d=1)
+    return None if info else (d, e)
+
+
+def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarray):
+    """(rho, u) by inverse iteration on sigma*I - T, every shift sigma proven above lambda1.
+
+    sigma starts above the Gershgorin bound and moves after each step to rho + res, or as
+    near to it as sigma*I - T still factors. ``off`` is negated in place.
+    """
+    from scipy.linalg.lapack import dpttrs
+    np.negative(off, out=off)            # sigma*I - T has off-diagonal -off
+    scratch = diag.copy()
+    scratch[:-1] += np.abs(off)
+    scratch[1:] += np.abs(off)           # Gershgorin row bounds; strictly dominant above them
+    sigma = (top := float(scratch.max())) + 1e-8 * abs(top)
+    if not np.isfinite(scratch).all() or (f := _shifted_factor(sigma, diag, off)) is None:
+        raise OracleConvergenceError(f"inverse-iteration reference failed at n = {view.n}")
+    u = np.random.default_rng(0).standard_normal(view.n)
+    for _ in range(REFERENCE_STEPS):
+        u = dpttrs(*f, u, overwrite_b=1)[0]
+        u /= np.linalg.norm(u)
+        w = view.apply(u)
+        rho = float(u @ w)
+        w -= np.multiply(u, rho, out=scratch)
+        if (res := float(np.linalg.norm(w))) <= REFERENCE_TOL * abs(rho):
+            return rho, u
+        step, f = max(0.0, sigma - rho - res), None      # one factor pair held at a time
+        while (f := _shifted_factor(sigma - step, diag, off)) is None:
+            step /= 2                    # lambda1 lies above the failed shift sigma - step
+        sigma -= step
+    raise OracleConvergenceError(f"inverse-iteration reference reached residual {res:.3e} "
+                                 f"in {REFERENCE_STEPS} steps at n = {view.n}")
 
 
 def square_root_factor(spectrum: Spectrum) -> np.ndarray:

@@ -584,25 +584,34 @@ class TestDominantReference:
         assert seen["tol"] == theory.REFERENCE_TOL == theory.REFERENCE_CERTIFY / 10
 
     def test_uncertified_lapack_pair_is_refused(self, monkeypatch):
-        import scipy.linalg
-
         n = 200
         m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
                      [-1, 0, 1]).tocsr()
         lam, u, resid = self._perturbed_top_pair(m)
         seen = {}
 
-        def perturbed_eigh_tridiagonal(d, e, **kwargs):
-            seen.update(kwargs, d=d, e=e)
-            return np.array([lam]), u[:, None].copy()
+        def perturbed_pair(view, diag, off):
+            seen.update(diag=diag.copy(), off=off.copy())
+            return lam, u.copy()
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed_eigh_tridiagonal)
+        monkeypatch.setattr(theory, "_top_tridiagonal_pair", perturbed_pair)
         with pytest.raises(OracleConvergenceError,
-                           match=f"LAPACK reference residual {resid:.3e} not certified"):
+                           match=f"reference residual {resid:.3e} not certified"):
             reference_dominant_eigenpair(CsrOperator(m))
-        assert seen["select"] == "i" and seen["select_range"] == (n - 1, n - 1)
-        assert seen["lapack_driver"] == "stebz"
-        assert np.array_equal(seen["d"], m.diagonal()) and np.array_equal(seen["e"], m.diagonal(1))
+        assert np.array_equal(seen["diag"], m.diagonal())
+        assert np.array_equal(seen["off"], m.diagonal(1))
+
+    def test_non_top_pair_is_refused(self, monkeypatch):
+        # (lambda2, u2) passes the residual certificate but has lambda1 above it
+        n = 200
+        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
+                     [-1, 0, 1]).tocsr()
+        eigs, vecs = np.linalg.eigh(m.toarray())
+        monkeypatch.setattr(theory, "_top_tridiagonal_pair",
+                            lambda view, diag, off: (eigs[-2], vecs[:, -2].copy()))
+        with pytest.raises(OracleConvergenceError,
+                           match=f"lambda = {eigs[-2]:.6g} is not the top eigenvalue"):
+            reference_dominant_eigenpair(CsrOperator(m))
 
     def test_near_degenerate_top_pair(self):
         # lambda1 = 1 and lambda2 = 1 - 1e-6 sit at two rows with the same
@@ -633,21 +642,18 @@ class TestDominantReference:
                      [-1, 0, 1]).tocsr()
         op = CsrOperator(m)
         lapack = reference_dominant_eigenpair(op)
-        assert lapack.matvecs == 1    # the certificate's product alone
         monkeypatch.setattr(theory, "_tridiagonal_bands", lambda view: None)
         arpack = reference_dominant_eigenpair(op)
-        assert arpack.matvecs > 1
+        assert 1 <= lapack.matvecs < arpack.matvecs
         assert lapack.lambda1 == pytest.approx(arpack.lambda1, rel=1e-13)
         assert abs(lapack.u1 @ arpack.u1) == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def _no_lapack(monkeypatch):
-        import scipy.linalg
-
         def refuse(*args, **kwargs):
-            pytest.fail("the LAPACK tridiagonal path was taken")
+            pytest.fail("the tridiagonal path was taken")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(theory, "_top_tridiagonal_pair", refuse)
 
     @staticmethod
     def _counted_eigsh(monkeypatch):
@@ -692,23 +698,86 @@ class TestDominantReference:
         m.eliminate_zeros()
         calls = self._counted_eigsh(monkeypatch)
         ref = reference_dominant_eigenpair(CsrOperator(m))
-        assert calls == [] and ref.matvecs == 1
+        assert calls == [] and ref.matvecs >= 1
         assert ref.lambda1 == pytest.approx(np.linalg.eigvalsh(m.toarray())[-1], rel=1e-14)
         assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
 
-    def test_lapack_failures_raise_the_typed_error_with_n(self, monkeypatch):
-        import scipy.linalg
-
+    def test_lapack_failures_raise_the_typed_error_with_n(self):
         n = 50
-        m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tocsr()
-        m[3, 3] = math.inf
-        with pytest.raises(OracleConvergenceError, match=f"LAPACK reference failed at n = {n}"):
-            reference_dominant_eigenpair(CsrOperator(m))
+        # a nan off the diagonal is not equal to its mirror, so it is not tridiagonal here
+        for row, col, value in ((3, 3, math.inf), (3, 3, -math.inf), (3, 3, math.nan),
+                                (3, 4, math.inf)):
+            m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tolil()
+            m[row, col] = m[col, row] = value
+            with pytest.raises(OracleConvergenceError, match=f"reference failed at n = {n}"):
+                reference_dominant_eigenpair(CsrOperator(m.tocsr()))
 
-        def unconverged(*args, **kwargs):
-            raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unconverged)
-        m[3, 3] = 1.0
-        with pytest.raises(OracleConvergenceError, match="failed to converge"):
+    def test_step_cap_raises_with_n_and_the_residual_reached(self, monkeypatch):
+        n = 300
+        m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
+                     [-1, 0, 1]).tocsr()
+        monkeypatch.setattr(theory, "REFERENCE_STEPS", 1)
+        with pytest.raises(OracleConvergenceError,
+                           match=f"reached residual (\\S+) in 1 steps at n = {n}") as caught:
             reference_dominant_eigenpair(CsrOperator(m))
+        reached = float(caught.value.args[0].split("residual ")[1].split()[0])
+        assert reached > theory.REFERENCE_TOL * 2.0
+
+    @staticmethod
+    def _top_pair_checks(m, eigs, vecs):
+        """The reference against a dense eigh of m: lambda1, certificate and Davis-Kahan."""
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
+        assert ref.lambda1 == pytest.approx(eigs[-1], rel=1e-12)
+        gap = eigs[-1] - eigs[-2]
+        u1 = vecs[:, -1]
+        # sin(u, u1) <= residual / gap, plus eigh's own ~eps ||A|| / gap
+        sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
+        assert sin <= ref.residual / gap + 1e-13 * abs(eigs).max() / gap
+        return ref
+
+    def test_gershgorin_bound_far_above_lambda1(self):
+        # rows at -100 between rows at ~0, coupled by ~5: the Gershgorin bound ~12 lies
+        # far above lambda1 ~1.3 while the spectrum reaches down to ~-101
+        n = 2000
+        rng = np.random.default_rng(2)
+        diag = np.where(np.arange(n) % 2 == 0, 0.0, -100.0) + rng.uniform(0.0, 0.1, n)
+        off = rng.uniform(5.0, 6.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        bound = diag.copy()
+        bound[:-1] += np.abs(off)
+        bound[1:] += np.abs(off)
+        eigs, vecs = np.linalg.eigh(m.toarray())
+        assert bound.max() - eigs[-1] > 5.0 * eigs[-1] > 0.0
+        self._top_pair_checks(m, eigs, vecs)
+
+    def test_laplacian_with_a_tiny_top_gap(self):
+        # tridiag(-1, 2, -1): lambda_k = 2 + 2 cos(k pi / (n + 1)), so lambda1 - lambda2 ~
+        # 3 pi^2 / n^2 = 3e-9 = 7e-10 * lambda1, and u1_i = (-1)^i sin(i pi / (n + 1))
+        n = 100_000
+        m = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1],
+                     format="csr")
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        lam = 2.0 + 2.0 * math.cos(math.pi / (n + 1))
+        gap = lam - (2.0 + 2.0 * math.cos(2.0 * math.pi / (n + 1)))
+        assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
+        assert ref.lambda1 == pytest.approx(lam, rel=1e-12)
+        i = np.arange(1, n + 1)
+        u1 = (-1.0) ** i * np.sin(i * math.pi / (n + 1))
+        u1 /= np.linalg.norm(u1)
+        sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
+        assert sin <= ref.residual / gap + 1e-9
+
+    def test_top_rows_1e_9_apart(self):
+        # as in test_near_degenerate_top_pair, with the two top rows 1e-9 apart
+        n = 2000
+        rng = np.random.default_rng(6)
+        diag = rng.uniform(0.05, 0.9, n)
+        off = rng.uniform(0.001, 0.02, n - 1)
+        for row, value in ((500, 1.0), (1500, 1.0 - 1e-9)):
+            diag[row - 1:row + 2] = (0.5, value, 0.5)
+            off[row - 2:row + 2] = 0.001
+        m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        eigs, vecs = np.linalg.eigh(m.toarray())
+        assert eigs[-1] - eigs[-2] == pytest.approx(1e-9, rel=0.1)
+        self._top_pair_checks(m, eigs, vecs)
