@@ -262,12 +262,13 @@ def _host() -> dict:
             "scipy": importlib.metadata.version("scipy"), "blas_threads": 1}
 
 
-def claim_pairs(trees: dict, claim: str, workloads, count: int, first_seed: int, run) -> dict:
-    """``alternating_pairs`` of ``run``, each workload's summary, and the verdict of ``claim``
-    (``WORKLOAD:METRIC``, lower is better) with the ratio of its medians."""
+def claim_pairs(trees: dict, claim: str, workloads, count: int, first_seed: int, run,
+                after=None) -> dict:
+    """``alternating_pairs`` of ``run`` (and ``after``), each workload's summary, and the verdict
+    of ``claim`` (``WORKLOAD:METRIC``, lower is better) with the ratio of its medians."""
     workload, metric = claim.split(":")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = alternating_pairs(trees, workloads, count, first_seed, run)
+    pairs = alternating_pairs(trees, workloads, count, first_seed, run, after)
     ratio = (statistics.median(p["change"][metric] for p in pairs[workload])
              / statistics.median(p["parent"][metric] for p in pairs[workload]))
     return {

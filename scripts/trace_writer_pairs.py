@@ -10,15 +10,16 @@ clone`` of the parent commit). Each tree runs its own copy of perfbench:
   ``small_file`` experiment (workload seed ``IDENTITY_SEED``) per tree under
   a tick clock; whether every trace CSV and ``report.json`` the parent writes
   is byte-identical in the change's output.
-- ``pairs``: for each of ``WORKLOADS``, ``PAIRS`` pairs of ``perfbench/run.py
-  --seconds 40 --trace 0`` runs at seeds ``FIRST_SEED`` upward. The parent
-  runs first in even pairs and the change in odd ones. After each run, its
-  ``leftovers`` count the ``*.tmp`` files in that tree's perfbench trace
-  directory and the ``perfbench/run.py`` processes still alive.
+- ``pairs``: ``stream_memory.claim_pairs`` over ``WORKLOADS``: ``PAIRS``
+  pairs of ``perfbench/run.py --seconds 40 --trace 0`` runs at seeds
+  ``FIRST_SEED`` upward. The parent runs first in even pairs and the change
+  in odd ones. After each run, its ``leftovers`` count the ``*.tmp`` files in
+  that tree's perfbench trace directory and the ``perfbench/run.py``
+  processes still alive.
 - ``summary`` gives, per end-to-end metric of ``BENCHMARK.json``, each side's
   quartiles and the number of pairs the change won (ties count for
-  neither); ``verdict`` applies the claim's rule (``stream_memory.verdict``)
-  to ``small_file`` ``wall_s``.
+  neither); ``verdict`` applies the claim's rule to ``small_file``
+  ``wall_s``.
 
 The JSON goes to ``--out`` and to standard output. This process holds no
 more than the numbers it reports (``script_peak_mib``): on Linux a child's
@@ -35,14 +36,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import (  # noqa: E402
-    ROOT, _host, _revision, alternating_pairs, identity, perfbench, summarize, verdict,
-)
+from stream_memory import ROOT, _host, _revision, claim_pairs, identity, perfbench  # noqa: E402
 
 WORKLOADS = ("small_file", "dense_paper", "sparse_file")
 PAIRS, FIRST_SEED = 10, 51
 IDENTITY_SEED, IDENTITY_TRIALS = 47, 19
-CLAIM = ("small_file", "wall_s")
+CLAIM = "small_file:wall_s"
 
 
 def leftovers(tree: Path, workload: str) -> dict:
@@ -66,15 +65,9 @@ def main(argv=None) -> int:
                                        Path(tmp))
     print(json.dumps(payload["identity"]), file=sys.stderr)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
-                                "--seconds 40 --trace 0")
-    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench,
-                              after=lambda tree, workload: {"leftovers": leftovers(tree, workload)})
-    workload, metric = CLAIM
-    payload["verdict"] = {"metric": f"{workload} {metric}", **verdict(pairs[workload], metric)}
-    payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
-    payload["pairs"] = pairs
+    payload.update(claim_pairs(
+        trees, CLAIM, WORKLOADS, PAIRS, FIRST_SEED, perfbench,
+        after=lambda tree, workload: {"leftovers": leftovers(tree, workload)}))
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)

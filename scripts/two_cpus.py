@@ -17,12 +17,13 @@ processes:
   runs the same halves in sequence; the rows at the smallest n show whether
   the hand-off pays there. ``gain`` is the
   one-CPU time over the two-CPU time, per part.
-- ``pairs``: for each of ``WORKLOADS``, ``PAIRS`` alternating pairs of
-  ``perfbench/run.py --seconds 40 --trace 0`` at seeds ``FIRST_SEED`` upward,
-  each tree running its own copy; the parent runs first in even pairs.
-  ``summary`` gives each end-to-end metric's quartiles and win count, and ``verdict`` the claim's
-  rule (``stream_memory.verdict``) on ``sparse_file`` ``solve_s.power``, with
-  a median drop of at least 15% on top.
+- ``pairs``: ``stream_memory.claim_pairs`` over ``WORKLOADS``: ``PAIRS``
+  alternating pairs of ``perfbench/run.py --seconds 40 --trace 0`` at seeds
+  ``FIRST_SEED`` upward, each tree running its own copy; the parent runs
+  first in even pairs. ``summary`` gives each end-to-end metric's quartiles
+  and win count, and ``verdict`` the claim's rule on ``sparse_file``
+  ``solve_s.power``, with a median drop of at least ``CLAIM_SHARE`` (15%) on
+  top.
 
 The JSON goes to ``--out`` and to standard output. This process itself holds
 no arrays: on Linux a child's ``ru_maxrss`` starts at the peak its parent had
@@ -33,22 +34,19 @@ import argparse
 import json
 import os
 import resource
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from stream_memory import (  # noqa: E402
-    ROOT, _host, _revision, alternating_pairs, perfbench, summarize, verdict,
-)
+from stream_memory import ROOT, _host, _revision, claim_pairs, perfbench  # noqa: E402
 
 SIZES = (65536, 131072, 262144, 1_000_000)
 HANDOFF_ROUNDS, HANDOFF_CALLS = 20, 500
 WORKLOADS = ("sparse_file", "dense_paper", "small_file")
 PAIRS, FIRST_SEED = 10, 81
-CLAIM = ("sparse_file", "solve_s.power", 0.15)
+CLAIM, CLAIM_SHARE = "sparse_file:solve_s.power", 0.15
 TIMED = ("matvec", "reductions", "vectors", "update", "measure", "whole_iteration")
 
 # argv: the CPU count to pin to
@@ -99,18 +97,10 @@ def main(argv=None) -> int:
     payload.update(parts())
     print(json.dumps({"handoff_us": payload["handoff_us"]}), file=sys.stderr)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    payload["pairs_command"] = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
-                                "--seconds 40 --trace 0")
-    pairs = alternating_pairs(trees, WORKLOADS, PAIRS, FIRST_SEED, perfbench)
-    workload, metric, share = CLAIM
-    rule = verdict(pairs[workload], metric)
-    parent_median = statistics.median(p["parent"][metric] for p in pairs[workload])
-    rule["median_drop_share"] = rule["median_drop"] / parent_median
-    rule["met"] = rule["met"] and rule["median_drop_share"] >= share
-    payload["verdict"] = {"metric": f"{workload} {metric}", **rule}
-    payload["summary"] = {workload: summarize(p, metrics) for workload, p in pairs.items()}
-    payload["pairs"] = pairs
+    payload.update(claim_pairs(trees, CLAIM, WORKLOADS, PAIRS, FIRST_SEED, perfbench))
+    rule = payload["verdict"]
+    rule["median_drop_share"] = 1.0 - rule["median_ratio"]
+    rule["met"] = rule["met"] and rule["median_drop_share"] >= CLAIM_SHARE
     payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)

@@ -210,15 +210,34 @@ def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):
     assert payload["verdict"]["metric"] == "small_file wall_s"
     assert payload["verdict"]["change_lower"] == "2 of 2"
     assert payload["summary"]["small_file"]["wall_s"]["change_won"] == "2 of 2"
+    assert runs[:2] == [(ROOT.parent, "small_file", module.FIRST_SEED),
+                        (ROOT, "small_file", module.FIRST_SEED)]
+    for workload, pairs in payload["pairs"].items():
+        assert [(pair["seed"], pair["first"]) for pair in pairs] == [
+            (module.FIRST_SEED, "parent"), (module.FIRST_SEED + 1, "change")]
+        assert all(sorted(pair[side]["leftovers"]) == ["processes", "tmp_files"]
+                   for pair in pairs for side in ("parent", "change"))
     for pair in payload["pairs"]["sparse_file"]:
         assert pair["change"]["leftovers"]["tmp_files"] == 0
 
 
-def test_trace_writer_pairs_verdict_needs_a_drop_beyond_the_parent_spread():
+def test_trace_writer_pairs_verdict_needs_a_drop_beyond_the_parent_spread(tmp_path, monkeypatch):
     module = _script_module("trace_writer_pairs")
-    pairs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}}
-             for p, c in zip([10.0, 9.0, 11.0, 10.0], [9.5, 8.5, 10.5, 9.5])]
-    result = module.verdict(pairs, "wall_s")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    walls = {"parent": [10.0, 9.0, 11.0, 10.0], "change": [9.5, 8.5, 10.5, 9.5]}
+
+    def fake_perfbench(tree, workload, seed):
+        side = "parent" if tree == ROOT.parent else "change"
+        return {**dict.fromkeys(names, 1.0), "wall_s": walls[side][seed - module.FIRST_SEED]}
+
+    monkeypatch.setattr(module, "perfbench", fake_perfbench)
+    monkeypatch.setattr(module, "identity", lambda *args: {"differing": []})
+    monkeypatch.setattr(module, "leftovers", lambda tree, workload: {})
+    monkeypatch.setattr(module, "WORKLOADS", ("small_file",))
+    monkeypatch.setattr(module, "PAIRS", 4)
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(ROOT.parent), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["verdict"]
     assert result["change_lower"] == "4 of 4"
     assert result["median_drop"] == 0.5 and result["parent_iqr"] == 0.5
     assert not result["met"]
@@ -272,6 +291,12 @@ def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
     assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
     assert payload["verdict"]["change_lower"] == "2 of 2"
     assert payload["verdict"]["median_drop_share"] == pytest.approx(0.5 / 2.005)
+    assert payload["verdict"]["met"] is True      # 25% down, beyond the parent's IQR of 0.005
+    assert runs[:2] == [(parent, "sparse_file", module.FIRST_SEED),
+                        (ROOT, "sparse_file", module.FIRST_SEED)]
+    for workload, pairs in payload["pairs"].items():
+        assert [(pair["seed"], pair["first"]) for pair in pairs] == [
+            (module.FIRST_SEED, "parent"), (module.FIRST_SEED + 1, "change")]
 
 
 def test_setup_memory_drives_alternating_pairs_and_gen(tmp_path, monkeypatch):

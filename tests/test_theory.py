@@ -734,7 +734,6 @@ class TestDominantReference:
         # sin(u, u1) <= residual / gap, plus eigh's own ~eps ||A|| / gap
         sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
         assert sin <= ref.residual / gap + 1e-13 * abs(eigs).max() / gap
-        return ref
 
     def test_gershgorin_bound_far_above_lambda1(self):
         # rows at -100 between rows at ~0, coupled by ~5: the Gershgorin bound ~12 lies
