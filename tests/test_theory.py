@@ -734,21 +734,26 @@ class TestDominantReference:
         # sin(u, u1) <= residual / gap, plus eigh's own ~eps ||A|| / gap
         sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
         assert sin <= ref.residual / gap + 1e-13 * abs(eigs).max() / gap
+        return ref
 
-    def test_gershgorin_bound_far_above_lambda1(self):
-        # rows at -100 between rows at ~0, coupled by ~5: the Gershgorin bound ~12 lies
-        # far above lambda1 ~1.3 while the spectrum reaches down to ~-101
+    @pytest.mark.parametrize("case", ["random", "alternating"])
+    def test_gershgorin_bound_far_above_lambda1(self, case):
+        # the first shift, just above the Gershgorin bound, lies many top gaps above
+        # lambda1, so inverse iteration at that shift alone would take ~50 steps here
         n = 2000
-        rng = np.random.default_rng(2)
-        diag = np.where(np.arange(n) % 2 == 0, 0.0, -100.0) + rng.uniform(0.0, 0.1, n)
-        off = rng.uniform(5.0, 6.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        rng = np.random.default_rng(1 if case == "random" else 2)
+        if case == "random":
+            diag, off = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+        else:   # rows at -100 between rows at ~0, coupled by ~5: bound ~12, lambda1 ~1.3
+            diag = np.where(np.arange(n) % 2 == 0, 0.0, -100.0) + rng.uniform(0.0, 0.1, n)
+            off = rng.uniform(5.0, 6.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
         m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
         bound = diag.copy()
         bound[:-1] += np.abs(off)
         bound[1:] += np.abs(off)
         eigs, vecs = np.linalg.eigh(m.toarray())
-        assert bound.max() - eigs[-1] > 5.0 * eigs[-1] > 0.0
-        self._top_pair_checks(m, eigs, vecs)
+        assert bound.max() - eigs[-1] > 10.0 * (eigs[-1] - eigs[-2]) > 0.0
+        assert self._top_pair_checks(m, eigs, vecs).matvecs <= 20
 
     def test_laplacian_with_a_tiny_top_gap(self):
         # tridiag(-1, 2, -1): lambda_k = 2 + 2 cos(k pi / (n + 1)), so lambda1 - lambda2 ~
