@@ -136,6 +136,9 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     """
     if op.n < 2:
         raise ValueError("the dominant-pair reference needs n >= 2 (k = 1 < n)")
+    if not op.frobenius_norm < math.inf:     # refused before LAPACK prints its own complaint
+        raise OracleConvergenceError(f"reference failed at n = {op.n}: it holds a non-finite "
+                                     "entry, or its norm overflows")
     view = op.share()
     bands = _tridiagonal_bands(view)
     # imported here: scipy.linalg (+9 MiB RSS) and scipy.sparse.linalg serve only this path

@@ -110,34 +110,110 @@ def _script_module(name):
     return module
 
 
-def test_stream_memory_measures_a_tree(tmp_path):
-    module = _script_module("stream_memory")
-    row = module.standalone(ROOT, 1, 0, tmp_path)
-    assert 0.0 < row["before_mib"] <= row["peak_mib"]
-    emitted = module.emit(ROOT, 2, 2000, tmp_path)     # ~10 ms: its seconds are rounded to 1 ms
-    assert emitted["seconds"] > 0.0 and emitted["peak_mb"] > 0.0
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+SAME = {"parent": ROOT, "change": ROOT}
 
 
-def test_stream_memory_identity_of_a_tree_with_itself(tmp_path):
-    same = _script_module("stream_memory").identity(ROOT, ROOT, 1, 0, tmp_path)
+@pytest.fixture
+def pairs():
+    return _script_module("pairs")
+
+
+def _fake_perfbench(parent, metric, values, runs):
+    """A perfbench stand-in: every metric 1.0 but ``metric``, values[side] + 0.01 * (seed % 2)."""
+    def run(tree, workload, seed):
+        runs.append((tree, workload, seed))
+        side = "parent" if tree == parent else "change"
+        return {"correct": True, "failed": 0, **dict.fromkeys(METRICS, 1.0),
+                metric: values[side] + 0.01 * (seed % 2)}
+    return run
+
+
+def _small_extras(pairs, monkeypatch):
+    for name, value in (("TRIALS", (1,)), ("EMIT_TRACES", 2), ("EMIT_ROWS", 2000),
+                        ("EMIT_ROUNDS", 1), ("IDENTITY_TRIALS", 1), ("GEN_N", 40),
+                        ("SIZES", (500,)), ("HANDOFF_ROUNDS", 2), ("HANDOFF_CALLS", 10),
+                        ("STEP_N", 1000), ("STEP_REPEAT", 2), ("STEP_ROUNDS", 2)):
+        monkeypatch.setattr(pairs, name, value)
+
+
+def test_stream_extra_measures_each_tree(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    done = pairs.stream(SAME, tmp_path)
+    (row,) = done["standalone"]
+    assert row["trials"] == 1 and done["standalone_seed"] == pairs.STANDALONE_SEED
+    for side in SAME:
+        assert 0.0 < row[side]["before_mib"] <= row[side]["peak_mib"]
+        (emitted,) = done["emit"][side]        # ~10 ms: its seconds are rounded to 1 ms
+        assert emitted["seconds"] > 0.0 and emitted["peak_mb"] > 0.0
+
+
+def test_identity_extra_of_a_tree_with_itself(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    same = pairs.identity(SAME, tmp_path)["identity"]
     assert same["differing"] == []
     assert same["parent_files"] == 6        # four trace CSVs, progress.jsonl and report.json
 
 
-def test_stream_memory_summary_counts_wins_by_direction():
-    module = _script_module("stream_memory")
-    pairs = [{"parent": {"rss": p, "speedup": p}, "change": {"rss": c, "speedup": c}}
-             for p, c in ((100.0, 80.0), (90.0, 90.0), (95.0, 99.0))]
+def test_gen_extra_hashes_each_file(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    gen = pairs.gen(SAME, tmp_path)["gen"]
+    assert gen["n"] == 40 and gen["identical"]
+    assert len(gen["parent"]) == len(gen["change"]) == pairs.GEN_ROUNDS
+    for run in gen["parent"] + gen["change"]:
+        assert run["peak_mib"] > 0.0 and run["seconds"] >= 0.0 and len(run["sha256"]) == 64
+    assert list(tmp_path.iterdir()) == []      # each file is deleted once hashed
+
+
+def test_parts_extra_times_each_part_on_one_cpu_and_on_two(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    timed = pairs.parts(SAME, tmp_path)
+    assert timed["handoff_us"]["best"] > 0.0
+    assert [(row["n"], row["method"]) for row in timed["parts"]] == [
+        (500, method) for method in ("power", "gd_difference", "power_momentum", "split_merge")]
+    for row in timed["parts"]:
+        assert row["one_cpu"]["cpus"] == 1
+        assert row["two_cpus"]["cpus"] == min(2, len(os.sched_getaffinity(0)))
+        assert sorted(row["gain"]) == sorted(pairs.TIMED)
+
+
+def test_steps_extra_times_each_public_step(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    done = pairs.steps(SAME, tmp_path)
+    assert (done["n"], done["seed"], done["repeat"]) == (1000, 0, 2)
+    for side in SAME:
+        assert len(done["runs"][side]) == 2
+        assert all(sorted(run) == sorted(pairs.STEPS) and min(run.values()) > 0.0
+                   for run in done["runs"][side])
+    assert all(entry["change_over_parent"] > 0.0 for entry in done["summary"].values())
+
+
+def test_summary_counts_wins_by_direction(pairs):
+    done = [{"parent": {"rss": p, "speedup": p}, "change": {"rss": c, "speedup": c}}
+            for p, c in ((100.0, 80.0), (90.0, 90.0), (95.0, 99.0))]
     metrics = [{"name": "rss", "better": "lower"}, {"name": "speedup", "better": "higher"}]
-    summary = module.summarize(pairs, metrics)
+    summary = pairs.summarize(done, metrics)
     assert summary["rss"]["change_won"] == "1 of 3"        # the tie counts for neither
     assert summary["speedup"]["change_won"] == "1 of 3"
     assert summary["rss"]["parent_q1_median_q3"] == [92.5, 95.0, 97.5]
     assert summary["rss"]["change_q1_median_q3"] == [85.0, 90.0, 94.5]
 
 
-def test_alternating_pairs_order_seeds_and_workloads(capsys):
-    module = _script_module("stream_memory")
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_verdict_needs_a_gain_beyond_the_parent_spread(pairs, better):
+    sign = 1.0 if better == "lower" else -1.0       # the same pairs, mirrored for "higher"
+    walls = {"parent": [10.0, 9.0, 11.0, 10.0], "change": [9.5, 8.5, 10.5, 9.5]}
+    done = [{side: {"m": sign * walls[side][i]} for side in walls} for i in range(4)]
+    result = pairs.verdict(done, "m", better)
+    assert result["change_better"] == "4 of 4"
+    assert result["median_gain"] == 0.5 and result["parent_iqr"] == 0.5
+    assert not result["met"]
+    assert pairs.verdict(done, "m", "lower" if better == "higher" else "higher")[
+        "change_better"] == "0 of 4"
+
+
+def test_alternating_pairs_order_seeds_and_workloads(pairs, capsys):
     trees = {"parent": Path("parent"), "change": Path("change")}
     runs = []
 
@@ -145,16 +221,16 @@ def test_alternating_pairs_order_seeds_and_workloads(capsys):
         runs.append((tree.name, workload, seed))
         return {"wall_s": float(seed)}
 
-    pairs = module.alternating_pairs(trees, ("a", "b"), 3, 51, run,
-                                     after=lambda tree, workload: {"after": (tree.name, workload)})
+    done = pairs.alternating_pairs(trees, ("a", "b"), 3, 51, run,
+                                   after=lambda tree, workload: {"after": (tree.name, workload)})
     assert runs == [(side, workload, seed) for workload in ("a", "b") for seed, order in
                     ((51, ("parent", "change")), (52, ("change", "parent")),
                      (53, ("parent", "change"))) for side in order]
-    assert sorted(pairs) == ["a", "b"]
-    for workload, done in pairs.items():
-        assert [(pair["seed"], pair["first"]) for pair in done] == [
+    assert sorted(done) == ["a", "b"]
+    for workload, listed in done.items():
+        assert [(pair["seed"], pair["first"]) for pair in listed] == [
             (51, "parent"), (52, "change"), (53, "parent")]
-        for pair in done:
+        for pair in listed:
             for side in trees:
                 assert pair[side] == {"wall_s": float(pair["seed"]), "after": (side, workload)}
     lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -162,172 +238,156 @@ def test_alternating_pairs_order_seeds_and_workloads(capsys):
         (w, seed) for w in ("a", "b") for seed in (51, 52, 53)]
 
 
-def test_stream_memory_claim_runs_the_pairs_alone(tmp_path, monkeypatch):
-    module = _script_module("stream_memory")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    runs = []
-
-    def fake_perfbench(tree, workload, seed):
-        runs.append((tree, workload, seed))
-        setup = 3.5 if tree == ROOT.parent else 1.2      # the "parent" tree sets up slower
-        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0), "setup_s": setup + seed % 2}
-
-    for skipped in ("standalone", "identity", "emit"):
-        monkeypatch.setattr(module, skipped, lambda *args: pytest.fail("not a pairs-only run"))
-    monkeypatch.setattr(module, "perfbench", fake_perfbench)
-    monkeypatch.setattr(module, "PAIRS", 2)
-    out = tmp_path / "bench.json"
-    assert module.main(["--parent", str(ROOT.parent), "--out", str(out),
-                        "--claim", "sparse_file:setup_s", "--first-seed", "121"]) == 0
-    payload = json.loads(out.read_text())
-    assert sorted({seed for _, _, seed in runs}) == [121, 122]
-    assert len(runs) == 4 * len(module.WORKLOADS)
-    assert "standalone" not in payload and "identity" not in payload
-    assert payload["verdict"]["metric"] == "sparse_file setup_s"
-    assert payload["verdict"]["change_lower"] == "2 of 2"
-    assert payload["verdict"]["median_ratio"] == pytest.approx(1.7 / 4.0)
-    assert all(entry["matvecs_equal"] for entry in payload["summary"].values())
-    assert payload["summary"]["sparse_file"]["setup_s"]["change_won"] == "2 of 2"
-
-
-def test_trace_writer_pairs_drives_alternating_pairs(tmp_path, monkeypatch):
-    module = _script_module("trace_writer_pairs")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    runs = []
-
-    def fake_perfbench(tree, workload, seed):
-        runs.append((tree, workload, seed))
-        wall = 9.0 if tree == ROOT.parent else 7.0      # the "parent" tree is slower
-        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0), "wall_s": wall + seed % 2}
-
-    monkeypatch.setattr(module, "perfbench", fake_perfbench)
-    monkeypatch.setattr(module, "identity", lambda *args: {"differing": []})
-    monkeypatch.setattr(module, "PAIRS", 2)
-    out = tmp_path / "bench.json"
-    assert module.main(["--parent", str(ROOT.parent), "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert len(runs) == 4 * len(module.WORKLOADS)
-    assert payload["verdict"]["metric"] == "small_file wall_s"
-    assert payload["verdict"]["change_lower"] == "2 of 2"
-    assert payload["summary"]["small_file"]["wall_s"]["change_won"] == "2 of 2"
-    assert runs[:2] == [(ROOT.parent, "small_file", module.FIRST_SEED),
-                        (ROOT, "small_file", module.FIRST_SEED)]
-    for workload, pairs in payload["pairs"].items():
-        assert [(pair["seed"], pair["first"]) for pair in pairs] == [
-            (module.FIRST_SEED, "parent"), (module.FIRST_SEED + 1, "change")]
-        assert all(sorted(pair[side]["leftovers"]) == ["processes", "tmp_files"]
-                   for pair in pairs for side in ("parent", "change"))
-    for pair in payload["pairs"]["sparse_file"]:
-        assert pair["change"]["leftovers"]["tmp_files"] == 0
-
-
-def test_trace_writer_pairs_verdict_needs_a_drop_beyond_the_parent_spread(tmp_path, monkeypatch):
-    module = _script_module("trace_writer_pairs")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    walls = {"parent": [10.0, 9.0, 11.0, 10.0], "change": [9.5, 8.5, 10.5, 9.5]}
-
-    def fake_perfbench(tree, workload, seed):
-        side = "parent" if tree == ROOT.parent else "change"
-        return {**dict.fromkeys(names, 1.0), "wall_s": walls[side][seed - module.FIRST_SEED]}
-
-    monkeypatch.setattr(module, "perfbench", fake_perfbench)
-    monkeypatch.setattr(module, "identity", lambda *args: {"differing": []})
-    monkeypatch.setattr(module, "leftovers", lambda tree, workload: {})
-    monkeypatch.setattr(module, "WORKLOADS", ("small_file",))
-    monkeypatch.setattr(module, "PAIRS", 4)
-    out = tmp_path / "bench.json"
-    assert module.main(["--parent", str(ROOT.parent), "--out", str(out)]) == 0
-    result = json.loads(out.read_text())["verdict"]
-    assert result["change_lower"] == "4 of 4"
-    assert result["median_drop"] == 0.5 and result["parent_iqr"] == 0.5
-    assert not result["met"]
-
-
-def test_step_pairs_times_each_public_step():
-    module = _script_module("step_pairs")
-    timed = module.time_steps(ROOT, n=1000, repeat=2)
-    assert sorted(timed) == sorted(module.STEPS)
-    assert all(ms > 0.0 for ms in timed.values())
-    summary = module.summarize({"parent": [timed, timed], "change": [timed, timed]})
-    assert all(entry["change_over_parent"] == 1.0 for entry in summary.values())
-
-
-def test_two_cpus_times_each_part_on_one_cpu_and_on_two(monkeypatch):
-    module = _script_module("two_cpus")
-    monkeypatch.setattr(module, "SIZES", (500,))
-    timed = module.parts()
-    assert timed["handoff_us"]["best"] > 0.0
-    assert [(row["n"], row["method"]) for row in timed["parts"]] == [
-        (500, method) for method in ("power", "gd_difference", "power_momentum", "split_merge")]
-    for row in timed["parts"]:
-        assert row["one_cpu"]["cpus"] == 1
-        assert row["two_cpus"]["cpus"] == min(2, len(os.sched_getaffinity(0)))
-        assert sorted(row["gain"]) == sorted(module.TIMED)
-
-
-def test_two_cpus_drives_alternating_pairs(tmp_path, monkeypatch):
-    module = _script_module("two_cpus")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+def test_claim_runs_the_pairs_without_extras(pairs, tmp_path, monkeypatch):
     parent = tmp_path / "parent"
     (parent / "perfbench").mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
     runs = []
+    fake = _fake_perfbench(parent, "setup_s", {"parent": 3.5, "change": 1.2}, runs)
 
-    def fake_perfbench(tree, workload, seed):
-        runs.append((tree, workload, seed))
+    def perfbench(tree, workload, seed):
         assert (tree / "perfbench" / "run.py").is_file()
-        power = 2.0 if tree == parent else 1.5      # the parent is slower
-        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0),
-                "solve_s.power": power + 0.01 * (seed % 2)}
+        result = fake(tree, workload, seed)
+        if workload == "small_file" and tree == parent:
+            result["matvecs_total"] = 2.0
+        return result
 
-    monkeypatch.setattr(module, "perfbench", fake_perfbench)
-    monkeypatch.setattr(module, "parts", lambda: {"handoff_us": {"best": 1.0}, "parts": []})
-    monkeypatch.setattr(module, "PAIRS", 2)
+    for name in pairs.EXTRAS:
+        monkeypatch.setitem(pairs.EXTRAS, name, lambda *args: pytest.fail("not asked for"))
+    monkeypatch.setattr(pairs, "perfbench", perfbench)
+    monkeypatch.setattr(pairs, "PAIRS", 2)
     out = tmp_path / "bench.json"
-    assert module.main(["--parent", str(parent), "--out", str(out)]) == 0
+    assert pairs.main(["--parent", str(parent), "--out", str(out),
+                       "--claim", "sparse_file:setup_s", "--first-seed", "121"]) == 0
     payload = json.loads(out.read_text())
-    assert sorted({tree for tree, _, _ in runs}) == sorted([parent, ROOT])
-    assert len(runs) == 4 * len(module.WORKLOADS)
-    assert payload["verdict"]["metric"] == "sparse_file solve_s.power"
-    assert payload["verdict"]["change_lower"] == "2 of 2"
-    assert payload["verdict"]["median_drop_share"] == pytest.approx(0.5 / 2.005)
-    assert payload["verdict"]["met"] is True      # 25% down, beyond the parent's IQR of 0.005
-    assert runs[:2] == [(parent, "sparse_file", module.FIRST_SEED),
-                        (ROOT, "sparse_file", module.FIRST_SEED)]
-    for workload, pairs in payload["pairs"].items():
-        assert [(pair["seed"], pair["first"]) for pair in pairs] == [
-            (module.FIRST_SEED, "parent"), (module.FIRST_SEED + 1, "change")]
-
-
-def test_setup_memory_drives_alternating_pairs_and_gen(tmp_path, monkeypatch):
-    module = _script_module("setup_memory")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    parent = tmp_path / "parent"
-    parent.mkdir()
-    (parent / "src").symlink_to(ROOT / "src")     # the same library: identical files
-    runs = []
-
-    def fake_perfbench(tree, workload, seed):
-        runs.append((tree, workload, seed))
-        peak = 140.0 if tree == parent else 112.0      # the parent peaks higher
-        return {"correct": True, "failed": 0, **dict.fromkeys(names, 1.0),
-                "peak_rss_mb": peak + seed % 2, "matvecs_total": 84678}
-
-    monkeypatch.setattr(module, "perfbench", fake_perfbench)
-    monkeypatch.setattr(module, "PAIRS", 2)
-    monkeypatch.setattr(module, "GEN_N", 40)
-    out = tmp_path / "bench.json"
-    assert module.main(["--parent", str(parent), "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert sorted({tree for tree, _, _ in runs}) == sorted([parent, ROOT])
-    assert len(runs) == 4 * len(module.WORKLOADS)
-    assert payload["verdict"]["metric"] == "dense_paper peak_rss_mb"
-    assert payload["verdict"]["change_lower"] == "2 of 2"
-    assert payload["verdict"]["median_ratio"] == pytest.approx(112.5 / 140.5)
-    assert all(entry["matvecs_equal"] for entry in payload["summary"].values())
-    gen = payload["gen"]
-    assert gen["n"] == 40 and gen["identical"]
-    assert len(gen["parent"]) == len(gen["change"]) == module.GEN_ROUNDS
-    for run in gen["parent"] + gen["change"]:
-        assert run["peak_mib"] > 0.0 and run["seconds"] >= 0.0
+    assert list(payload) == ["trees", "host", "pairs_command", "verdict", "summary", "pairs",
+                             "script_peak_mib"]
     assert payload["script_peak_mib"] > 0.0
+    assert runs[:2] == [(parent, "sparse_file", 121), (ROOT, "sparse_file", 121)]
+    assert len(runs) == 4 * len(BENCHMARK["workloads"])
+    assert list(payload["pairs"]) == ["sparse_file", "dense_paper", "small_file"]
+    for listed in payload["pairs"].values():
+        assert [(pair["seed"], pair["first"]) for pair in listed] == [
+            (121, "parent"), (122, "change")]
+        assert all(sorted(pair["change"]) == sorted(["correct", "failed", *METRICS])
+                   for pair in listed)
+    assert payload["verdict"]["metric"] == "sparse_file setup_s"
+    assert payload["verdict"]["change_better"] == "2 of 2" and payload["verdict"]["met"]
+    assert payload["verdict"]["median_ratio"] == pytest.approx(1.205 / 3.505)
+    assert {w: entry["matvecs_equal"] for w, entry in payload["summary"].items()} == {
+        "sparse_file": True, "dense_paper": True, "small_file": False}
+    assert payload["summary"]["sparse_file"]["setup_s"]["change_won"] == "2 of 2"
+
+
+def test_higher_is_better_claim_is_met(pairs, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(pairs, "perfbench", _fake_perfbench(
+        ROOT.parent, "speedup_time", {"parent": 4.0, "change": 5.0}, runs))
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--parent", str(ROOT.parent), "--out", str(out),
+                       "--claim", "dense_paper:speedup_time"]) == 0
+    result = json.loads(out.read_text())["verdict"]
+    assert (result["metric"], result["better"]) == ("dense_paper speedup_time", "higher")
+    assert result["change_better"] == "2 of 2"
+    assert result["median_gain"] == pytest.approx(1.0) and result["met"]
+    assert result["median_ratio"] == pytest.approx(5.005 / 4.005)
+
+
+@pytest.mark.parametrize("claim", ["sparse_file:setup", "sparse:setup_s", "sparse_file",
+                                   "sparse_file:linop.load_s"])
+def test_a_bad_claim_is_refused_before_any_run(pairs, tmp_path, monkeypatch, capsys, claim):
+    monkeypatch.setattr(pairs, "perfbench", lambda *args: pytest.fail("perfbench ran"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stopped:
+        pairs.main(["--parent", str(ROOT), "--out", str(out), "--claim", claim])
+    assert stopped.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: argument --claim: {claim!r} is not WORKLOAD:METRIC" in error
+    assert not out.exists()
+
+
+def test_leftovers_extra_reports_each_run(pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    traces = parent / ".perfbench_work" / "out" / "sparse_file" / "traces"
+    traces.mkdir(parents=True)
+    (traces / "t.csv.tmp").write_text("")
+    change.mkdir()
+    (change / "BENCHMARK.json").symlink_to(ROOT / "BENCHMARK.json")
+    monkeypatch.setattr(pairs, "ROOT", change)
+    monkeypatch.setattr(pairs, "_ps", lambda: "ARGS\npython3 perfbench/run.py --seed 1\nps\n")
+    monkeypatch.setattr(pairs, "perfbench", _fake_perfbench(parent, "wall_s", dict(
+        parent=9.0, change=7.0), []))
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--parent", str(parent), "--out", str(out), "--claim", "small_file:wall_s",
+                       "--extra", "leftovers"]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["trees"] == {"parent": "not a git checkout", "change": "not a git checkout"}
+    for workload, listed in payload["pairs"].items():
+        for pair in listed:
+            for side in ("parent", "change"):
+                left = int(side == "parent" and workload == "sparse_file")
+                assert pair[side]["leftovers"] == {"tmp_files": left, "processes": 1}
+
+
+def test_extras_that_need_or_refuse_a_claim(pairs, tmp_path, capsys):
+    for args in (["--claim", "small_file:wall_s", "--extra", "steps"], ["--extra", "leftovers"]):
+        with pytest.raises(SystemExit) as stopped:
+            pairs.main(["--parent", str(ROOT), "--out", str(tmp_path / "x.json"), *args])
+        assert stopped.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def _readme_commands():
+    """Each ``scripts/pairs.py`` command of the README: its arguments after the script."""
+    import shlex
+
+    readme = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[2:] for line in readme.splitlines()
+            if line.startswith("python3 scripts/pairs.py")]
+
+
+def test_readme_commands_write_each_bench_files_keys(pairs, tmp_path, monkeypatch):
+    _small_extras(pairs, monkeypatch)
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    monkeypatch.setattr(pairs, "perfbench", _fake_perfbench(ROOT, "wall_s", dict(
+        parent=2.0, change=1.0), []))
+    outs = set()
+    for args in _readme_commands():
+        given = dict(zip(args[::2], args[1::2]))
+        outs.add(given["--out"])
+        stored = json.loads((ROOT / given["--out"]).read_text())
+        args[args.index("--parent") + 1] = str(ROOT)
+        args[args.index("--out") + 1] = str(tmp_path / "out.json")
+        assert pairs.main(args) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert sorted(payload) == sorted(stored), given["--out"]
+        if "--claim" in given:
+            assert stored["verdict"]["metric"] == given["--claim"].replace(":", " ")
+            assert {listed[0]["seed"] for listed in stored["pairs"].values()} == {
+                int(given["--first-seed"])}
+            assert sorted(payload["pairs"]) == sorted(stored["pairs"])
+    built = {p.name for p in ROOT.glob("BENCH_*.json") if "trees" in json.loads(p.read_text())}
+    assert outs == built and len(built) == 8
+
+
+def test_stored_verdicts_match_their_pairs(pairs):
+    checked = 0
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        stored = json.loads(path.read_text())
+        if not ("pairs" in stored and "verdict" in stored):
+            continue
+        workload, metric = stored["verdict"]["metric"].split()
+        result = pairs.verdict(stored["pairs"][workload], metric, METRICS[metric]["better"])
+        assert result["change_better"] == stored["verdict"]["change_lower"], path.name
+        assert result["met"] == stored["verdict"]["met"], path.name
+        checked += 1
+    assert checked == 7
+
+
+def test_readme_names_each_script_and_no_other():
+    import re
+
+    named = set(re.findall(r"scripts/(\w+)\.py", (ROOT / "README.md").read_text()))
+    assert named == {path.stem for path in (ROOT / "scripts").glob("*.py")}

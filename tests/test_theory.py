@@ -712,6 +712,17 @@ class TestDominantReference:
             with pytest.raises(OracleConvergenceError, match=f"reference failed at n = {n}"):
                 reference_dominant_eigenpair(CsrOperator(m.tocsr()))
 
+    def test_non_finite_entry_is_refused_before_arpack(self, capfd):
+        # nan != nan, so this operator is not tridiagonal to _tridiagonal_bands and would go to
+        # ARPACK, whose LAPACK calls print "DLASCL parameter number 4" to standard output
+        n = 50
+        m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tolil()
+        m[3, 4] = m[4, 3] = math.nan
+        with pytest.raises(OracleConvergenceError,
+                           match=f"reference failed at n = {n}: it holds a non-finite entry"):
+            reference_dominant_eigenpair(CsrOperator(m.tocsr()))
+        assert capfd.readouterr() == ("", "")
+
     def test_step_cap_raises_with_n_and_the_residual_reached(self, monkeypatch):
         n = 300
         m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
