@@ -16,7 +16,9 @@ pairs and the change in odd ones. ``summary`` gives each end-to-end metric's
 quartiles per side, the pairs the change won (ties count for neither) and
 ``matvecs_equal``; ``verdict`` applies the claim's rule in the metric's
 direction: better in >= 9 of 10 pairs, by a median gain beyond the parent's
-interquartile range. Without ``--claim`` no pair runs.
+interquartile range. Each run also records its ``leftovers``: the ``*.tmp``
+files left in that tree's perfbench traces and the ``perfbench/run.py``
+processes alive after it. Without ``--claim`` no pair runs.
 
 Each ``--extra`` adds one measurement, in the order given:
 
@@ -40,8 +42,6 @@ Each ``--extra`` adds one measurement, in the order given:
   each public step on ``kernel_parts.tridiagonal(STEP_N, STEP_SEED)``, and
   each step's median per tree. It writes its own ``summary``, so it runs
   without ``--claim``.
-- ``leftovers``: after each perfbench run, the ``*.tmp`` files left in that
-  tree's perfbench traces and the ``perfbench/run.py`` processes alive.
 
 Rounds alternate as pairs do. Children other than ``gen`` and ``parts`` run
 with one BLAS thread; both trees use this tree's ``perfbench/workloads.py``
@@ -162,8 +162,11 @@ start = time.perf_counter()
 main(["gen", "--n", n, "--gap", "1e-3", "--seed", "0", "--out", out])
 done = {"seconds": round(time.perf_counter() - start, 2),
         "peak_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+digest = hashlib.sha256()
 with open(out, "rb") as fh:
-    done["sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(block)
+done["sha256"] = digest.hexdigest()
 os.remove(out)
 print(json.dumps(done))
 """
@@ -310,7 +313,7 @@ def perfbench(tree: Path, workload: str, seed: int) -> dict:
     return {"correct": result["correct"], "failed": result["failed"], **metrics}
 
 
-def alternating_pairs(trees: dict, workloads, pairs: int, first_seed: int, run, after=None) -> dict:
+def alternating_pairs(trees: dict, workloads, pairs: int, first_seed: int, run, after) -> dict:
     """Per workload, ``pairs`` pairs of ``run(tree, workload, seed)``: pair i at seed ``first_seed
     + i``, the parent first in even pairs. ``after(tree, workload)`` returns entries to add to
     each run's result. One JSON line per pair goes to stderr."""
@@ -322,16 +325,14 @@ def alternating_pairs(trees: dict, workloads, pairs: int, first_seed: int, run, 
             pair = {"seed": first_seed + i, "first": order[0]}
             for side in order:
                 pair[side] = run(trees[side], workload, pair["seed"])
-                if after is not None:
-                    pair[side].update(after(trees[side], workload))
+                pair[side].update(after(trees[side], workload))
             done[workload].append(pair)
             print(json.dumps({"workload": workload, **pair}), file=sys.stderr)
     return done
 
 
 def _quartiles(values) -> list:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [q1, median, q3]
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summarize(pairs: list, metrics: list) -> dict:
@@ -354,15 +355,16 @@ def summarize(pairs: list, metrics: list) -> dict:
 def verdict(pairs: list, metric: str, better: str) -> dict:
     """The claim's rule: the change better (``better`` is "lower" or "higher") in >= 9 of 10
     pairs, and its median better than the parent's by more than the parent's interquartile
-    range."""
-    sign = 1.0 if better == "lower" else -1.0      # negated, higher is better reads as lower
+    range. A higher-is-better metric is negated first, so ``change_lower`` counts the pairs
+    the change was higher and ``median_drop`` is its median gain."""
+    sign = 1.0 if better == "lower" else -1.0
     parent = [sign * p["parent"][metric] for p in pairs]
     change = [sign * p["change"][metric] for p in pairs]
     q1, median, q3 = _quartiles(parent)
     wins = sum(c < p for p, c in zip(parent, change))
-    gain = median - statistics.median(change)
-    return {"better": better, "change_better": f"{wins} of {len(pairs)}", "median_gain": gain,
-            "parent_iqr": q3 - q1, "met": wins >= 0.9 * len(pairs) and gain > q3 - q1}
+    drop = median - statistics.median(change)
+    return {"change_lower": f"{wins} of {len(pairs)}", "median_drop": drop,
+            "parent_iqr": q3 - q1, "met": wins >= 0.9 * len(pairs) and drop > q3 - q1}
 
 
 def _benchmark() -> dict:
@@ -382,14 +384,14 @@ def _claim(text: str) -> tuple:
     return workload, metrics[metric]
 
 
-def claim_pairs(trees: dict, claim: tuple, first_seed: int, after=None) -> dict:
-    """``alternating_pairs`` of ``perfbench`` (and ``after``) over ``BENCHMARK.json``'s
+def claim_pairs(trees: dict, claim: tuple, first_seed: int) -> dict:
+    """``alternating_pairs`` of ``perfbench`` and its ``leftovers`` over ``BENCHMARK.json``'s
     workloads, the claimed one first; each workload's summary, and the claim's verdict with
     the ratio of its medians."""
     workload, metric = claim
     bench = _benchmark()
     workloads = [workload] + [w["name"] for w in bench["workloads"] if w["name"] != workload]
-    pairs = alternating_pairs(trees, workloads, PAIRS, first_seed, perfbench, after)
+    pairs = alternating_pairs(trees, workloads, PAIRS, first_seed, perfbench, leftovers)
     name = metric["name"]
     ratio = (statistics.median(p["change"][name] for p in pairs[workload])
              / statistics.median(p["parent"][name] for p in pairs[workload]))
@@ -418,7 +420,10 @@ def _revision(tree: Path) -> str:
     return commit + (" with uncommitted changes" if dirty else "")
 
 
-def _host() -> dict:
+def _host(extras) -> dict:
+    inherited = " and ".join(name for name in ("gen", "parts") if name in extras)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "the BLAS default")
+    blas = f"1 in perfbench; {threads}, inherited, in {inherited}" if inherited else 1
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -427,8 +432,8 @@ def _host() -> dict:
     except OSError:
         pass
     return {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy"),
-            "scipy": importlib.metadata.version("scipy"), "blas_threads": 1}
+            **{lib: importlib.metadata.version(lib) for lib in ("numpy", "scipy")},
+            "blas_threads": blas}
 
 
 def main(argv=None) -> int:
@@ -438,23 +443,20 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", type=_claim, metavar="WORKLOAD:METRIC",
                         help="run the perfbench pairs, with this claim's verdict")
     parser.add_argument("--first-seed", type=int, default=FIRST_SEED)
-    parser.add_argument("--extra", action="append", default=[], choices=[*EXTRAS, "leftovers"])
+    parser.add_argument("--extra", action="append", default=[], choices=EXTRAS)
     args = parser.parse_args(argv)
     if args.claim is not None and "steps" in args.extra:
         parser.error("--extra steps writes its own summary: give it without --claim")
-    if args.claim is None and "leftovers" in args.extra:
-        parser.error("--extra leftovers reports on perfbench runs: give it with --claim")
 
     trees = {"parent": args.parent.resolve(), "change": ROOT}
-    payload = {"trees": {side: _revision(tree) for side, tree in trees.items()}, "host": _host()}
+    payload = {"trees": {side: _revision(tree) for side, tree in trees.items()},
+               "host": _host(args.extra)}
     with tempfile.TemporaryDirectory() as tmp:
         for name in dict.fromkeys(args.extra):
-            if name in EXTRAS:
-                (Path(tmp) / name).mkdir()
-                payload.update(EXTRAS[name](trees, Path(tmp) / name))
+            (Path(tmp) / name).mkdir()
+            payload.update(EXTRAS[name](trees, Path(tmp) / name))
     if args.claim is not None:
-        after = leftovers if "leftovers" in args.extra else None
-        payload.update(claim_pairs(trees, args.claim, args.first_seed, after))
+        payload.update(claim_pairs(trees, args.claim, args.first_seed))
         payload["script_peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     text = json.dumps(payload, indent=1)

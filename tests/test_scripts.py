@@ -4,6 +4,7 @@
 import csv
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -117,7 +118,9 @@ SAME = {"parent": ROOT, "change": ROOT}
 
 @pytest.fixture
 def pairs():
-    return _script_module("pairs")
+    module = _script_module("pairs")
+    module._ps = lambda: ""         # no test reads the machine's process list
+    return module
 
 
 def _fake_perfbench(parent, metric, values, runs):
@@ -186,7 +189,11 @@ def test_steps_extra_times_each_public_step(pairs, tmp_path, monkeypatch):
         assert len(done["runs"][side]) == 2
         assert all(sorted(run) == sorted(pairs.STEPS) and min(run.values()) > 0.0
                    for run in done["runs"][side])
-    assert all(entry["change_over_parent"] > 0.0 for entry in done["summary"].values())
+    for step in pairs.STEPS:
+        parent = statistics.median(run[step] for run in done["runs"]["parent"])
+        change = statistics.median(run[step] for run in done["runs"]["change"])
+        assert done["summary"][step] == {"parent_median_ms": parent, "change_median_ms": change,
+                                         "change_over_parent": change / parent}
 
 
 def test_summary_counts_wins_by_direction(pairs):
@@ -206,11 +213,10 @@ def test_verdict_needs_a_gain_beyond_the_parent_spread(pairs, better):
     walls = {"parent": [10.0, 9.0, 11.0, 10.0], "change": [9.5, 8.5, 10.5, 9.5]}
     done = [{side: {"m": sign * walls[side][i]} for side in walls} for i in range(4)]
     result = pairs.verdict(done, "m", better)
-    assert result["change_better"] == "4 of 4"
-    assert result["median_gain"] == 0.5 and result["parent_iqr"] == 0.5
-    assert not result["met"]
+    assert result == {"change_lower": "4 of 4", "median_drop": 0.5, "parent_iqr": 0.5,
+                      "met": False}
     assert pairs.verdict(done, "m", "lower" if better == "higher" else "higher")[
-        "change_better"] == "0 of 4"
+        "change_lower"] == "0 of 4"
 
 
 def test_alternating_pairs_order_seeds_and_workloads(pairs, capsys):
@@ -269,10 +275,10 @@ def test_claim_runs_the_pairs_without_extras(pairs, tmp_path, monkeypatch):
     for listed in payload["pairs"].values():
         assert [(pair["seed"], pair["first"]) for pair in listed] == [
             (121, "parent"), (122, "change")]
-        assert all(sorted(pair["change"]) == sorted(["correct", "failed", *METRICS])
-                   for pair in listed)
+        keys = sorted(["correct", "failed", *METRICS, "leftovers"])
+        assert all(sorted(pair["change"]) == keys for pair in listed)
     assert payload["verdict"]["metric"] == "sparse_file setup_s"
-    assert payload["verdict"]["change_better"] == "2 of 2" and payload["verdict"]["met"]
+    assert payload["verdict"]["change_lower"] == "2 of 2" and payload["verdict"]["met"]
     assert payload["verdict"]["median_ratio"] == pytest.approx(1.205 / 3.505)
     assert {w: entry["matvecs_equal"] for w, entry in payload["summary"].items()} == {
         "sparse_file": True, "dense_paper": True, "small_file": False}
@@ -288,9 +294,9 @@ def test_higher_is_better_claim_is_met(pairs, tmp_path, monkeypatch):
     assert pairs.main(["--parent", str(ROOT.parent), "--out", str(out),
                        "--claim", "dense_paper:speedup_time"]) == 0
     result = json.loads(out.read_text())["verdict"]
-    assert (result["metric"], result["better"]) == ("dense_paper speedup_time", "higher")
-    assert result["change_better"] == "2 of 2"
-    assert result["median_gain"] == pytest.approx(1.0) and result["met"]
+    assert result["metric"] == "dense_paper speedup_time"
+    assert result["change_lower"] == "2 of 2"       # counted on the negated values
+    assert result["median_drop"] == pytest.approx(1.0) and result["met"]
     assert result["median_ratio"] == pytest.approx(5.005 / 4.005)
 
 
@@ -307,7 +313,7 @@ def test_a_bad_claim_is_refused_before_any_run(pairs, tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-def test_leftovers_extra_reports_each_run(pairs, tmp_path, monkeypatch):
+def test_each_perfbench_run_reports_its_leftovers(pairs, tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     traces = parent / ".perfbench_work" / "out" / "sparse_file" / "traces"
     traces.mkdir(parents=True)
@@ -320,8 +326,8 @@ def test_leftovers_extra_reports_each_run(pairs, tmp_path, monkeypatch):
         parent=9.0, change=7.0), []))
     monkeypatch.setattr(pairs, "PAIRS", 2)
     out = tmp_path / "bench.json"
-    assert pairs.main(["--parent", str(parent), "--out", str(out), "--claim", "small_file:wall_s",
-                       "--extra", "leftovers"]) == 0
+    assert pairs.main(["--parent", str(parent), "--out", str(out),
+                       "--claim", "small_file:wall_s"]) == 0
     payload = json.loads(out.read_text())
     assert payload["trees"] == {"parent": "not a git checkout", "change": "not a git checkout"}
     for workload, listed in payload["pairs"].items():
@@ -331,12 +337,19 @@ def test_leftovers_extra_reports_each_run(pairs, tmp_path, monkeypatch):
                 assert pair[side]["leftovers"] == {"tmp_files": left, "processes": 1}
 
 
-def test_extras_that_need_or_refuse_a_claim(pairs, tmp_path, capsys):
-    for args in (["--claim", "small_file:wall_s", "--extra", "steps"], ["--extra", "leftovers"]):
-        with pytest.raises(SystemExit) as stopped:
-            pairs.main(["--parent", str(ROOT), "--out", str(tmp_path / "x.json"), *args])
-        assert stopped.value.code == 2
+def test_steps_extra_refuses_a_claim(pairs, tmp_path):
+    with pytest.raises(SystemExit) as stopped:
+        pairs.main(["--parent", str(ROOT), "--out", str(tmp_path / "x.json"),
+                    "--claim", "small_file:wall_s", "--extra", "steps"])
+    assert stopped.value.code == 2
     assert not (tmp_path / "x.json").exists()
+
+
+def test_host_names_the_extras_that_inherit_blas_threads(pairs, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert pairs._host(["stream", "identity", "steps"])["blas_threads"] == 1
+    assert pairs._host(["parts", "gen"])["blas_threads"] == (
+        "1 in perfbench; 2, inherited, in gen and parts")
 
 
 def _readme_commands():
@@ -380,8 +393,10 @@ def test_stored_verdicts_match_their_pairs(pairs):
             continue
         workload, metric = stored["verdict"]["metric"].split()
         result = pairs.verdict(stored["pairs"][workload], metric, METRICS[metric]["better"])
-        assert result["change_better"] == stored["verdict"]["change_lower"], path.name
+        assert result["change_lower"] == stored["verdict"]["change_lower"], path.name
         assert result["met"] == stored["verdict"]["met"], path.name
+        drop = stored["verdict"].get("median_drop", stored["verdict"].get("median_drop_mib"))
+        assert result["median_drop"] == pytest.approx(drop), path.name
         checked += 1
     assert checked == 7
 
