@@ -13,10 +13,11 @@ runs, in microseconds, on a seeded tridiagonal CSR operator (diagonally
 dominant, so PSD) from ``init_vector``; each call of a part that writes
 over Ax starts from the Ax it would see in the loop. The passes are the
 kernel's bound block functions, ``_reductions`` and ``_vectors``, which
-its docstring names for this use. ``whole_iteration`` is the best of
-``--repeat`` solves held to
-``--iters`` iterations, per record, and ``rest_of_loop`` is what the parts
-do not account for (loop control, the stop test; noisy, can be negative).
+its docstring names for this use. ``whole_iteration`` is the median of
+``--repeat`` solves held to ``--iters`` iterations, per record, with their
+quartiles as ``whole_iteration_q1`` and ``whole_iteration_q3``;
+``rest_of_loop`` is what the parts do not account for in that median (loop
+control, the stop test; noisy, can be negative).
 BLAS runs on one thread unless the environment already says otherwise.
 ``cpus`` is the number of CPUs the process may run on, from which and n
 ``worker.halves`` decides whether the worker thread runs the upper half of
@@ -108,13 +109,16 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
 
     config = SolverConfig(method, stop_mode="residual", residual_tol=1e-300, max_iter=iters,
                           alpha=PARAMS["gd_difference"], beta=PARAMS["power_momentum"], seed=seed)
-    best = math.inf
+    per_iteration = []
     for _ in range(repeat):
         run_op = op.share()
         t0 = time.perf_counter()
         res = solve(run_op, config, x0=x)
-        best = min(best, (time.perf_counter() - t0) / (res.iterations + 1))
-    result["whole_iteration"] = round(best * 1e6, 3)
+        per_iteration.append((time.perf_counter() - t0) / (res.iterations + 1))
+    quartiles = np.percentile(per_iteration, [25, 50, 75]) * 1e6
+    for name, value in zip(("whole_iteration_q1", "whole_iteration", "whole_iteration_q3"),
+                           quartiles):
+        result[name] = round(float(value), 3)
     loop = sum(result[p] for p in ("matvec", "measure", "update", "trace_recording"))
     result["rest_of_loop"] = round(result["whole_iteration"] - loop, 3)
     return result

@@ -36,8 +36,10 @@ Each ``--extra`` adds one measurement, in the order given:
 - ``parts``: ``kernel_parts.time_parts`` on this tree for each n of ``SIZES``
   and each method, pinned to one CPU and to two, with every two-CPU row
   handing off (``worker.SPLIT_MIN_N`` just above ``BLOCK``); ``gain`` is the
-  one-CPU time over the two-CPU time. ``handoff_us`` times ``worker.halves``
-  with two empty calls.
+  one-CPU time over the two-CPU time, for ``whole_iteration`` the ratio of
+  the medians of the solves (each row also holds their quartiles,
+  ``whole_iteration_q1`` and ``whole_iteration_q3``). ``handoff_us`` times
+  ``worker.halves`` with two empty calls.
 - ``steps``: ``STEP_ROUNDS`` rounds of the best of ``STEP_REPEAT`` calls of
   each public step on ``kernel_parts.tridiagonal(STEP_N, STEP_SEED)``, and
   each step's median per tree. It writes its own ``summary``, so it runs

@@ -13,10 +13,11 @@ A coordinate file is held dense (a BLAS matvec) when the dense array takes
 no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
 matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
 multiplies with ``a.dot(x)`` (BLAS gemv); one of that order or more with
-BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric;
-building the first one imports ``scipy.linalg``. A CSR matvec computes its
-rows in two halves, which ``worker.halves`` may run at once; each row is
-summed as ``A @ x`` sums it, so the product has the same bits.
+BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric
+(``scipy.linalg.issymmetric``); building the first one imports
+``scipy.linalg``. A CSR matvec computes its rows in two halves, which
+``worker.halves`` may run at once; each row is summed as ``A @ x`` sums it,
+so the product has the same bits.
 """
 
 from __future__ import annotations
@@ -130,29 +131,17 @@ class LinearOperator:
 SYMV_MIN_N = 256
 
 
-def _exactly_symmetric(a: np.ndarray) -> bool:
-    """Whether a == a.T, compared one tile against its mirror at a time.
-
-    A whole-array ``a == a.T`` reads the transpose across rows and takes
-    about 4x longer (14 vs 3.4 ms at n = 1024, one thread).
-    """
-    n, tile = a.shape[0], 64
-    return all(
-        np.array_equal(a[i:i + tile, j:j + tile], a[j:j + tile, i:i + tile].T)
-        for i in range(0, n, tile)
-        for j in range(0, i + 1, tile)
-    )
-
-
 class DenseOperator(LinearOperator):
     """Dense symmetric backend over an n x n float array.
 
     Below ``SYMV_MIN_N`` the matvec is ``a.dot(x)`` (gemv): the same BLAS
     call and bits as ``a @ x``, without its ufunc dispatch (3.0-3.3 against
     4.2-4.3 us at n = 128, one BLAS thread). From ``SYMV_MIN_N`` on it is
-    BLAS ``dsymv``, which reads only the lower triangle, so the matrix must
-    equal its transpose exactly (``AsymmetricMatrixError`` otherwise), and
-    the first such operator imports ``scipy.linalg``.
+    BLAS ``dsymv``, which reads only the lower triangle, so each entry off
+    the diagonal must equal its mirror exactly (``AsymmetricMatrixError``
+    otherwise). ``scipy.linalg.issymmetric`` compares them with ``==``: a
+    one-ulp or nan pair is refused, a 0.0 / -0.0 pair accepted. The first
+    such operator imports ``scipy.linalg``.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -161,13 +150,13 @@ class DenseOperator(LinearOperator):
             raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
         super().__init__(matrix.shape[0])
         if self.n >= SYMV_MIN_N:
-            if not _exactly_symmetric(matrix):
+            import scipy.linalg  # only large dense operators pay for it
+
+            if not scipy.linalg.issymmetric(matrix):
                 raise AsymmetricMatrixError(
                     f"a dense operator of order {self.n} >= {SYMV_MIN_N} must be exactly symmetric"
                 )
-            from scipy.linalg.blas import dsymv  # only large dense operators pay for it
-
-            self._symv = dsymv
+            self._symv = scipy.linalg.blas.dsymv
         self._a = matrix
         self.frobenius_norm = _scaled_norm(matrix)
 
@@ -210,19 +199,21 @@ class CsrOperator(LinearOperator):
 
 
 def _split_matvec(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """m @ x: rows [0, h) and [h, n) as ``worker.halves``' two halves, into one zeroed vector.
+    """m @ x: rows [0, h) and [h, n) as ``worker.halves``' two halves, each zeroing its own.
 
     scipy's ``csr_matvec`` adds row i's products to y[i] in storage order,
     as ``m @ x`` does, so each row has the same bits.
     """
     n, cols = m.shape
     h = n // 2
-    y = np.zeros(n)
-    worker.halves(
-        n,
-        lambda: csr_matvec(h, cols, m.indptr, m.indices, m.data, x, y),
-        lambda: csr_matvec(n - h, cols, m.indptr[h:], m.indices, m.data, x, y[h:]),
-    )
+    y = np.empty(n)
+
+    def rows(start, stop):
+        out = y[start:stop]
+        out.fill(0.0)
+        csr_matvec(stop - start, cols, m.indptr[start:], m.indices, m.data, x, out)
+
+    worker.halves(n, lambda: rows(0, h), lambda: rows(h, n))
     return y
 
 

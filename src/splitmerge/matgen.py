@@ -1,8 +1,9 @@
-"""Synthetic PSD matrices with a prescribed dominant eigenvalue and gap.
+"""Synthetic PSD matrices with dominant eigenvalue 1 and a prescribed gap.
 
 A = U diag(spec) U' with U Haar-distributed via QR of a standard-normal
 matrix (R-diagonal signs fixed so the draw is deterministic for a given
-generator), spec = (lambda1, lambda1 - gap, random decreasing tail). The
+generator), spec = (1, 1 - gap, random decreasing tail), as the paper's
+synthetic protocol fixes lambda1 = 1. The
 exact spectrum used is returned alongside the operator so benchmarks get
 ground truth for free.
 
@@ -26,12 +27,11 @@ _REDRAW_CAP = 1000
 
 @dataclass
 class SyntheticSpec:
-    """Generator parameters: dimension, eigengap, dominant eigenvalue, seed."""
+    """Generator parameters: dimension, eigengap below lambda1 = 1, seed."""
 
     n: int
     gap: float
     seed: int = 0
-    lambda1: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
@@ -40,8 +40,8 @@ class SyntheticSpec:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 < self.gap < self.lambda1:
-            raise ValueError(f"gap must lie in (0, lambda1), got {self.gap}")
+        if not 0.0 < self.gap < 1.0:
+            raise ValueError(f"gap must lie in (0, 1), got {self.gap}")
 
 
 def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
@@ -72,14 +72,14 @@ def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
     u = np.ascontiguousarray(q)  # C order: the product's BLAS call does not follow the QR's layout
     del q
 
-    lam2 = spec.lambda1 - spec.gap
-    eigenvalues = np.array([spec.lambda1, lam2])
+    lam2 = 1.0 - spec.gap
+    eigenvalues = np.array([1.0, lam2])
     if n > 2:
         for _ in range(_REDRAW_CAP):
             tail = np.sort(rng.uniform(0.0, lam2, n - 2))[::-1]
             below = np.concatenate(([lam2], tail))
             if np.all(np.diff(below) <= -TAIL_SEPARATION) and tail[-1] > 0.0:
-                eigenvalues = np.concatenate(([spec.lambda1], below))
+                eigenvalues = np.concatenate(([1.0], below))
                 break
         else:
             raise RuntimeError("could not draw a separated spectrum tail")

@@ -592,7 +592,7 @@ def solve(
     if x0 is None:
         x = init_vector(op.n, config.seed, op)
     else:
-        x = np.asarray(x0, dtype=float).copy()
+        x = np.ascontiguousarray(x0, dtype=float)    # read, never written: copied at k = 0
 
     is_sm = config.method == "split_merge"
     param_name = METHOD_PARAMS.get(config.method)
@@ -645,7 +645,7 @@ def solve(
 
     coeffs = trace.coeffs or ()
     return SolveResult(
-        x=x,
+        x=x.copy() if k == 0 and x0 is not None else x,
         lambda_estimate=2.0 * s,
         rayleigh_estimate=trace.rayleigh[-1],
         iterations=k,

@@ -175,8 +175,9 @@ def _shifted_factor(sigma: float, diag: np.ndarray, off: np.ndarray):
 def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarray):
     """(rho, u) by inverse iteration on sigma*I - T, every shift sigma proven above lambda1.
 
-    sigma starts above the Gershgorin bound and moves after each step to rho + res, or as
-    near to it as sigma*I - T still factors. ``off`` is negated in place.
+    sigma starts above the Gershgorin bound and moves after each step down to rho + res, or
+    as near to it as sigma*I - T still factors; it keeps its factor where rho + res is not
+    below it. ``off`` is negated in place.
     """
     from scipy.linalg.lapack import dpttrs
     np.negative(off, out=off)            # sigma*I - T has off-diagonal -off
@@ -195,10 +196,11 @@ def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarra
         w -= np.multiply(u, rho, out=scratch)
         if (res := float(np.linalg.norm(w))) <= REFERENCE_TOL * abs(rho):
             return rho, u
-        step, f = max(0.0, sigma - rho - res), None      # one factor pair held at a time
-        while (f := _shifted_factor(sigma - step, diag, off)) is None:
-            step /= 2                    # lambda1 lies above the failed shift sigma - step
-        sigma -= step
+        if sigma - (step := sigma - rho - res) < sigma:    # else sigma, and so its factor, stays
+            f = None                     # one factor pair held at a time
+            while (f := _shifted_factor(sigma - step, diag, off)) is None:
+                step /= 2                # lambda1 lies above the failed shift sigma - step
+            sigma -= step
     raise OracleConvergenceError(f"inverse-iteration reference reached residual {res:.3e} "
                                  f"in {REFERENCE_STEPS} steps at n = {view.n}")
 

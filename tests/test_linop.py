@@ -157,7 +157,7 @@ class TestSymv:
         x = rng.standard_normal(n)
         assert np.array_equal(op.apply(x), op.to_dense() @ x)
 
-    @pytest.mark.parametrize("row, col", [(1, 0), (-1, 3)])   # a diagonal and a far tile
+    @pytest.mark.parametrize("row, col", [(1, 0), (-1, 3)])   # by the diagonal, far from it
     def test_exact_symmetry_required_from_threshold(self, rng, row, col):
         for n, accepted in [(SYMV_MIN_N - 1, True), (SYMV_MIN_N, False)]:
             dense = random_symmetric(rng, n)
@@ -167,6 +167,16 @@ class TestSymv:
             else:
                 with pytest.raises(AsymmetricMatrixError):
                     DenseOperator(dense)
+
+    @pytest.mark.parametrize("n", [SYMV_MIN_N, 1024])
+    def test_mirror_pairs_compare_with_equality(self, rng, n):
+        """A nan pair is unequal, so refused; 0.0 and -0.0 are equal, so accepted."""
+        dense = random_symmetric(rng, n)
+        dense[n - 1, 2] = dense[2, n - 1] = np.nan
+        with pytest.raises(AsymmetricMatrixError):
+            DenseOperator(dense)
+        dense[n - 1, 2], dense[2, n - 1] = 0.0, -0.0
+        assert DenseOperator(dense).n == n
 
     def test_trajectory_drift_against_gemv(self):
         """dsymv sums in another order than gemv, so trajectories drift at round-off.

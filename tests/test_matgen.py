@@ -84,11 +84,6 @@ class TestGenerate:
                                    - spec.eigenvalues[i] * spec.eigenvectors[:, i])
             assert resid <= 1e-12
 
-    def test_custom_lambda1_scale(self):
-        _, spec = generate(SyntheticSpec(n=8, gap=0.1, seed=0, lambda1=0.8))
-        assert spec.eigenvalues[0] == 0.8
-        assert spec.eigenvalues[1] == pytest.approx(0.7)
-
 
 # generate's in-place stages against the out-of-place formula they replaced, in a
 # new interpreter with one BLAS thread: on more threads numpy's and scipy's

@@ -73,7 +73,7 @@ def test_step_size_sweep_writes_per_alpha_traces(tmp_path, capsys):
 
 def test_kernel_parts_prints_each_part():
     for method in ("power", "gd_difference", "power_momentum", "split_merge"):
-        (line,) = _run_script("kernel_parts.py", "--n", "500", "--method", method, "--repeat", "1",
+        (line,) = _run_script("kernel_parts.py", "--n", "500", "--method", method, "--repeat", "3",
                               "--iters", "3")
         parts = json.loads(line)
         assert (parts["n"], parts["method"]) == (500, method)
@@ -81,6 +81,10 @@ def test_kernel_parts_prints_each_part():
         for name in ("matvec", "measure", "reductions", "vectors", "update", "trace_recording",
                      "whole_iteration"):
             assert parts[name] > 0.0, name
+        assert (parts["whole_iteration_q1"] <= parts["whole_iteration"]
+                <= parts["whole_iteration_q3"])
+        loop = sum(parts[p] for p in ("matvec", "measure", "update", "trace_recording"))
+        assert parts["rest_of_loop"] == pytest.approx(parts["whole_iteration"] - loop, abs=2e-3)
         assert ("scalars" in parts) == (method == "split_merge")
 
 
@@ -179,6 +183,9 @@ def test_parts_extra_times_each_part_on_one_cpu_and_on_two(pairs, tmp_path, monk
         assert row["one_cpu"]["cpus"] == 1
         assert row["two_cpus"]["cpus"] == min(2, len(os.sched_getaffinity(0)))
         assert sorted(row["gain"]) == sorted(pairs.TIMED)
+        for parts in (row["one_cpu"], row["two_cpus"]):
+            assert (parts["whole_iteration_q1"] <= parts["whole_iteration"]
+                <= parts["whole_iteration_q3"])
 
 
 def test_steps_extra_times_each_public_step(pairs, tmp_path, monkeypatch):

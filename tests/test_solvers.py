@@ -716,3 +716,18 @@ def test_step_kernel_forms_only_what_its_update_reads(n, method):
     assert full[1] > 0.0 and full[4] > 0.0
     np.testing.assert_array_equal(step_next, full_next)
     assert step_coeffs == full_coeffs
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_reads_its_start_and_never_returns_it(method):
+    """x0 is read in place, not written; a start that meets the stop rule comes back as a copy."""
+    op = DenseOperator(np.diag([2.0, 1.0]))
+    runs = [(np.array([1.0, 0.0]), 0), (np.array([0.6, 0.8]), 5)]    # an eigenvector stops at 0
+    for x0, iterations in runs:
+        start = x0.copy()
+        config = SolverConfig(method, alpha=0.3, beta=0.2, stop_mode="residual",
+                              residual_tol=1e-300, max_iter=5)
+        res = solve(op.share(), config, x0=x0)
+        assert res.iterations == iterations
+        assert res.x is not x0 and not np.shares_memory(res.x, x0)
+        np.testing.assert_array_equal(x0, start)

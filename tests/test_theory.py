@@ -636,6 +636,34 @@ class TestDominantReference:
         sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
         assert sin <= ref.residual / gap + 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_shift_that_stays_keeps_its_factor(self, monkeypatch, seed):
+        # the benchmark's tridiagonal recipe: lambda1 ~ 1 and lambda2 ~ 0.95 at two rows
+        # coupled by 0.001, the rest of the diagonal in [0.05, 0.9]; on these seeds
+        # rho + residual lies above the first shift, so sigma stays there
+        n = 2000
+        rng = np.random.default_rng([seed, 1])
+        diag = rng.integers(50_000, 900_001, n) / 1e6
+        off = rng.integers(1_000, 20_001, n - 1) * rng.choice([-1, 1], n - 1) / 1e6
+        for row, value in ((rng.integers(1, n // 2), 1.0), (rng.integers(n // 2 + 1, n - 1), 0.95)):
+            diag[row] = value
+            off[row - 1:row + 1] = np.sign(off[row - 1:row + 1]) * 0.001
+        m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        real, calls = theory._shifted_factor, []
+
+        def spy(sigma, *bands):
+            factor = real(sigma, *bands)
+            calls.append((sigma, factor is not None))
+            return factor
+
+        monkeypatch.setattr(theory, "_shifted_factor", spy)
+        ref = reference_dominant_eigenpair(CsrOperator(m))
+        assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
+        held = None
+        for sigma, factored in calls:
+            assert sigma != held, f"refactored at {sigma!r}, the shift of the factor in hand"
+            held = sigma if factored else held
+
     def test_tridiagonal_pair_matches_arpack(self, monkeypatch):
         n = 2000
         m = sp.diags([np.full(n - 1, 0.5), np.linspace(1.0, 2.0, n), np.full(n - 1, 0.5)],
