@@ -185,10 +185,15 @@ def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
     """Unit-norm standard-normal start with x'Ax bounded away from zero.
 
     Redraws up to 100 times until x'Ax > 1e-12 * ||A||_F, which keeps the
-    first iterate inside the differentiable set.
+    first iterate inside the differentiable set. A non-finite ||A||_F leaves
+    no floor to draw against, and is refused before any draw.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if not op.frobenius_norm < math.inf:
+        raise InitializationError(
+            f"||A||_F = {op.frobenius_norm} is not finite: no x'Ax floor to draw a start against"
+        )
     rng = np.random.default_rng(seed)
     floor = 1e-12 * op.frobenius_norm
     for _ in range(100):
@@ -293,27 +298,32 @@ _PASSES = {
 }
 
 
-def _blockwise(body, blocks):
+def _block_halves(n):
+    """The blocks of BLOCK elements over n, as two lists of slices: a sweep's two halves."""
+    blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+    return blocks[: len(blocks) // 2], blocks[len(blocks) // 2:]
+
+
+def _blockwise(body, halves):
     """``body`` run block by block, its sums added in block order (``body`` itself
-    when ``blocks`` is None): an array argument is sliced per block, a list is
-    already one per block (the scratch), and anything else goes to every block.
-    The two halves of the block list go to ``worker.halves``."""
-    if blocks is None:
+    when ``halves`` is None). The two halves (``_block_halves``) go to
+    ``worker.halves``; in each, an array argument is sliced per block, a tuple
+    holds one list per half with an item per block (the scratch), and anything
+    else goes to every block."""
+    if halves is None:
         return body
-    n, half = blocks[-1].stop, len(blocks) // 2
-    lower, upper = slice(0, half), slice(half, None)
+    n = halves[1][-1].stop
 
     def run(*args):
-        columns = [
-            a if isinstance(a, list) else [a[b] for b in blocks] if isinstance(a, np.ndarray)
-            else [a] * len(blocks)
-            for a in args
-        ]
+        def sweep(k):
+            blocks = halves[k]
+            return list(map(body, *(
+                a[k] if isinstance(a, tuple) else [a[b] for b in blocks]
+                if isinstance(a, np.ndarray) else [a] * len(blocks)
+                for a in args
+            )))
 
-        def sweep(part):
-            return list(map(body, *(column[part] for column in columns)))
-
-        low, high = worker.halves(n, partial(sweep, lower), partial(sweep, upper))
+        low, high = worker.halves(n, partial(sweep, 0), partial(sweep, 1))
         parts = low + high
         sums = parts[0]
         for part in parts[1:]:
@@ -391,17 +401,19 @@ class IterationKernel:
         self._diagnostics = diagnostics
         self._quad = self._norm = 0.0    # gd's x'Ax and the power or momentum norm, for update
         if n <= BLOCK:
-            blocks = None
+            halves = None
             self._scratch = np.empty(n)
         else:
-            blocks = [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
-            half = len(blocks) // 2    # _blockwise's upper half, which may run on the worker
-            buffers = (np.empty(BLOCK), np.empty(BLOCK))    # each stays in its thread's cache
-            self._scratch = [buffers[i >= half][: b.stop - b.start] for i, b in enumerate(blocks)]
+            halves = _block_halves(n)
+            # one block-sized buffer per half, which stays in its thread's cache
+            self._scratch = tuple(
+                [buffer[: b.stop - b.start] for b in part]
+                for part, buffer in zip(halves, (np.empty(BLOCK), np.empty(BLOCK)))
+            )
         vectors, finish = _PASSES[method]
-        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, blocks)
-        self._vectors = _blockwise(vectors, blocks)
-        self._finish = _blockwise(finish, blocks) if finish else None
+        self._reductions = _blockwise(_reductions if diagnostics else _update_sums, halves)
+        self._vectors = _blockwise(vectors, halves)
+        self._finish = _blockwise(finish, halves) if finish else None
 
     def measure(self, x: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """Passes 1 and 2 at x; returns (x'Ax, x'x, r, u1'x, ||Ax - r*x||^2), r = x'Ax / x'x."""

@@ -9,26 +9,25 @@ same code sums each row and block in the same order, so the bits do not
 depend on the schedule. numpy's ufuncs and dot products and scipy's CSR
 matvec release the GIL while they stream.
 
-The worker is one daemon thread, started at first use. It is stopped before
-any ``os.fork`` and started again at the next use, so a forked child (one
-of the trace writer's, say) never copies a process that has a second thread.
+The worker is the one thread of a ``ThreadPoolExecutor``, made at first
+use. It is shut down before any ``os.fork`` and made again at the next use,
+so a forked child (one of the trace writer's, say) never copies a process
+that has a second thread; at exit the interpreter joins it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
-from functools import partial
-from queue import SimpleQueue
 
 # Elements from which a sweep is split in two: eight kernel blocks. A hand-off
-# to the worker costs 20-30 us a round trip on a 2-core Xeon VM, and the two
-# threads wait for the GIL between their numpy calls. In three runs of
-# scripts/two_cpus.py every method's whole iteration was faster split from
-# n = 262144 on (1.1-1.8x); at 65536 some methods were slower split in every
-# run, and at 131072 two of the four in one run (BENCH_two_cpus.json holds
-# the last run).
+# to the worker costs 28-38 us a round trip on a 2-vCPU Xeon VM, and the two
+# threads wait for the GIL between their numpy calls. In 18 runs of
+# `scripts/pairs.py --extra parts` each method's median whole iteration was
+# 1.08-1.21x faster split at n = 262144 and 1.39-1.47x at 1e6, but at 65536
+# 34 of the 72 rows were slower split.
 SPLIT_MIN_N = 262144
 
 
@@ -40,21 +39,8 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
-_tasks: SimpleQueue = SimpleQueue()
-_thread: threading.Thread | None = None
+_executor: ThreadPoolExecutor | None = None
 _start = threading.Lock()
-
-
-def _serve() -> None:
-    while (task := _tasks.get()) is not None:
-        call, done, box = task
-        del task    # an idle worker keeps none of the caller's arrays alive
-        try:
-            box.append((True, call()))
-        except BaseException as exc:    # re-raised in the caller
-            box.append((False, exc))
-        del call, box
-        done.release()
 
 
 def halves(n: int, lower, upper) -> tuple:
@@ -68,32 +54,26 @@ def halves(n: int, lower, upper) -> tuple:
     """
     if n < SPLIT_MIN_N or cpus() < 2:
         return lower(), upper()
-    global _thread
-    done, box = threading.Lock(), []
-    done.acquire()
-    with _start:    # so that a stop cannot come between the check and the put
-        if _thread is None:
-            _thread = threading.Thread(target=_serve, name="splitmerge-worker", daemon=True)
-            _thread.start()
-        _tasks.put((partial(copy_context().run, upper), done, box))
+    global _executor
+    with _start:    # so that a stop cannot come between the check and the submit
+        if _executor is None:
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="splitmerge-worker")
+        future = _executor.submit(copy_context().run, upper)
     try:
         low = lower()
     finally:
-        done.acquire()    # the worker may still be writing into the caller's arrays
-    ((ok, high),) = box
-    if not ok:
-        raise high
-    return low, high
+        future.exception()    # waits without raising: the worker may still be writing
+        # into the caller's arrays
+    return low, future.result()
 
 
 def _stop() -> None:
-    """End the worker thread, if one runs; the next ``halves`` starts another."""
-    global _thread
+    """Shut the worker thread down, if one runs; the next ``halves`` makes another."""
+    global _executor
     with _start:
-        if _thread is not None:
-            _tasks.put(None)
-            _thread.join()
-            _thread = None
+        if _executor is not None:
+            _executor.shutdown()
+            _executor = None
 
 
 os.register_at_fork(before=_stop)

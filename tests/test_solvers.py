@@ -65,6 +65,15 @@ class TestInitVector:
         with pytest.raises(InitializationError):
             init_vector(4, 0, op)
 
+    @pytest.mark.parametrize("n, bad", [(64, np.nan), (256, np.inf), (2, None)])
+    def test_non_finite_norm_fails_before_any_draw(self, n, bad):
+        # a nan or inf entry, or finite entries whose norm overflows
+        matrix = np.full((2, 2), 1e308) if bad is None else np.diag(np.r_[np.ones(n - 1), bad])
+        op = DenseOperator(matrix)
+        with pytest.raises(InitializationError, match=r"\|\|A\|\|_F = (nan|inf) is not finite"):
+            init_vector(n, 0, op)
+        assert op.matvec_count == 0
+
     def test_deterministic(self):
         op = DenseOperator(np.eye(6))
         np.testing.assert_array_equal(init_vector(6, 7, op), init_vector(6, 7, op))

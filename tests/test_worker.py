@@ -10,8 +10,11 @@ to 2 or 1 to run the same code under either schedule.
 import contextvars
 import math
 import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from splitmerge.bench import SolverSetting
 from splitmerge.linop import _split_matvec
 from splitmerge.solvers import BLOCK, METHODS
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SIZES = [BLOCK + 17, 2 * BLOCK, 2 * BLOCK + 5, 3 * BLOCK + 5]    # 2, 2, 3 and 4 blocks
 COLUMNS = ("sin_theta", "f_value", "rayleigh", "residual", "matvecs")
 
@@ -206,6 +210,42 @@ def test_errors_of_either_half_reach_the_caller(split_n):
         worker.halves(split_n, lambda: None, lambda: big * big)
 
 
+def test_an_interrupt_in_the_lower_half_waits_for_the_upper_ones_writes(split_n):
+    out = np.zeros(16)
+    writing = threading.Event()
+
+    def upper():
+        writing.set()
+        for i in range(len(out)):
+            time.sleep(0.005)
+            out[i] = 1.0
+
+    def lower():
+        assert writing.wait(10)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        worker.halves(split_n, lower, upper)
+    assert out.all()    # halves re-raised only once the worker had finished writing
+
+
+def test_a_process_that_split_exits_promptly(tmp_path):
+    script = (
+        "import threading\n"
+        "from splitmerge import worker\n"
+        "worker.cpus = lambda: 2\n"
+        "low, high = worker.halves(worker.SPLIT_MIN_N, threading.get_ident, threading.get_ident)\n"
+        "assert low != high\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, timeout=30,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 10    # the interpreter joins the idle worker at exit
+
+
 def test_an_idle_worker_keeps_no_argument_alive(split_n):
     import weakref
 
@@ -253,7 +293,6 @@ def _csr_file_config(tmp_path, name):
 
 def test_no_second_thread_at_the_trace_writers_fork(tmp_path, monkeypatch):
     import itertools
-    import time
 
     import splitmerge.bench as harness
 
@@ -263,7 +302,7 @@ def test_no_second_thread_at_the_trace_writers_fork(tmp_path, monkeypatch):
     forks = []
 
     def fork():
-        worker_alive = worker._thread is not None     # the before-fork hook has not run yet
+        worker_alive = worker._executor is not None    # the before-fork hook has not run yet
         pid = real_fork()
         if pid:    # the parent, right after the fork: the threads the child was copied from
             forks.append((worker_alive, threading.active_count()))
