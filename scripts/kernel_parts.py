@@ -111,9 +111,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
                           alpha=PARAMS["gd_difference"], beta=PARAMS["power_momentum"], seed=seed)
     per_iteration = []
     for _ in range(repeat):
-        run_op = op.share()
         t0 = time.perf_counter()
-        res = solve(run_op, config, x0=x)
+        res = solve(op, config, x0=x)
         per_iteration.append((time.perf_counter() - t0) / (res.iterations + 1))
     quartiles = np.percentile(per_iteration, [25, 50, 75]) * 1e6
     for name, value in zip(("whole_iteration_q1", "whole_iteration", "whole_iteration_q3"),

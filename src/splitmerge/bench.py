@@ -222,8 +222,8 @@ class _Progress:
         """``call(*args, **kwargs)``, logged as set-up stage ``name``."""
         start = time.perf_counter()
         value = call(*args, **kwargs)
-        # only the dominant-pair reference makes matvecs, on its own counter: its Lanczos
-        # or inverse-iteration steps and the certificate's product
+        # only the dominant-pair reference makes matvecs, on the operator's counter: its
+        # Lanczos or inverse-iteration steps and the certificate's product
         self.line(stage=name, trial=trial, seconds=time.perf_counter() - start,
                   matvecs=getattr(value, "matvecs", 0))
         return value
@@ -294,16 +294,16 @@ def _run_trial(
 
     records = []
     for setting in config.solvers:
-        run_op = op.share()
         solver_config = _solver_config(setting, config, auto_beta)
+        before = op.matvec_count
         start = time.perf_counter()
         try:
-            result = solve(run_op, solver_config, ground_truth=truth, x0=x0)
+            result = solve(op, solver_config, ground_truth=truth, x0=x0)
         except SplitMergeError as exc:
             records.append(
                 TrialRecord(
                     solver=setting.label, trial=trial, converged=False,
-                    iterations=0, matvecs=run_op.matvec_count,
+                    iterations=0, matvecs=op.matvec_count - before,
                     seconds=time.perf_counter() - start,
                     error=f"{type(exc).__name__}: {exc}",
                 )

@@ -12,7 +12,8 @@ entry's value.
 A coordinate file is held dense (a BLAS matvec) when the dense array takes
 no more bytes than the CSR arrays would, and as CSR otherwise, so no sparse
 matrix is ever densified. A dense operator of order below ``SYMV_MIN_N``
-multiplies with ``a.dot(x)`` (BLAS gemv); one of that order or more with
+multiplies with ``a.dot(x)`` (BLAS gemv) and must be symmetric to 1e-12
+relative, as a "general" file must; one of that order or more multiplies with
 BLAS ``dsymv``, which reads one triangle, so it must be exactly symmetric
 (``scipy.linalg.issymmetric``); building the first one imports
 ``scipy.linalg``. A CSR matvec computes its rows in two halves, which
@@ -70,10 +71,11 @@ class LinearOperator:
     Subclasses implement ``_apply`` and ``to_dense``, and set
     ``frobenius_norm`` as this class sets ``n``.
     Operators are immutable after construction; the matvec counter is the
-    only mutable state. It is not thread-safe: concurrent callers each take
-    their own counter via :meth:`share`. ``apply`` may hand half of a large
-    product to the worker thread (``worker.halves``); it still counts one
-    matvec, in the calling thread, and returns once both halves are done.
+    only mutable state, and it is not thread-safe. A caller counts its own
+    products as the counter's difference across its call, as ``solve`` does.
+    ``apply`` may hand half of a large product to the worker thread
+    (``worker.halves``); it still counts one matvec, in the calling thread,
+    and returns once both halves are done.
     """
 
     def __init__(self, n: int):
@@ -111,17 +113,6 @@ class LinearOperator:
     def matvec_count(self) -> int:
         return self._matvec_count
 
-    def share(self) -> "LinearOperator":
-        """Shallow copy sharing storage but with a fresh matvec counter.
-
-        Used by the benchmark so each solver run owns its tally. The counter
-        is not thread-safe, so concurrent callers each take a ``share()``.
-        """
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._matvec_count = 0
-        return clone
-
 
 # Order from which the dense matvec is BLAS dsymv (one triangle) rather
 # than gemv. With one BLAS thread on a 2-core Xeon VM the two take 4.4 and
@@ -136,7 +127,9 @@ class DenseOperator(LinearOperator):
 
     Below ``SYMV_MIN_N`` the matvec is ``a.dot(x)`` (gemv): the same BLAS
     call and bits as ``a @ x``, without its ufunc dispatch (3.0-3.3 against
-    4.2-4.3 us at n = 128, one BLAS thread). From ``SYMV_MIN_N`` on it is
+    4.2-4.3 us at n = 128, one BLAS thread); it must be symmetric to 1e-12
+    relative, as a "general" file must, so that the oracle, which reads one
+    triangle, sees the matrix that gemv multiplies. From ``SYMV_MIN_N`` on it is
     BLAS ``dsymv``, which reads only the lower triangle, so each entry off
     the diagonal must equal its mirror exactly (``AsymmetricMatrixError``
     otherwise). ``scipy.linalg.issymmetric`` compares them with ``==``: a
@@ -157,6 +150,8 @@ class DenseOperator(LinearOperator):
                     f"a dense operator of order {self.n} >= {SYMV_MIN_N} must be exactly symmetric"
                 )
             self._symv = scipy.linalg.blas.dsymv
+        else:
+            _require_symmetric(matrix, f"a dense matrix of order {self.n}")
         self._a = matrix
         self.frobenius_norm = _scaled_norm(matrix)
 
@@ -265,7 +260,7 @@ def gershgorin_shift(op: LinearOperator) -> tuple[LinearOperator, float]:
 # before the size line, and text after an entry's value is ignored.
 # Coordinate indices are 1-based.
 
-_MM_RELATIVE_SYMMETRY_TOL = 1e-12
+_RELATIVE_SYMMETRY_TOL = 1e-12    # also the rule of a dense operator below SYMV_MIN_N
 # Most rows a file may declare per byte of its size. An entry line takes at
 # least 6 bytes and covers at most two rows, so a file whose every row holds
 # an entry declares at most one row per 3 bytes. A larger n would allocate
@@ -375,14 +370,18 @@ def _require_finite(values: np.ndarray, path) -> None:
         raise MatrixMarketError(f"{path}: non-finite (nan or inf) matrix value")
 
 
+def _require_symmetric(mat, what: str) -> None:
+    """Refuse max|a_ij - a_ji| > 1e-12 * max|a_ij| (dense or CSR); pass nan and inf on, silently."""
+    with np.errstate(invalid="ignore", over="ignore"):    # inf - inf; differences near 1.8e308
+        asym = float(abs(mat - mat.T).max())
+    scale = float(abs(mat).max())
+    if scale > 0.0 and asym > _RELATIVE_SYMMETRY_TOL * scale:
+        raise AsymmetricMatrixError(f"{what} is asymmetric (max |a_ij - a_ji| = {asym:.3e})")
+
+
 def _symmetrized(mat, path):
     """(A + A')/2 of a dense or CSR "general" matrix, which must be symmetric."""
-    asym = float(abs(mat - mat.T).max())
-    scale = float(abs(mat).max())
-    if scale > 0.0 and asym > _MM_RELATIVE_SYMMETRY_TOL * scale:
-        raise AsymmetricMatrixError(
-            f"{path}: 'general' matrix is asymmetric (max |a_ij - a_ji| = {asym:.3e})"
-        )
+    _require_symmetric(mat, f"{path}: 'general' matrix")
     return mat * 0.5 + mat.T * 0.5    # (A + A')/2 would overflow at entries near 1.8e308
 
 

@@ -167,7 +167,6 @@ class IterationTrace:
 @dataclass
 class SolveResult:
     x: np.ndarray
-    lambda_estimate: float      # lambda(x_K) = 2*sqrt(x'Ax)
     rayleigh_estimate: float
     iterations: int
     converged: bool
@@ -658,7 +657,6 @@ def solve(
     coeffs = trace.coeffs or ()
     return SolveResult(
         x=x.copy() if k == 0 and x0 is not None else x,
-        lambda_estimate=2.0 * s,
         rayleigh_estimate=trace.rayleigh[-1],
         iterations=k,
         converged=converged,

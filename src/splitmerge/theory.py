@@ -32,12 +32,11 @@ REFERENCE_CERTIFY = 1e-10
 # ARPACK stops at ||Au - lambda u|| <= tol * lambda by its own estimate;
 # 10x below the certificate leaves margin for the estimate's error.
 REFERENCE_TOL = REFERENCE_CERTIFY / 10
-# ARPACK keeps ncv Lanczos vectors of length n; the default (20) raised
-# peak RSS ~90 MiB above ncv = 8 on a 1e6-row tridiagonal. On the
-# benchmark's file at REFERENCE_TOL (seeds 0, 3, 7; one BLAS thread, 2-core
-# Xeon VM) ncv = 4/6/8/12 took 3.6-3.8/3.0-3.2/3.0-3.2/3.4-3.5 s and
-# 91-93/70-73/65/61 matvecs, so 8 ties 6 in time with fewer matvecs
-# (BENCH_reference_tol.json).
+# ARPACK keeps ncv Lanczos vectors of length n; the default (20) holds 12
+# more n-vectors than 8 does. ARPACK serves only a CSR operator above the
+# dense limit that is not tridiagonal, and no benchmark workload has one, so
+# no current run times ncv; BENCH_reference_tol.json timed it when the
+# benchmark's tridiagonal file still took ARPACK.
 REFERENCE_NCV = 8
 REFERENCE_STEPS = 100   # the tridiagonal reference's cap; 1e6-row inputs take 5 to 11
 PSD_EIG_CLAMP = 1e-10
@@ -73,7 +72,7 @@ class DominantReference:
     lambda1: float
     u1: np.ndarray
     residual: float
-    matvecs: int        # products on the reference's own counter, the certificate's included
+    matvecs: int        # products it made on the operator's counter, the certificate's included
 
 
 @dataclass
@@ -91,13 +90,13 @@ class AngleError:
 
 
 def dense_eigendecomposition(
-    op: LinearOperator, dense_limit: int = DENSE_LIMIT_DEFAULT, clamp_psd: bool = True
+    op: LinearOperator, dense_limit: int = DENSE_LIMIT_DEFAULT
 ) -> Spectrum:
     """LAPACK eigendecomposition (``np.linalg.eigh``) of a symmetric operator.
 
-    Eigenpairs are sorted descending. Eigenvalues in (-1e-10 * lambda_max, 0)
-    are clamped to 0 when clamp_psd is set, since they are roundoff artifacts
-    for PSD input. A non-finite entry raises OracleConvergenceError: LAPACK
+    Eigenpairs are sorted descending. Eigenvalues in (-1e-10 * |lambda_max|, 0)
+    are clamped to 0, since they are roundoff artifacts for PSD input.
+    A non-finite entry raises OracleConvergenceError: LAPACK
     would return NaN eigenvectors for it without an error.
     """
     if op.n > dense_limit:
@@ -111,21 +110,20 @@ def dense_eigendecomposition(
         raise OracleConvergenceError(f"LAPACK eigh failed: {exc}") from exc
     eigs = eigs[::-1].copy()
     vecs = vecs[:, ::-1]
-    if clamp_psd:
-        top = abs(eigs[0])
-        tiny = (eigs < 0.0) & (eigs > -PSD_EIG_CLAMP * top)
-        eigs[tiny] = 0.0
+    tiny = (eigs < 0.0) & (eigs > -PSD_EIG_CLAMP * abs(eigs[0]))
+    eigs[tiny] = 0.0
     return Spectrum(eigs, vecs)
 
 
 def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     """Dominant eigenpair by inverse iteration (tridiagonal CSR) or ARPACK, residual-certified.
 
-    Ground-truth path for operators beyond the dense oracle limit, on an
-    isolated counter so callers' matvec accounting is unaffected. An exactly
-    symmetric tridiagonal CSR operator takes ``_top_tridiagonal_pair``, any
-    other ARPACK's Lanczos (``eigsh``); each stops at a residual (ARPACK's own
-    estimate) below ``REFERENCE_TOL`` = 1e-11 * lambda. The pair is accepted
+    Ground-truth path for operators beyond the dense oracle limit. Its
+    products count on ``op``'s counter, and ``matvecs`` says how many. An
+    exactly symmetric tridiagonal CSR operator takes ``_top_tridiagonal_pair``,
+    which stops once the residual it computes falls below ``REFERENCE_TOL`` =
+    1e-11 * lambda; any other takes ARPACK's Lanczos (``eigsh``), which stops
+    once its own estimate of the residual does. The pair is accepted
     only when the residual computed afresh meets ||Au - lambda u|| <=
     ``REFERENCE_CERTIFY`` * lambda = 1e-10 * lambda, and a tridiagonal one only
     when no eigenvalue lies above lambda + that residual + 1e-10 * lambda. By
@@ -139,22 +137,22 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
     if not op.frobenius_norm < math.inf:     # refused before LAPACK prints its own complaint
         raise OracleConvergenceError(f"reference failed at n = {op.n}: it holds a non-finite "
                                      "entry, or its norm overflows")
-    view = op.share()
-    bands = _tridiagonal_bands(view)
+    before = op.matvec_count
+    bands = _tridiagonal_bands(op)
     # imported here: scipy.linalg (+9 MiB RSS) and scipy.sparse.linalg serve only this path
     if bands is not None:
-        name, (r, x) = "inverse-iteration", _top_tridiagonal_pair(view, *bands)
+        name, (r, x) = "inverse-iteration", _top_tridiagonal_pair(op, *bands)
     else:
         from scipy.sparse.linalg import ArpackError, LinearOperator as ScipyOperator, eigsh
-        name, v0 = "ARPACK", np.random.default_rng(0).standard_normal(view.n)
-        arpack_op = ScipyOperator((view.n, view.n), matvec=view.apply, dtype=float)
+        name, v0 = "ARPACK", np.random.default_rng(0).standard_normal(op.n)
+        arpack_op = ScipyOperator((op.n, op.n), matvec=op.apply, dtype=float)
         try:
             vals, vecs = eigsh(arpack_op, k=1, which="LA", v0=v0, ncv=REFERENCE_NCV,
                                tol=REFERENCE_TOL)
         except ArpackError as exc:
             raise OracleConvergenceError(f"ARPACK reference failed: {exc}") from exc
         r, x = float(vals[0]), vecs[:, 0]
-    resid = float(np.linalg.norm(view.apply(x) - r * x))
+    resid = float(np.linalg.norm(op.apply(x) - r * x))
     if not (r > 0 and resid <= REFERENCE_CERTIFY * r):
         raise OracleConvergenceError(
             f"{name} reference residual {resid:.3e} not certified below "
@@ -162,7 +160,7 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
         )
     if bands is not None and _shifted_factor(r + resid + REFERENCE_CERTIFY * r, *bands) is None:
         raise OracleConvergenceError(f"{name} reference lambda = {r:.6g} is not the top eigenvalue")
-    return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=view.matvec_count)
+    return DominantReference(lambda1=r, u1=x, residual=resid, matvecs=op.matvec_count - before)
 
 
 def _shifted_factor(sigma: float, diag: np.ndarray, off: np.ndarray):
@@ -172,7 +170,7 @@ def _shifted_factor(sigma: float, diag: np.ndarray, off: np.ndarray):
     return None if info else (d, e)
 
 
-def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarray):
+def _top_tridiagonal_pair(op: LinearOperator, diag: np.ndarray, off: np.ndarray):
     """(rho, u) by inverse iteration on sigma*I - T, every shift sigma proven above lambda1.
 
     sigma starts above the Gershgorin bound and moves after each step down to rho + res, or
@@ -186,12 +184,12 @@ def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarra
     scratch[1:] += np.abs(off)           # Gershgorin row bounds; strictly dominant above them
     sigma = (top := float(scratch.max())) + 1e-8 * abs(top)
     if not np.isfinite(scratch).all() or (f := _shifted_factor(sigma, diag, off)) is None:
-        raise OracleConvergenceError(f"inverse-iteration reference failed at n = {view.n}")
-    u = np.random.default_rng(0).standard_normal(view.n)
+        raise OracleConvergenceError(f"inverse-iteration reference failed at n = {op.n}")
+    u = np.random.default_rng(0).standard_normal(op.n)
     for _ in range(REFERENCE_STEPS):
         u = dpttrs(*f, u, overwrite_b=1)[0]
         u /= np.linalg.norm(u)
-        w = view.apply(u)
+        w = op.apply(u)
         rho = float(u @ w)
         w -= np.multiply(u, rho, out=scratch)
         if (res := float(np.linalg.norm(w))) <= REFERENCE_TOL * abs(rho):
@@ -202,7 +200,7 @@ def _top_tridiagonal_pair(view: LinearOperator, diag: np.ndarray, off: np.ndarra
                 step /= 2                # lambda1 lies above the failed shift sigma - step
             sigma -= step
     raise OracleConvergenceError(f"inverse-iteration reference reached residual {res:.3e} "
-                                 f"in {REFERENCE_STEPS} steps at n = {view.n}")
+                                 f"in {REFERENCE_STEPS} steps at n = {op.n}")
 
 
 def square_root_factor(spectrum: Spectrum) -> np.ndarray:

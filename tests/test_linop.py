@@ -59,14 +59,6 @@ class TestApply:
             diag21.apply(np.ones(2))
             assert diag21.matvec_count == expected
 
-    def test_share_isolates_counter(self, diag21):
-        diag21.apply(np.ones(2))
-        view = diag21.share()
-        assert view.matvec_count == 0
-        view.apply(np.ones(2))
-        assert view.matvec_count == 1
-        assert diag21.matvec_count == 1
-
     def test_csr_agrees_with_dense_reference(self, rng):
         for _ in range(25):
             dense = random_symmetric(rng, 16)
@@ -168,6 +160,22 @@ class TestSymv:
                 with pytest.raises(AsymmetricMatrixError):
                     DenseOperator(dense)
 
+    def test_asymmetric_below_threshold_refused(self, rng):
+        """gemv would multiply a matrix other than the one whose lower triangle LAPACK reads."""
+        dense = random_symmetric(rng, 64)
+        dense = dense @ dense
+        dense[3, 40] += 0.5
+        with pytest.raises(AsymmetricMatrixError):
+            DenseOperator(dense)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_below_threshold_left_downstream(self, rng, bad):
+        dense = random_symmetric(rng, 64)
+        dense[3, 40] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DenseOperator(dense).n == 64
+
     @pytest.mark.parametrize("n", [SYMV_MIN_N, 1024])
     def test_mirror_pairs_compare_with_equality(self, rng, n):
         """A nan pair is unequal, so refused; 0.0 and -0.0 are equal, so accepted."""
@@ -193,8 +201,8 @@ class TestSymv:
         gemv = _Gemv(op.to_dense())
         for method, rtol in [("power", 1e-12), ("split_merge", 1e-6)]:
             config = SolverConfig(method, seed=5)
-            got = solve(op.share(), config, ground_truth=truth)
-            ref = solve(gemv.share(), config, ground_truth=truth)
+            got = solve(op, config, ground_truth=truth)
+            ref = solve(gemv, config, ground_truth=truth)
             assert got.converged and ref.converged
             sin_got = np.asarray(got.trace.sin_theta)
             sin_ref = np.asarray(ref.trace.sin_theta)

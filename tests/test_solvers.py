@@ -385,16 +385,24 @@ class TestSolve:
     def test_power_on_gap_one_matrix(self, diag21):
         from splitmerge import dense_eigendecomposition
 
-        truth = dense_eigendecomposition(diag21.share())
+        truth = dense_eigendecomposition(diag21)
         res = solve(diag21, SolverConfig("power", seed=1), ground_truth=truth)
         assert res.converged
         assert abs(res.rayleigh_estimate - 2.0) <= 1e-9
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rayleigh_estimate_of_a_converged_run(self, method):
+        op, truth = generate(SyntheticSpec(n=64, gap=0.1, seed=0))
+        config = SolverConfig(method, alpha=0.9, beta=0.01, seed=2)
+        res = solve(op, config, ground_truth=truth)
+        assert res.converged
+        assert abs(res.rayleigh_estimate - truth.lambda1) <= 1e-8 * truth.lambda1
+
     def test_split_merge_beats_power_same_start(self):
         op, truth = generate(SyntheticSpec(n=16, gap=0.2, seed=11))
         x0 = init_vector(16, 4, op)
-        r_sm = solve(op.share(), SolverConfig("split_merge"), ground_truth=truth, x0=x0)
-        r_pw = solve(op.share(), SolverConfig("power"), ground_truth=truth, x0=x0)
+        r_sm = solve(op, SolverConfig("split_merge"), ground_truth=truth, x0=x0)
+        r_pw = solve(op, SolverConfig("power"), ground_truth=truth, x0=x0)
         assert r_sm.converged and r_pw.converged
         assert r_sm.iterations < r_pw.iterations
 
@@ -414,17 +422,19 @@ class TestSolve:
     def test_matvec_deltas_per_iteration(self, method, delta):
         op, truth = generate(SyntheticSpec(n=12, gap=0.3, seed=2))
         config = SolverConfig(method, beta=0.01, max_iter=200)
-        res = solve(op.share(), config, ground_truth=truth)
+        res = solve(op, config, ground_truth=truth)
         diffs = set(np.diff(res.trace.matvecs))
         assert diffs == {delta}
         assert res.trace.matvecs[0] == delta
 
     def test_matvec_total_equals_counter_delta(self):
         op, truth = generate(SyntheticSpec(n=10, gap=0.2, seed=9))
-        run_op = op.share()
         x0 = init_vector(10, 1, op)
-        res = solve(run_op, SolverConfig("split_merge"), ground_truth=truth, x0=x0)
-        assert res.trace.matvecs[-1] == run_op.matvec_count
+        op.apply(x0)    # a product before the solve is not the solve's
+        before = op.matvec_count
+        res = solve(op, SolverConfig("split_merge"), ground_truth=truth, x0=x0)
+        assert before > 0
+        assert res.trace.matvecs[-1] == op.matvec_count - before
 
     def test_residual_stop_without_ground_truth(self):
         op, _ = generate(SyntheticSpec(n=12, gap=0.3, seed=6))
@@ -513,7 +523,7 @@ class TestSplitMergePolicies:
         dense = op.to_dense()
         x0 = init_vector(12, 8, op)
         res = solve(
-            op.share(), SolverConfig("split_merge", max_iter=12, eps=1e-300),
+            op, SolverConfig("split_merge", max_iter=12, eps=1e-300),
             ground_truth=truth, x0=x0,
         )
         coeffs = res.trace.applied_coeffs()
@@ -527,7 +537,7 @@ class TestSplitMergePolicies:
             # replay the trajectory to iterate k
             x = x0.copy()
             replay = solve(
-                op.share(), SolverConfig("split_merge", max_iter=k, eps=1e-300),
+                op, SolverConfig("split_merge", max_iter=k, eps=1e-300),
                 ground_truth=truth, x0=x,
             )
             xk = replay.x / np.linalg.norm(replay.x)
@@ -542,7 +552,7 @@ class TestSplitMergePolicies:
 
         def crossing(alpha):
             config = SolverConfig("gd_difference", alpha=alpha, eps=1e-5, max_iter=20000)
-            res = solve(op.share(), config, ground_truth=truth, x0=x0)
+            res = solve(op, config, ground_truth=truth, x0=x0)
             f = np.asarray(res.trace.f_value) - f_star
             hits = np.nonzero(f <= 1e-8)[0]
             assert hits.size, f"alpha={alpha} never reached f-f* <= 1e-8"
@@ -565,9 +575,9 @@ def test_dca_power_collinearity_property(seed):
 class TestSolveObservability:
     def test_stop_reason(self):
         op, truth = generate(SyntheticSpec(n=16, gap=0.2, seed=11))
-        capped = solve(op.share(), SolverConfig("power", max_iter=3), ground_truth=truth)
+        capped = solve(op, SolverConfig("power", max_iter=3), ground_truth=truth)
         assert capped.stop_reason == "max_iter" and not capped.converged
-        done = solve(op.share(), SolverConfig("power"), ground_truth=truth)
+        done = solve(op, SolverConfig("power"), ground_truth=truth)
         assert done.stop_reason == "converged" and done.converged
         assert (capped.safeguard_activations, capped.degenerate_fallbacks) == (0, 0)
 
@@ -575,7 +585,7 @@ class TestSolveObservability:
         # a tiny start makes mu = 2*sqrt(x'Ax) small, so gamma/mu >= 1 early on
         op, truth = generate(SyntheticSpec(n=16, gap=0.2, seed=11))
         x0 = 1e-3 * init_vector(16, 4, op)
-        res = solve(op.share(), SolverConfig("split_merge"), ground_truth=truth, x0=x0)
+        res = solve(op, SolverConfig("split_merge"), ground_truth=truth, x0=x0)
         assert res.converged
         assert res.safeguard_activations == sum(c.rho > 1.0 for c in res.trace.coeffs) > 0
         assert res.degenerate_fallbacks == sum(c.degenerate for c in res.trace.coeffs)
@@ -736,7 +746,7 @@ def test_solve_reads_its_start_and_never_returns_it(method):
         start = x0.copy()
         config = SolverConfig(method, alpha=0.3, beta=0.2, stop_mode="residual",
                               residual_tol=1e-300, max_iter=5)
-        res = solve(op.share(), config, x0=x0)
+        res = solve(op, config, x0=x0)
         assert res.iterations == iterations
         assert res.x is not x0 and not np.shares_memory(res.x, x0)
         np.testing.assert_array_equal(x0, start)
