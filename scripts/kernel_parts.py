@@ -48,11 +48,12 @@ from splitmerge.solvers import METHODS, IterationKernel, IterationTrace, init_ve
 
 RHO = "fixed_one_with_safeguard"
 PARAMS = {"gd_difference": 0.9, "power_momentum": 0.1, "split_merge": RHO}
-RECORD = (
-    "trace.sin_theta.append(sin_t); trace.f_value.append(xtx - s); trace.rayleigh.append(r); "
-    "trace.residual.append(resid); trace.matvecs.append(op.matvec_count); "
-    "trace.seconds.append(time.perf_counter())"
-)
+# solve's recording statements; it binds the appends and the clock once, before its
+# loop, so the setup binds them too, as locals of timeit's function
+RECORD = ("add_sin(sin_t); add_f(xtx - s); add_r(r); add_resid(resid); "
+          "add_mv(op.matvec_count - mv0); add_s(clock() - t0)")
+RECORD_SETUP = ("add_sin, add_f, add_r, add_resid, add_mv, add_s = (c.append for c in columns); "
+                "clock = time.perf_counter; mv0 = op.matvec_count; t0 = clock()")
 
 
 def tridiagonal(n: int, seed: int) -> CsrOperator:
@@ -86,8 +87,11 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
     w0 = w.copy()
     args = measure_arguments(kernel, x, w, z)
     w1 = w.copy()    # what update sees: for power and momentum, the update in progress
+    trace = IterationTrace(method=method, coeffs=[] if is_sm else None)
+    columns = (trace.sin_theta, trace.f_value, trace.rayleigh, trace.residual, trace.matvecs,
+               trace.seconds)
     names = dict(op=op, x=x, w=w, w0=w0, w1=w1, z=z, kernel=kernel, np=np, time=time,
-                 solvers=solvers, trace=IterationTrace(method=method), sin_t=0.1, s=1.0,
+                 solvers=solvers, trace=trace, columns=columns, sin_t=0.1, s=1.0,
                  resid=0.1, xtx=1.0, r=1.0, args=args)
     # (statement, setup) per part; the passes read w as measure gave it to them
     parts = {
@@ -96,7 +100,8 @@ def time_parts(n: int, method: str, seed: int = 0, repeat: int = 5, iters: int =
         "reductions": ("kernel._reductions(*args['reductions'])", "np.copyto(w, w0)"),
         "vectors": ("kernel._vectors(*args['vectors'])", "np.copyto(w, w0)"),
         "update": ("kernel.update(x, w, z)", "np.copyto(w, w1)"),
-        "trace_recording": (RECORD, "pass"),
+        "trace_recording": (("trace.coeffs.append(kernel.coeffs); " if is_sm else "") + RECORD,
+                            RECORD_SETUP),
     }
     if is_sm:
         parts["scalars"] = ("solvers.coefficients_from_sums(*args['scalars'])", "pass")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import SYMV_MIN_N, DenseOperator, LinearOperator
+from .errors import ConfigError
+from .linop import DenseOperator, LinearOperator
 from .theory import Spectrum
 
 TAIL_SEPARATION = 1e-12
@@ -40,31 +41,26 @@ class SyntheticSpec:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 < self.gap < 1.0:
-            raise ValueError(f"gap must lie in (0, 1), got {self.gap}")
+        if not TAIL_SEPARATION <= self.gap < 1.0:
+            raise ValueError(f"gap must lie in [{TAIL_SEPARATION:g}, 1), got {self.gap}")
 
 
 def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
     """Draw (operator, exact spectrum) for the given spec.
 
     The stages work in place, so the peak holds three n x n arrays, the two
-    returned included (24.1 MiB traced at n = 1024). From ``SYMV_MIN_N`` on,
-    scipy's LAPACK QR factors the Gaussian over its own Fortran copy, as
-    numpy's ``qr`` cannot; the returned operator imports ``scipy.linalg`` for
-    ``dsymv`` at those orders anyway. Below it, numpy's ``qr`` keeps small
-    runs free of that import. With one BLAS thread both give the same Q and R
-    bit for bit; with more, each library's result depends on the thread
-    count, and at some orders they differ.
+    returned included (24.1 MiB traced at n = 1024). scipy's LAPACK QR
+    factors the Gaussian over its own Fortran copy, as numpy's ``qr`` cannot.
+    With more than one BLAS thread its Q depends on the thread count at some
+    orders. Raises ``ConfigError`` when no draw of the tail keeps every
+    adjacent pair ``TAIL_SEPARATION`` apart.
     """
+    import scipy.linalg
+
     n = spec.n
     rng = np.random.default_rng(spec.seed)
-    if n >= SYMV_MIN_N:
-        import scipy.linalg
-
-        q, r = scipy.linalg.qr(np.asfortranarray(rng.standard_normal((n, n))), overwrite_a=True,
-                               mode="economic", check_finite=False)
-    else:
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q, r = scipy.linalg.qr(np.asfortranarray(rng.standard_normal((n, n))), overwrite_a=True,
+                           mode="economic", check_finite=False)
     signs = np.sign(np.diag(r))
     del r
     signs[signs == 0] = 1.0
@@ -82,7 +78,8 @@ def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
                 eigenvalues = np.concatenate(([1.0], below))
                 break
         else:
-            raise RuntimeError("could not draw a separated spectrum tail")
+            raise ConfigError(f"n = {n}, gap = {spec.gap}: {_REDRAW_CAP} draws found no tail with "
+                              f"adjacent eigenvalues TAIL_SEPARATION = {TAIL_SEPARATION:g} apart")
 
     a = u * eigenvalues
     a = a @ u.T

@@ -960,8 +960,13 @@ class TestCli:
         assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert spec.eigenvalues[1] == pytest.approx(0.75, abs=1e-12)
 
-    def test_gen_bad_gap_exit_code(self, tmp_path):
-        assert cli_main(["gen", "--n", "8", "--gap", "2.0", "--out", str(tmp_path / "x.mtx")]) == 1
+    @pytest.mark.parametrize("n, gap", [(8, 2.0), (4, 1e-17), (4, 0.9999999999999)])
+    def test_gen_bad_gap_exit_code(self, tmp_path, capsys, n, gap):
+        out = tmp_path / "x.mtx"
+        assert cli_main(["gen", "--n", str(n), "--gap", str(gap), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_run_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
         import splitmerge.bench as harness

@@ -1,6 +1,7 @@
 """The heavy scipy submodules load only on the paths that need them.
 
-``scipy.linalg`` comes in with the first dense operator of order
+``scipy.linalg`` comes in with a synthetic run, whose matrix is drawn
+through its LAPACK QR, with the first dense operator of order
 ``SYMV_MIN_N`` or more, whose matvec is its BLAS ``dsymv``, and with the
 dominant-pair reference; ``scipy.sparse.linalg`` (ARPACK) only with that
 reference for a matrix that is not tridiagonal. The trace
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WATCHED = ("scipy.io", "scipy.sparse.linalg", "scipy.linalg")
@@ -36,15 +39,11 @@ def _loaded_after(body: str, tmp_path, watched=WATCHED) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_synthetic_run_loads_no_scipy_io_or_linalg(tmp_path):
-    body = "run_experiment(ExperimentConfig(n=16, gap=0.2, trials=1, out_dir='out'))"
-    assert _loaded_after(body, tmp_path) == set()
-
-
 def test_matrix_market_run_under_dense_limit_loads_only_scipy_io(tmp_path):
     body = (
-        "from splitmerge import SyntheticSpec, generate, save_matrix_market\n"
-        "save_matrix_market(generate(SyntheticSpec(n=12, gap=0.2, seed=1))[0], 'm.mtx')\n"
+        "import numpy as np\n"
+        "from splitmerge import DenseOperator, save_matrix_market\n"
+        "save_matrix_market(DenseOperator(np.diag(np.linspace(1.0, 0.2, 12))), 'm.mtx')\n"
         "run_experiment(ExperimentConfig(source='matrix_market', matrix_path='m.mtx',\n"
         "                                trials=1, out_dir='out', dense_limit=64))"
     )
@@ -63,10 +62,11 @@ def test_tridiagonal_matrix_market_run_above_dense_limit_loads_no_arpack(tmp_pat
     assert _loaded_after(body, tmp_path) == {"scipy.io", "scipy.linalg"}
 
 
-def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path):
+@pytest.mark.parametrize("n", ["16", "SYMV_MIN_N"])
+def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path, n):
     body = (
         "from splitmerge.linop import SYMV_MIN_N\n"
-        "run_experiment(ExperimentConfig(n=SYMV_MIN_N, gap=0.2, trials=1, out_dir='out'))"
+        f"run_experiment(ExperimentConfig(n={n}, gap=0.2, trials=1, out_dir='out'))"
     )
     assert _loaded_after(body, tmp_path) == {"scipy.linalg"}
 

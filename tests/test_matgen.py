@@ -11,7 +11,7 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n=1, gap=0.1)
 
-    @pytest.mark.parametrize("gap", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("gap", [0.0, 1.0, -0.1, 1.5, 1e-17, 1e-13])
     def test_rejects_bad_gap(self, gap):
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, gap=gap)
@@ -119,7 +119,7 @@ def test_in_place_stages_keep_every_bit():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    orders = [SYMV_MIN_N - 1, SYMV_MIN_N, 1024]
+    orders = [2, 17, 128, SYMV_MIN_N - 1, SYMV_MIN_N, 1024]
     done = subprocess.run([sys.executable, "-c", _OUT_OF_PLACE, *map(str, orders)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     assert json.loads(done.stdout) == [[True, True]] * len(orders)
