@@ -41,8 +41,10 @@ class SyntheticSpec:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not TAIL_SEPARATION <= self.gap < 1.0:
-            raise ValueError(f"gap must lie in [{TAIL_SEPARATION:g}, 1), got {self.gap}")
+        # below 1 - gap, n - 2 tail eigenvalues must fit TAIL_SEPARATION apart and above 0
+        if not TAIL_SEPARATION <= self.gap < 1.0 - (self.n - 2) * TAIL_SEPARATION:
+            raise ValueError(f"gap must lie in [{TAIL_SEPARATION:g}, 1 - (n - 2) * "
+                             f"{TAIL_SEPARATION:g}) with n = {self.n}, got {self.gap}")
 
 
 def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
@@ -53,7 +55,7 @@ def generate(spec: SyntheticSpec) -> tuple[LinearOperator, Spectrum]:
     factors the Gaussian over its own Fortran copy, as numpy's ``qr`` cannot.
     With more than one BLAS thread its Q depends on the thread count at some
     orders. Raises ``ConfigError`` when no draw of the tail keeps every
-    adjacent pair ``TAIL_SEPARATION`` apart.
+    adjacent pair ``TAIL_SEPARATION`` apart, though ``spec`` leaves room.
     """
     import scipy.linalg
 

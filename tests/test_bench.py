@@ -968,6 +968,14 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("gap", [1e-17, 0.9999999999999])
+    def test_run_bad_gap_writes_no_out_dir(self, tmp_path, capsys, gap):
+        out = tmp_path / "o"
+        args = ["run", "--n", "4", "--gap", str(gap), "--trials", "1", "--out", str(out)]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_run_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
         import splitmerge.bench as harness
 

@@ -40,10 +40,12 @@ def _loaded_after(body: str, tmp_path, watched=WATCHED) -> set[str]:
 
 
 def test_matrix_market_run_under_dense_limit_loads_only_scipy_io(tmp_path):
+    # no zero entry, so the coordinate file loads as a DenseOperator below SYMV_MIN_N
     body = (
         "import numpy as np\n"
         "from splitmerge import DenseOperator, save_matrix_market\n"
-        "save_matrix_market(DenseOperator(np.diag(np.linspace(1.0, 0.2, 12))), 'm.mtx')\n"
+        "a = np.full((12, 12), 0.01) + np.diag(np.linspace(1.0, 0.2, 12))\n"
+        "save_matrix_market(DenseOperator(a), 'm.mtx')\n"
         "run_experiment(ExperimentConfig(source='matrix_market', matrix_path='m.mtx',\n"
         "                                trials=1, out_dir='out', dense_limit=64))"
     )
@@ -63,7 +65,7 @@ def test_tridiagonal_matrix_market_run_above_dense_limit_loads_no_arpack(tmp_pat
 
 
 @pytest.mark.parametrize("n", ["16", "SYMV_MIN_N"])
-def test_synthetic_run_from_symv_threshold_loads_only_scipy_linalg(tmp_path, n):
+def test_synthetic_run_loads_only_scipy_linalg(tmp_path, n):
     body = (
         "from splitmerge.linop import SYMV_MIN_N\n"
         f"run_experiment(ExperimentConfig(n={n}, gap=0.2, trials=1, out_dir='out'))"

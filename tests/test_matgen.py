@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitmerge import SyntheticSpec, dense_eigendecomposition, generate, gershgorin_shift
+from splitmerge.errors import ConfigError
 
 from conftest import assert_symmetric_psd
 
@@ -11,7 +12,7 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n=1, gap=0.1)
 
-    @pytest.mark.parametrize("gap", [0.0, 1.0, -0.1, 1.5, 1e-17, 1e-13])
+    @pytest.mark.parametrize("gap", [0.0, 1.0, -0.1, 1.5, 1e-17, 1e-13, 0.9999999999999])
     def test_rejects_bad_gap(self, gap):
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, gap=gap)
@@ -42,6 +43,11 @@ class TestGenerate:
         op_b, spec_b = generate(SyntheticSpec(n=16, gap=0.1, seed=7))
         np.testing.assert_array_equal(op_a.to_dense(), op_b.to_dense())
         np.testing.assert_array_equal(spec_a.eigenvalues, spec_b.eigenvalues)
+
+    def test_unseparable_tail_draws_are_config_error(self):
+        # 1 - gap leaves room for two tail eigenvalues 1e-12 apart, but no uniform draw lands there
+        with pytest.raises(ConfigError, match="1000 draws found no tail"):
+            generate(SyntheticSpec(n=4, gap=1 - 2.0001e-12))
 
     def test_seeds_differ(self):
         op_a, _ = generate(SyntheticSpec(n=8, gap=0.1, seed=1))
