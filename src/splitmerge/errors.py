@@ -14,7 +14,7 @@ class DimensionMismatchError(SplitMergeError):
 
 
 class MatrixMarketError(SplitMergeError):
-    """Malformed Matrix Market content (entry lines, counts, values)."""
+    """Malformed Matrix Market content, or an operator whose ||A||_F is not finite."""
 
 
 class MatrixMarketHeaderError(MatrixMarketError):

@@ -46,8 +46,8 @@ from .errors import (
 _PLAIN_NORM_MIN = 1e-146
 
 
-def _scaled_norm(values: np.ndarray, norm=np.linalg.norm) -> float:
-    """``norm(values)``, or max|v| * norm(values / max|v|) where the plain one over- or underflows.
+def _scaled_norm(values: np.ndarray) -> float:
+    """The 2-norm of ``values``, rescaled by max|v| where the plain one over- or underflows.
 
     The plain norm is kept, bit for bit, when it lies in (``_PLAIN_NORM_MIN``,
     inf). Otherwise the rescaled one is finite and nonzero wherever the norm
@@ -56,20 +56,21 @@ def _scaled_norm(values: np.ndarray, norm=np.linalg.norm) -> float:
     entry the plain nan or inf.
     """
     with np.errstate(over="ignore", under="ignore"):
-        plain = float(norm(values))
+        plain = float(np.linalg.norm(values))
         if _PLAIN_NORM_MIN < plain < math.inf:
             return plain
         scale = float(np.abs(values).max(initial=0.0))
         if not 0.0 < scale < math.inf:
             return plain
-        return scale * float(norm(values / scale))
+        return scale * float(np.linalg.norm(values / scale))
 
 
 class LinearOperator:
     """Symmetric linear operator exposing ``y = A @ x`` and a matvec counter.
 
-    Subclasses implement ``_apply`` and ``to_dense``, and set
-    ``frobenius_norm`` as this class sets ``n``.
+    Subclasses implement ``_apply`` and ``to_dense`` and pass ``__init__`` n
+    and ||A||_F, which must be finite (``MatrixMarketError`` otherwise: a nan
+    or inf entry, or a norm past the float range even after ``_scaled_norm``).
     Operators are immutable after construction; the matvec counter is the
     only mutable state, and it is not thread-safe. A caller counts its own
     products as the counter's difference across its call, as ``solve`` does.
@@ -78,10 +79,14 @@ class LinearOperator:
     and returns once both halves are done.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, frobenius_norm: float):
         if n < 1:
             raise DimensionMismatchError(f"operator dimension must be >= 1, got {n}")
+        if not frobenius_norm < math.inf:
+            raise MatrixMarketError(f"an operator of order {n} has ||A||_F = {frobenius_norm}: "
+                                    "it holds a nan or inf entry, or its norm overflows")
         self.n = int(n)
+        self.frobenius_norm = float(frobenius_norm)
         self._matvec_count = 0
 
     # -- backend interface -------------------------------------------------
@@ -141,19 +146,19 @@ class DenseOperator(LinearOperator):
         matrix = np.ascontiguousarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-        super().__init__(matrix.shape[0])
-        if self.n >= SYMV_MIN_N:
+        n = matrix.shape[0]
+        if n >= SYMV_MIN_N:
             import scipy.linalg  # only large dense operators pay for it
 
             if not scipy.linalg.issymmetric(matrix):
                 raise AsymmetricMatrixError(
-                    f"a dense operator of order {self.n} >= {SYMV_MIN_N} must be exactly symmetric"
+                    f"a dense operator of order {n} >= {SYMV_MIN_N} must be exactly symmetric"
                 )
             self._symv = scipy.linalg.blas.dsymv
-        else:
-            _require_symmetric(matrix, f"a dense matrix of order {self.n}")
+        elif n >= 1:    # LinearOperator refuses an empty matrix
+            _require_symmetric(matrix, f"a dense matrix of order {n}")
+        super().__init__(n, _scaled_norm(matrix))
         self._a = matrix
-        self.frobenius_norm = _scaled_norm(matrix)
 
     def _apply(self, x):
         if self.n < SYMV_MIN_N:
@@ -181,10 +186,9 @@ class CsrOperator(LinearOperator):
             matrix = matrix.astype(float)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-        super().__init__(matrix.shape[0])
         matrix.sum_duplicates()
+        super().__init__(matrix.shape[0], _scaled_norm(matrix.data))
         self._a = matrix
-        self.frobenius_norm = _scaled_norm(matrix.data, lambda v: np.sqrt((v**2).sum()))
 
     def _apply(self, x):
         return _split_matvec(self._a, x)

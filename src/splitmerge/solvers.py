@@ -184,15 +184,11 @@ def init_vector(n: int, seed, op: LinearOperator) -> np.ndarray:
     """Unit-norm standard-normal start with x'Ax bounded away from zero.
 
     Redraws up to 100 times until x'Ax > 1e-12 * ||A||_F, which keeps the
-    first iterate inside the differentiable set. A non-finite ||A||_F leaves
-    no floor to draw against, and is refused before any draw.
+    first iterate inside the differentiable set; the floor is finite, as
+    ``LinearOperator`` refuses a non-finite ||A||_F.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not op.frobenius_norm < math.inf:
-        raise InitializationError(
-            f"||A||_F = {op.frobenius_norm} is not finite: no x'Ax floor to draw a start against"
-        )
     rng = np.random.default_rng(seed)
     floor = 1e-12 * op.frobenius_norm
     for _ in range(100):

@@ -951,6 +951,18 @@ class TestCli:
         assert err[0].startswith("config error: power_momentum(beta=auto): beta must be finite")
         assert len(err) == 1
 
+    def test_norm_past_the_float_range_exits_at_load(self, tmp_path, capsys):
+        """Finite entries whose ||A||_F, 1.92e308, is not: refused before any output."""
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+                       "1 1 1.5e308\n2 1 -1.0\n2 2 1.2e308\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: an operator of order 2 has ||A||_F = inf")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_gen_round_trip(self, tmp_path):
         mtx = tmp_path / "gen.mtx"
         assert cli_main(["gen", "--n", "8", "--gap", "0.25", "--seed", "2", "--out", str(mtx)]) == 0

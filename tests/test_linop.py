@@ -169,12 +169,14 @@ class TestSymv:
             DenseOperator(dense)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_below_threshold_left_downstream(self, rng, bad):
+    def test_non_finite_below_threshold_refused(self, rng, bad):
+        """The symmetry rule passes a nan or inf on, silently; its norm is then refused."""
         dense = random_symmetric(rng, 64)
         dense[3, 40] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert DenseOperator(dense).n == 64
+            with pytest.raises(MatrixMarketError, match=f"order 64 has \\|\\|A\\|\\|_F = {bad}"):
+                DenseOperator(dense)
 
     @pytest.mark.parametrize("n", [SYMV_MIN_N, 1024])
     def test_mirror_pairs_compare_with_equality(self, rng, n):
@@ -253,17 +255,22 @@ class TestGershgorin:
         a = random_symmetric(rng, 9)
         assert DenseOperator(a).frobenius_norm == float(np.linalg.norm(a))
         csr = CsrOperator(sp.csr_matrix(a))
-        assert csr.frobenius_norm == float(np.sqrt((csr._a.data**2).sum()))
+        assert csr.frobenius_norm == float(np.linalg.norm(csr._a.data))
 
     def test_frobenius_of_huge_entries_is_finite(self):
-        """Squares of entries near 1e200 overflow; the norm is rescaled, and a start is found."""
+        """Squares of entries near 1e200 overflow; the norm is rescaled, and a start is found.
+
+        Four entries of 1e308 have a norm of 2e308, past the float range: refused.
+        """
         from splitmerge import init_vector
 
         a = np.array([[1e200, -1.0], [-1.0, 1.5e200]])
         for op in (DenseOperator(a), CsrOperator(sp.csr_matrix(a))):
             assert op.frobenius_norm == pytest.approx(np.hypot(1e200, 1.5e200), rel=1e-15)
             assert init_vector(2, 0, op).shape == (2,)
-        assert DenseOperator(np.array([[1e308, 1e308], [1e308, 1e308]])).frobenius_norm == np.inf
+        for build in (DenseOperator, lambda m: CsrOperator(sp.csr_matrix(m))):
+            with pytest.raises(MatrixMarketError, match=r"order 2 has \|\|A\|\|_F = inf"):
+                build(np.full((2, 2), 1e308))
 
     def test_eta_is_the_disc_bound(self, rng):
         a = random_symmetric(rng, 7)
@@ -392,12 +399,12 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("variant", ["array real general", "coordinate real general"])
     def test_symmetrizing_keeps_large_entries_finite(self, tmp_path, variant):
-        body = "2 2\n1e308\n-1.0\n-1.0\n1.5e308\n" if variant.startswith("array") else (
-            "2 2 4\n1 1 1e308\n1 2 -1.0\n2 1 -1.0\n2 2 1.5e308\n")
+        # a + a would overflow; the norm, 1.56e308, fits
+        body = "2 2\n1e308\n-1.0\n-1.0\n1.2e308\n" if variant.startswith("array") else (
+            "2 2 4\n1 1 1e308\n1 2 -1.0\n2 1 -1.0\n2 2 1.2e308\n")
         path = _write(tmp_path, "big.mtx", f"%%MatrixMarket matrix {variant}\n{body}")
-        with np.errstate(over="ignore"):    # the Frobenius norm of such entries is not checked here
-            op = load_matrix_market(path)
-        np.testing.assert_array_equal(op.to_dense(), [[1e308, -1.0], [-1.0, 1.5e308]])
+        op = load_matrix_market(path)
+        np.testing.assert_array_equal(op.to_dense(), [[1e308, -1.0], [-1.0, 1.2e308]])
 
     @pytest.mark.parametrize("off", ["nan", "inf", "abc"])
     def test_array_bad_value_rejected(self, tmp_path, off):

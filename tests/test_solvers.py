@@ -25,6 +25,7 @@ from splitmerge.errors import (
     BreakdownError,
     DimensionMismatchError,
     InitializationError,
+    MatrixMarketError,
     NonDifferentiablePointError,
     OverflowGuardError,
     SigmaNotPositiveError,
@@ -67,12 +68,10 @@ class TestInitVector:
 
     @pytest.mark.parametrize("n, bad", [(64, np.nan), (256, np.inf), (2, None)])
     def test_non_finite_norm_fails_before_any_draw(self, n, bad):
-        # a nan or inf entry, or finite entries whose norm overflows
+        # a nan or inf entry, or finite entries whose norm overflows: no operator, so no floor
         matrix = np.full((2, 2), 1e308) if bad is None else np.diag(np.r_[np.ones(n - 1), bad])
-        op = DenseOperator(matrix)
-        with pytest.raises(InitializationError, match=r"\|\|A\|\|_F = (nan|inf) is not finite"):
-            init_vector(n, 0, op)
-        assert op.matvec_count == 0
+        with pytest.raises(MatrixMarketError, match=rf"order {n} has \|\|A\|\|_F = (nan|inf)"):
+            DenseOperator(matrix)
 
     def test_deterministic(self):
         op = DenseOperator(np.eye(6))

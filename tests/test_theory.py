@@ -30,7 +30,7 @@ from splitmerge import (
     verify_vhat_formula,
 )
 from splitmerge import theory
-from splitmerge.errors import OracleConvergenceError, UndefinedRatioError
+from splitmerge.errors import MatrixMarketError, OracleConvergenceError, UndefinedRatioError
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
 from conftest import random_psd_operator, random_symmetric
@@ -107,9 +107,9 @@ class TestJacobiOracle:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_raises(self, bad):
-        op = DenseOperator(np.array([[bad, 0.5], [0.5, 1.0]]))
-        with pytest.raises(OracleConvergenceError):
-            dense_eigendecomposition(op)
+        # refused at construction, so LAPACK never decomposes it
+        with pytest.raises(MatrixMarketError, match=f"order 2 has \\|\\|A\\|\\|_F = {bad}"):
+            DenseOperator(np.array([[bad, 0.5], [0.5, 1.0]]))
 
 
 class TestSquareRootFactor:
@@ -549,10 +549,8 @@ class TestDominantReference:
     def test_non_finite_entry_raises_promptly(self):
         m = sp.diags([np.full(199, 0.5), np.ones(200), np.full(199, 0.5)], [-1, 0, 1]).tocsr()
         m.data[5] = math.nan
-        op = CsrOperator(m)
-        with pytest.raises(OracleConvergenceError):
-            reference_dominant_eigenpair(op)
-        assert op.matvec_count <= 100
+        with pytest.raises(MatrixMarketError, match="order 200 has"):
+            CsrOperator(m)
 
     @staticmethod
     def _perturbed_top_pair(m):
@@ -732,14 +730,16 @@ class TestDominantReference:
         assert ref.residual <= theory.REFERENCE_CERTIFY * ref.lambda1
 
     def test_lapack_failures_raise_the_typed_error_with_n(self):
+        # finite entries, ||A||_F = 1.35e308, whose Gershgorin bound 1.9e308 at row 3 overflows
         n = 50
-        # a nan off the diagonal is not equal to its mirror, so it is not tridiagonal here
-        for row, col, value in ((3, 3, math.inf), (3, 3, -math.inf), (3, 3, math.nan),
-                                (3, 4, math.inf)):
-            m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tolil()
-            m[row, col] = m[col, row] = value
+        m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tolil()
+        m[3, 2], m[3, 3], m[3, 4] = 0.5e308, 0.9e308, 0.5e308
+        m[2, 3] = m[4, 3] = 0.5e308
+        op = CsrOperator(m.tocsr())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(OracleConvergenceError, match=f"reference failed at n = {n}"):
-                reference_dominant_eigenpair(CsrOperator(m.tocsr()))
+                reference_dominant_eigenpair(op)
 
     def test_non_finite_entry_is_refused_before_arpack(self, capfd):
         # nan != nan, so this operator is not tridiagonal to _tridiagonal_bands and would go to
@@ -747,9 +747,8 @@ class TestDominantReference:
         n = 50
         m = sp.diags([np.full(n - 1, 0.5), np.ones(n), np.full(n - 1, 0.5)], [-1, 0, 1]).tolil()
         m[3, 4] = m[4, 3] = math.nan
-        with pytest.raises(OracleConvergenceError,
-                           match=f"reference failed at n = {n}: it holds a non-finite entry"):
-            reference_dominant_eigenpair(CsrOperator(m.tocsr()))
+        with pytest.raises(MatrixMarketError, match=f"order {n} has \\|\\|A\\|\\|_F = nan"):
+            CsrOperator(m.tocsr())
         assert capfd.readouterr() == ("", "")
 
     def test_step_cap_raises_with_n_and_the_residual_reached(self, monkeypatch):
