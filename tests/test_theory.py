@@ -1,5 +1,11 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,9 @@ from splitmerge.errors import MatrixMarketError, OracleConvergenceError, Undefin
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
 from conftest import random_psd_operator, random_symmetric
+
+ROOT = Path(__file__).resolve().parents[1]
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def _coeffs(zeta, omega):
@@ -635,6 +644,21 @@ class TestDominantReference:
         sin = np.linalg.norm(ref.u1 - (ref.u1 @ u1) * u1)
         assert sin <= ref.residual / gap + 1e-9
 
+    def test_tridiagonal_reference_is_pinned(self):
+        # the benchmark's tridiagonal recipe at n = 40000 > solvers.BLOCK, so that any pass
+        # over blocks runs more than one; in a one-BLAS-thread child, as a threaded ddot
+        # sums another way (two threads give another residual and another u1)
+        child = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--pin"], capture_output=True,
+            text=True, timeout=300, check=True,
+            env=dict(os.environ, **ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+        )
+        assert json.loads(child.stdout) == [
+            "0x1.00002b825d85fp+0", "0x1.b24ecd4c3378fp-59", 6,
+            "7fa5c7f2c4d044adb6f2cd886cda8117198a525bd3385105b1e52d1832d8a7e9",
+        ]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_shift_that_stays_keeps_its_factor(self, monkeypatch, seed):
         # the benchmark's tridiagonal recipe: lambda1 ~ 1 and lambda2 ~ 0.95 at two rows
@@ -824,3 +848,22 @@ class TestDominantReference:
         eigs, vecs = np.linalg.eigh(m.toarray())
         assert eigs[-1] - eigs[-2] == pytest.approx(1e-9, rel=0.1)
         self._top_pair_checks(m, eigs, vecs)
+
+
+def _pinned_reference():
+    """(lambda1.hex(), residual.hex(), matvecs, SHA-256 of u1) of the pinned tridiagonal."""
+    n = 40_000
+    rng = np.random.default_rng([3, 1])
+    diag = rng.integers(50_000, 900_001, n) / 1e6
+    off = rng.integers(1_000, 20_001, n - 1) * rng.choice([-1, 1], n - 1) / 1e6
+    for row, value in ((rng.integers(1, n // 2), 1.0), (rng.integers(n // 2 + 1, n - 1), 0.95)):
+        diag[row] = value
+        off[row - 1:row + 1] = np.sign(off[row - 1:row + 1]) * 0.001
+    ref = reference_dominant_eigenpair(CsrOperator(sp.diags([off, diag, off], [-1, 0, 1],
+                                                            format="csr")))
+    return [ref.lambda1.hex(), ref.residual.hex(), ref.matvecs,
+            hashlib.sha256(ref.u1.tobytes()).hexdigest()]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--pin"]:
+    print(json.dumps(_pinned_reference()))
