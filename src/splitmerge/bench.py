@@ -309,6 +309,7 @@ def _run_trial(
                 )
             )
             continue
+        result.x = None    # no stage reads the final iterate: free it before the next solve
         records.append(
             TrialRecord(
                 solver=setting.label, trial=trial, converged=result.converged,

@@ -177,7 +177,10 @@ class CsrOperator(LinearOperator):
     A float64 CSR matrix in canonical form (sorted indices, no duplicates) is
     shared, as ``DenseOperator`` shares a float C array; any other input is
     copied before its duplicates are summed, so the caller's matrix is never
-    modified.
+    modified. Symmetry is not checked here: ``dense_eigendecomposition``
+    refuses an asymmetric CSR operator up to its ``dense_limit``, and above it
+    symmetry is still the caller's contract (a "symmetric" Matrix Market file
+    loads mirrored, a "general" one checked).
     """
 
     def __init__(self, matrix: sp.spmatrix):
@@ -357,16 +360,20 @@ def load_matrix_market(path) -> LinearOperator:
 
     if fmt == "array":
         _require_finite(mat, path)
-        return DenseOperator(_symmetrized(mat, path))
-    _require_finite(mat.data, path)
-    mat = mat.tocsr()
-    mat.eliminate_zeros()  # a stored 0.0 costs matvec work and storage-rule bytes
-    if symmetry == "general":
         mat = _symmetrized(mat, path)
-    csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    if mat.dtype.itemsize * rows * cols <= csr_bytes:
-        return DenseOperator(mat.toarray())
-    return CsrOperator(mat)
+    else:
+        _require_finite(mat.data, path)
+        mat = mat.tocsr()
+        mat.eliminate_zeros()  # a stored 0.0 costs matvec work and storage-rule bytes
+        if symmetry == "general":
+            mat = _symmetrized(mat, path)
+        csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        if mat.dtype.itemsize * rows * cols <= csr_bytes:
+            mat = mat.toarray()
+    try:    # finite entries can still have a ||A||_F past the float range
+        return DenseOperator(mat) if isinstance(mat, np.ndarray) else CsrOperator(mat)
+    except MatrixMarketError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _require_finite(values: np.ndarray, path) -> None:

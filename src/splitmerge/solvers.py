@@ -166,7 +166,7 @@ class IterationTrace:
 
 @dataclass
 class SolveResult:
-    x: np.ndarray
+    x: np.ndarray | None                # the final iterate; None in a bench TrialRecord
     rayleigh_estimate: float
     iterations: int
     converged: bool
@@ -589,8 +589,13 @@ def solve(
     has converged=False and stop_reason "max_iter". An iterate whose x'Ax
     is not finite and positive raises NonDifferentiablePointError.
     Diagnostics reuse the step's own matvecs, so the cumulative matvec count
-    advances by exactly the method's per-iteration cost. Memory is O(n) plus
-    a few scalars per iteration.
+    advances by exactly the method's per-iteration cost. Memory is a few
+    scalars per iteration and, at its peak, these n-vectors: x and Ax for
+    power and gd_difference; those and the previous iterate for
+    power_momentum; those and A^2x for split_merge, whose spent A^2x is
+    dropped before the next two products. Beside them, the kernel's scratch
+    (one n-vector up to ``BLOCK``, two blocks above), the unit u1 when
+    ``ground_truth`` is given, and the caller's ``x0``.
     """
     u1 = None if ground_truth is None else _unit_u1(ground_truth.u1, op.n)
     if config.stop_mode == "oracle" and u1 is None:
@@ -649,6 +654,7 @@ def solve(
             break
 
         x = kernel.update(x, w, z)
+        z = None    # A^2x is spent: the next two products may reuse its memory
 
     coeffs = trace.coeffs or ()
     return SolveResult(

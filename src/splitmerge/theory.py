@@ -23,9 +23,11 @@ from .errors import (
     OracleConvergenceError,
     UndefinedRatioError,
 )
-from .linop import LinearOperator, _scaled_norm, _tridiagonal_bands
+from .linop import (
+    CsrOperator, LinearOperator, _require_symmetric, _scaled_norm, _storage, _tridiagonal_bands,
+)
 from .objective import _require_differentiable, hessian_vec
-from .solvers import IterationTrace, _unit_u1, split_merge_step
+from .solvers import BLOCK, IterationTrace, _block_halves, _unit_u1, split_merge_step
 
 DENSE_LIMIT_DEFAULT = 4096
 REFERENCE_CERTIFY = 1e-10
@@ -97,9 +99,14 @@ def dense_eigendecomposition(
     Eigenpairs are sorted descending. Eigenvalues in (-1e-10 * |lambda_max|, 0)
     are clamped to 0, since they are roundoff artifacts for PSD input.
     The entries are finite (``LinearOperator`` refuses a non-finite ||A||_F).
+    A ``CsrOperator`` must be symmetric to 1e-12 relative, as a "general" file
+    must (``AsymmetricMatrixError`` otherwise): LAPACK reads one triangle, and
+    the matvec both. A ``DenseOperator`` was checked when it was built.
     """
     if op.n > dense_limit:
         raise ValueError(f"n = {op.n} exceeds the dense oracle limit {dense_limit}")
+    if isinstance(op, CsrOperator):
+        _require_symmetric(_storage(op), f"a CSR operator of order {op.n}")
     a = op.to_dense()
     try:
         eigs, vecs = np.linalg.eigh(a)
@@ -147,7 +154,7 @@ def reference_dominant_eigenpair(op: LinearOperator) -> DominantReference:
         except ArpackError as exc:
             raise OracleConvergenceError(f"ARPACK reference failed: {exc}") from exc
         r, x = float(vals[0]), vecs[:, 0]
-    resid = float(np.linalg.norm(op.apply(x) - r * x))
+    resid = _residual_norm(op.apply(x), x, r)
     if not (r > 0 and resid <= REFERENCE_CERTIFY * r):
         raise OracleConvergenceError(
             f"{name} reference residual {resid:.3e} not certified below "
@@ -170,15 +177,12 @@ def _top_tridiagonal_pair(op: LinearOperator, diag: np.ndarray, off: np.ndarray)
 
     sigma starts above the Gershgorin bound and moves after each step down to rho + res, or
     as near to it as sigma*I - T still factors; it keeps its factor where rho + res is not
-    below it. ``off`` is negated in place.
+    below it. ``off`` is negated in place. Beside the bands it holds u, Ax and the factor's
+    two arrays: four n-vectors, and one block.
     """
     from scipy.linalg.lapack import dpttrs
     np.negative(off, out=off)            # sigma*I - T has off-diagonal -off
-    scratch = diag.copy()
-    with np.errstate(over="ignore"):     # a bound past 1.8e308 is refused below, with n
-        scratch[:-1] += np.abs(off)
-        scratch[1:] += np.abs(off)       # Gershgorin row bounds; strictly dominant above them
-    sigma = (top := float(scratch.max())) + 1e-8 * abs(top)
+    sigma = (top := _gershgorin_top(diag, off)) + 1e-8 * abs(top)
     if not sigma < math.inf or (f := _shifted_factor(sigma, diag, off)) is None:
         raise OracleConvergenceError(f"inverse-iteration reference failed at n = {op.n}")
     u = np.random.default_rng(0).standard_normal(op.n)
@@ -187,8 +191,9 @@ def _top_tridiagonal_pair(op: LinearOperator, diag: np.ndarray, off: np.ndarray)
         u /= np.linalg.norm(u)
         w = op.apply(u)
         rho = float(u @ w)
-        w -= np.multiply(u, rho, out=scratch)
-        if (res := float(np.linalg.norm(w))) <= REFERENCE_TOL * abs(rho):
+        res = _residual_norm(w, u, rho)
+        w = None                         # spent: the next product may reuse its memory
+        if res <= REFERENCE_TOL * abs(rho):
             return rho, u
         if sigma - (step := sigma - rho - res) < sigma:    # else sigma, and so its factor, stays
             f = None                     # one factor pair held at a time
@@ -197,6 +202,36 @@ def _top_tridiagonal_pair(op: LinearOperator, diag: np.ndarray, off: np.ndarray)
             sigma -= step
     raise OracleConvergenceError(f"inverse-iteration reference reached residual {res:.3e} "
                                  f"in {REFERENCE_STEPS} steps at n = {op.n}")
+
+
+def _gershgorin_top(diag: np.ndarray, off: np.ndarray) -> float:
+    """max_i of (diag[i] + |off[i]|) + |off[i-1]|, the row bounds formed a block at a time.
+
+    These are T's Gershgorin row bounds: sigma*I - T is strictly diagonally dominant above them.
+    """
+    n = diag.size
+    low, high = _block_halves(n)
+    buffer, top = np.empty(min(BLOCK, n)), -math.inf
+    with np.errstate(over="ignore"):     # a bound past 1.8e308 is refused by the caller, with n
+        for b in low + high:
+            bound = buffer[:b.stop - b.start]
+            np.copyto(bound, diag[b])
+            below = off[b.start:min(b.stop, n - 1)]           # off[i], i < n - 1
+            bound[:below.size] += np.abs(below)
+            above = off[max(b.start - 1, 0):b.stop - 1]      # off[i - 1], i >= 1
+            bound[bound.size - above.size:] += np.abs(above)
+            top = max(top, float(bound.max()))
+    return top
+
+
+def _residual_norm(w: np.ndarray, u: np.ndarray, rho: float) -> float:
+    """||w - rho*u||, with w - rho*u written over w a block at a time."""
+    low, high = _block_halves(w.size)
+    buffer = np.empty(min(BLOCK, w.size))
+    for b in low + high:
+        part = w[b]
+        np.subtract(part, np.multiply(u[b], rho, buffer[:part.size]), part)
+    return float(np.linalg.norm(w))
 
 
 def square_root_factor(spectrum: Spectrum) -> np.ndarray:

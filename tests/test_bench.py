@@ -959,7 +959,7 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["run", "--matrix", str(big), "--trials", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error: an operator of order 2 has ||A||_F = inf")
+        assert err.startswith(f"input error: {big}: an operator of order 2 has ||A||_F = inf")
         assert err.count("\n") == 1
         assert not out.exists()
 

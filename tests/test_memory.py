@@ -1,18 +1,23 @@
 """A solve retains O(n) plus a few scalars per iteration, not O(n) per iteration,
-an experiment holds one trial's traces at a time, not every trial's, saving
-a matrix holds a few copies of it, not a Python object per entry, and drawing
-a synthetic matrix holds three."""
+and a split-merge solve holds three n-vectors at its peak; the tridiagonal
+reference holds six beyond its operator; an experiment holds one trial's
+traces at a time, not every trial's, and no finished solve's final iterate;
+saving a matrix holds a few copies of it, not a Python object per entry, and
+drawing a synthetic matrix holds three."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from splitmerge import (
-    CsrOperator, DenseOperator, ExperimentConfig, SolverConfig, run_experiment,
-    save_matrix_market, solve,
+    CsrOperator, DenseOperator, ExperimentConfig, SolverConfig, reference_dominant_eigenpair,
+    run_experiment, save_matrix_market, solve,
 )
+from splitmerge import bench
 from splitmerge.bench import SolverSetting
+from splitmerge.solvers import BLOCK
 
 N = 100_000
 ITERATIONS = 300
@@ -41,8 +46,27 @@ def test_split_merge_run_retains_o_n_plus_o_k_scalars():
     # x, plus well under 1 KiB of scalars per record; keeping Ax and
     # A^2x per iteration would be 2 * 8N * 301 bytes = 482 MB
     assert retained <= vector + 1024 * (ITERATIONS + 1), retained
-    # the iterate, the products, the kernel's buffers and x0: a bounded number of vectors
-    assert peak <= 12 * vector, peak
+    # x, Ax and A^2x, the kernel's two block buffers and the trace: 3.8 vectors; 4.8 while
+    # the spent A^2x lives on across the next two products
+    assert peak <= 4 * vector, peak
+
+
+def test_tridiagonal_reference_peak_is_six_vectors():
+    rng = np.random.default_rng(0)
+    diag, off = rng.uniform(0.05, 0.9, N), rng.uniform(-0.02, 0.02, N - 1)
+    diag[N // 3] = 1.0
+    op = CsrOperator(sp.diags([off, diag, off], [-1, 0, 1], format="csr"))
+    reference_dominant_eigenpair(op)    # first-call imports, outside the measurement
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        reference_dominant_eigenpair(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bands, u, the factor's d and e and Ax, and one block for the passes; an n-sized
+    # scratch and the previous step's Ax alive across the next product make it 8
+    assert peak - before <= 6 * 8 * N + 8 * BLOCK + 64 * 1024, (peak - before) / (8 * N)
 
 
 def _experiment_peak(tmp_path, trials):
@@ -105,3 +129,24 @@ def test_generate_peak_is_three_matrices():
     # the product's two operands and its result, two of them returned: 3.0 matrices;
     # numpy's QR, which copies its input and returns a separate R, takes 6.0
     assert peak <= 3.2 * 8 * n * n, peak
+
+
+def test_no_record_holds_a_final_iterate_while_the_next_solver_runs(tmp_path, monkeypatch):
+    finished, real_solve = [], bench.solve
+
+    def solve_after_the_last_is_freed(*args, **kwargs):
+        assert all(x() is None for x in finished), "a finished solve's iterate is still held"
+        result = real_solve(*args, **kwargs)
+        finished.append(weakref.ref(result.x))
+        return result
+
+    monkeypatch.setattr(bench, "solve", solve_after_the_last_is_freed)
+    config = ExperimentConfig(
+        n=24, gap=1e-3, trials=2, seed=0, out_dir=str(tmp_path / "out"),
+        solvers=[SolverSetting("power"), SolverSetting("split_merge"),
+                 SolverSetting("gd_difference")],
+        stop_mode="residual", residual_tol=1e-300, max_iter=50,
+    )
+    report = run_experiment(config)
+    assert len(finished) == 6 and len(report.trace_paths) == 6
+    assert all(x() is None for x in finished)

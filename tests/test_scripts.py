@@ -389,7 +389,7 @@ def test_readme_commands_write_each_bench_files_keys(pairs, tmp_path, monkeypatc
                 int(given["--first-seed"])}
             assert sorted(payload["pairs"]) == sorted(stored["pairs"])
     built = {p.name for p in ROOT.glob("BENCH_*.json") if "trees" in json.loads(p.read_text())}
-    assert outs == built and len(built) == 8
+    assert outs == built and len(built) == 9
 
 
 def test_stored_verdicts_match_their_pairs(pairs):
@@ -405,7 +405,7 @@ def test_stored_verdicts_match_their_pairs(pairs):
         drop = stored["verdict"].get("median_drop", stored["verdict"].get("median_drop_mib"))
         assert result["median_drop"] == pytest.approx(drop), path.name
         checked += 1
-    assert checked == 7
+    assert checked == 8
 
 
 def test_readme_names_each_script_and_no_other():

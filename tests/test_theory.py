@@ -36,7 +36,10 @@ from splitmerge import (
     verify_vhat_formula,
 )
 from splitmerge import theory
-from splitmerge.errors import MatrixMarketError, OracleConvergenceError, UndefinedRatioError
+from splitmerge.solvers import BLOCK
+from splitmerge.errors import (
+    AsymmetricMatrixError, MatrixMarketError, OracleConvergenceError, UndefinedRatioError,
+)
 from splitmerge.theory import hessian_matrix, project_direction, surrogate_matrix
 
 from conftest import random_psd_operator, random_symmetric
@@ -119,6 +122,18 @@ class TestJacobiOracle:
         # refused at construction, so LAPACK never decomposes it
         with pytest.raises(MatrixMarketError, match=f"order 2 has \\|\\|A\\|\\|_F = {bad}"):
             DenseOperator(np.array([[bad, 0.5], [0.5, 1.0]]))
+
+    def test_asymmetric_csr_is_refused(self):
+        # the matvec multiplies the whole matrix; eigh would decompose only its lower triangle
+        op = CsrOperator(sp.csr_matrix([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(AsymmetricMatrixError, match="CSR operator of order 3 is asymmetric"):
+            dense_eigendecomposition(op)
+
+    def test_symmetric_csr_matches_its_dense_twin(self, rng):
+        a = random_symmetric(rng, 12)
+        a[np.abs(a) < 0.5] = 0.0
+        spec = dense_eigendecomposition(CsrOperator(sp.csr_matrix(a)))
+        assert np.array_equal(spec.eigenvalues, dense_eigendecomposition(DenseOperator(a)).eigenvalues)
 
 
 class TestSquareRootFactor:
@@ -645,9 +660,9 @@ class TestDominantReference:
         assert sin <= ref.residual / gap + 1e-9
 
     def test_tridiagonal_reference_is_pinned(self):
-        # the benchmark's tridiagonal recipe at n = 40000 > solvers.BLOCK, so that any pass
-        # over blocks runs more than one; in a one-BLAS-thread child, as a threaded ddot
-        # sums another way (two threads give another residual and another u1)
+        # the benchmark's tridiagonal recipe at n = 40000 > solvers.BLOCK, so that each pass
+        # over blocks takes two; in a one-BLAS-thread child, as a threaded ddot sums in
+        # another order (two threads give another residual and another u1)
         child = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--pin"], capture_output=True,
             text=True, timeout=300, check=True,
@@ -659,19 +674,23 @@ class TestDominantReference:
             "7fa5c7f2c4d044adb6f2cd886cda8117198a525bd3385105b1e52d1832d8a7e9",
         ]
 
+    @pytest.mark.parametrize("n", [2, 3, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_block_passes_keep_the_whole_vector_bits(self, n):
+        rng = np.random.default_rng(n)
+        diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+        bound = diag.copy()
+        bound[:-1] += np.abs(off)
+        bound[1:] += np.abs(off)
+        assert theory._gershgorin_top(diag, off) == bound.max()
+        w, u, rho = rng.standard_normal(n), rng.standard_normal(n), float(rng.uniform(0.5, 2.0))
+        whole = w - rho * u
+        assert theory._residual_norm(w, u, rho) == np.linalg.norm(whole)
+        assert np.array_equal(w, whole)    # written over w
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_shift_that_stays_keeps_its_factor(self, monkeypatch, seed):
-        # the benchmark's tridiagonal recipe: lambda1 ~ 1 and lambda2 ~ 0.95 at two rows
-        # coupled by 0.001, the rest of the diagonal in [0.05, 0.9]; on these seeds
-        # rho + residual lies above the first shift, so sigma stays there
-        n = 2000
-        rng = np.random.default_rng([seed, 1])
-        diag = rng.integers(50_000, 900_001, n) / 1e6
-        off = rng.integers(1_000, 20_001, n - 1) * rng.choice([-1, 1], n - 1) / 1e6
-        for row, value in ((rng.integers(1, n // 2), 1.0), (rng.integers(n // 2 + 1, n - 1), 0.95)):
-            diag[row] = value
-            off[row - 1:row + 1] = np.sign(off[row - 1:row + 1]) * 0.001
-        m = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+        # on these seeds rho + residual lies above the first shift, so sigma stays there
+        m = _benchmark_tridiagonal(2000, seed)
         real, calls = theory._shifted_factor, []
 
         def spy(sigma, *bands):
@@ -850,17 +869,21 @@ class TestDominantReference:
         self._top_pair_checks(m, eigs, vecs)
 
 
-def _pinned_reference():
-    """(lambda1.hex(), residual.hex(), matvecs, SHA-256 of u1) of the pinned tridiagonal."""
-    n = 40_000
-    rng = np.random.default_rng([3, 1])
+def _benchmark_tridiagonal(n, seed):
+    """The benchmark's tridiagonal recipe: lambda1 ~ 1 and lambda2 ~ 0.95 at two rows
+    coupled by 0.001, the rest of the diagonal in [0.05, 0.9]."""
+    rng = np.random.default_rng([seed, 1])
     diag = rng.integers(50_000, 900_001, n) / 1e6
     off = rng.integers(1_000, 20_001, n - 1) * rng.choice([-1, 1], n - 1) / 1e6
     for row, value in ((rng.integers(1, n // 2), 1.0), (rng.integers(n // 2 + 1, n - 1), 0.95)):
         diag[row] = value
         off[row - 1:row + 1] = np.sign(off[row - 1:row + 1]) * 0.001
-    ref = reference_dominant_eigenpair(CsrOperator(sp.diags([off, diag, off], [-1, 0, 1],
-                                                            format="csr")))
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+
+def _pinned_reference():
+    """(lambda1.hex(), residual.hex(), matvecs, SHA-256 of u1) of the pinned tridiagonal."""
+    ref = reference_dominant_eigenpair(CsrOperator(_benchmark_tridiagonal(40_000, 3)))
     return [ref.lambda1.hex(), ref.residual.hex(), ref.matvecs,
             hashlib.sha256(ref.u1.tobytes()).hexdigest()]
 
